@@ -76,6 +76,10 @@ SELECT_STRATEGIES = (
     STRATEGY_COMBINED,
 )
 
+# Largest pool `density --compare` accepts: its exact k-NN oracle is quadratic
+# in the row count.
+COMPARE_MAX_ROWS = 20_000
+
 
 def _load_embeddings(path: str, fmt: str) -> FeatureMatrix:
     if fmt == FORMAT_CSV:
@@ -177,6 +181,11 @@ def cmd_select(args) -> int:
 
 def cmd_density(args) -> int:
     embeddings = _load_embeddings(args.embeddings, args.format)
+    if args.mode == "lsh" and args.compare and embeddings.n > COMPARE_MAX_ROWS:
+        raise ParseError(
+            f"--compare runs the quadratic exact k-NN oracle and accepts at most "
+            f"{COMPARE_MAX_ROWS} rows; the pool has {embeddings.n}"
+        )
     if args.mode == "exact":
         profile = exact_knn_density(embeddings, args.knn, metric=args.metric)
     else:
@@ -332,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--seed", type=int, default=None)
     p_density.add_argument(
         "--compare", action="store_true",
-        help="with --mode lsh: also run the exact oracle and report rank agreement on stderr",
+        help="with --mode lsh: also run the exact oracle and report rank agreement on stderr"
+        f" (pools of at most {COMPARE_MAX_ROWS} rows)",
     )
     p_density.add_argument("--out", required=True)
     p_density.set_defaults(func=cmd_density)

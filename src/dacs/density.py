@@ -21,6 +21,10 @@ from .core import FeatureMatrix, Rng, _readonly
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_COSINE = "cosine-distance"
 
+# Rows of a chunk's similarity block that lsh_density weights and sums at once;
+# keeps its scratch buffer cache-sized whatever the chunk size.
+_ROW_TILE = 64
+
 
 class DensityConvention(enum.Enum):
     # Higher value = sparser neighborhood (a distance).
@@ -133,7 +137,8 @@ def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
     The rotation has shape (d, k/2) with i.i.d. standard normal entries drawn
     from the "rotation" stream; each column contributes an antipodal bucket
     pair. Samples are then ordered stably by (bucket id, original index) and
-    split into chunks of m = max(1, floor(n/k)).
+    split into chunks of m = max(1, floor(n/k)). A pool smaller than k gets
+    chunk size 1, so each window holds at most one neighbour; that case warns.
     """
     if not x.unit_norm:
         raise ValueError("bucket hashing requires unit-norm features; normalize first")
@@ -144,6 +149,11 @@ def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
     bucket_ids = _assign_buckets(x.data, rotation)
     sorted_order = np.argsort(bucket_ids, kind="stable")
     m = max(1, x.n // k)
+    if x.n < k:
+        warnings.warn(
+            f"pool of n={x.n} rows is smaller than k={k} buckets; chunk size is 1, "
+            "so each density window holds at most one neighbour"
+        )
     return LshAssignment(
         bucket_ids=bucket_ids,
         sorted_order=sorted_order,
@@ -171,11 +181,6 @@ def chunk_window(assignment: LshAssignment, position: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.int64)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # Inputs are cosine similarities in [-1, 1]; no overflow concerns.
-    return 1.0 / (1.0 + np.exp(-t))
-
-
 def lsh_density(
     x: FeatureMatrix,
     assignment: LshAssignment,
@@ -187,6 +192,13 @@ def lsh_density(
     where c_ij is the cosine similarity of the unit-norm rows. Similarity-based
     convention: larger values mean denser neighborhoods. window="own-chunk-only"
     drops the preceding chunk (ablation switch).
+
+    Each chunk's similarities against its window come from one matrix product.
+    The weighting then runs over row tiles of that block inside a single
+    reused scratch buffer, and each tile's rows are summed straight into the
+    output, so no chunk-sized temporaries are allocated. Tiling never splits a
+    row, so every value is the same as weighting and summing the whole block
+    at once.
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
@@ -216,13 +228,26 @@ def lsh_density(
     m = assignment.chunk_size
     n_chunks = -(-n // m)
     vals_sorted = np.empty(n, dtype=np.float64)
+    # One scratch tile, reused for every row tile of every chunk: no window is
+    # wider than two chunks.
+    scratch = np.empty(min(_ROW_TILE, m) * min(n, 2 * m))
     for c in range(n_chunks):
         s, e = c * m, min(n, (c + 1) * m)
         lo = s if (window == "own-chunk-only" or c == 0) else (c - 1) * m
         sims = Z[s:e] @ Z[lo:e].T
         rows = np.arange(e - s)
         sims[rows, rows + (s - lo)] = 0.0  # self term contributes nothing
-        vals_sorted[s:e] = (_sigmoid(sims) * sims).sum(axis=1)
+        for t in range(0, e - s, _ROW_TILE):
+            tile = sims[t : t + _ROW_TILE]
+            buf = scratch[: tile.size].reshape(tile.shape)
+            # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
+            # Cosines lie in [-1, 1], so exp cannot overflow.
+            np.negative(tile, out=buf)
+            np.exp(buf, out=buf)
+            np.add(buf, 1.0, out=buf)
+            np.divide(1.0, buf, out=buf)
+            np.multiply(buf, tile, out=buf)
+            buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(

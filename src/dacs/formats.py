@@ -44,23 +44,26 @@ def write_embeddings(path, x: FeatureMatrix) -> None:
 
 
 def read_embeddings(path) -> FeatureMatrix:
+    """Read the binary container; the file size is checked before the payload is read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ParseError(
-            f"truncated header: need {_HEADER.size} bytes, file has {len(blob)} (byte offset 0)"
-        )
-    magic, n, d, flags = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ParseError(f"bad magic {magic!r} at byte offset 0; expected {MAGIC!r}")
-    expected = n * d * 4
-    actual = len(blob) - _HEADER.size
-    if expected != actual:
-        raise ParseError(
-            f"payload size mismatch at byte offset {_HEADER.size}: "
-            f"header promises {expected} bytes ({n}x{d} float32), found {actual}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n, d)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ParseError(
+                f"truncated header: need {_HEADER.size} bytes, file has {len(header)} (byte offset 0)"
+            )
+        magic, n, d, flags = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ParseError(f"bad magic {magic!r} at byte offset 0; expected {MAGIC!r}")
+        expected = n * d * 4
+        actual = size - _HEADER.size
+        if expected != actual:
+            raise ParseError(
+                f"payload size mismatch at byte offset {_HEADER.size}: "
+                f"header promises {expected} bytes ({n}x{d} float32), found {actual}"
+            )
+        payload = fh.read(expected)
+    data = np.frombuffer(payload, dtype="<f4").reshape(n, d)
     return FeatureMatrix(data.astype(np.float64), unit_norm=bool(flags & FLAG_UNIT_NORM))
 
 

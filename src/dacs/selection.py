@@ -3,9 +3,10 @@
 The greedy picks, one at a time, the candidate whose strongest cosine
 similarity to the reference set (labeled samples plus everything selected so
 far) is weakest, keeping a cached per-candidate max-similarity array so each
-pick costs one matrix-vector product. The density-aware pipeline splits the
-unlabeled pool into density classes first and runs the greedy inside each
-class under an inverse-size budget, sparsest class first.
+pick costs one matrix-vector product against the candidate rows, which are
+gathered once per call. The density-aware pipeline splits the unlabeled pool
+into density classes first and runs the greedy inside each class under an
+inverse-size budget, sparsest class first.
 """
 
 from __future__ import annotations
@@ -68,10 +69,9 @@ class AcquisitionResult:
     diagnostics: dict
 
 
-def _max_similarity(X: np.ndarray, cand: np.ndarray, ref: np.ndarray, block: int = 2048) -> np.ndarray:
-    """max over reference rows of cosine similarity, per candidate row."""
-    out = np.full(cand.size, -np.inf)
-    Xc = X[cand]
+def _max_similarity(Xc: np.ndarray, X: np.ndarray, ref: np.ndarray, block: int = 2048) -> np.ndarray:
+    """max over reference rows of X of cosine similarity, per row of Xc."""
+    out = np.full(Xc.shape[0], -np.inf)
     for start in range(0, ref.size, block):
         sims = Xc @ X[ref[start : start + block]].T
         np.maximum(out, sims.max(axis=1), out=out)
@@ -92,6 +92,9 @@ def kcenter_greedy(
     With an empty reference the first center is the lowest-density candidate
     when a profile is given, else the lowest index; its trace entry is -inf.
 
+    The candidate rows are gathered once per call; each pick then costs one
+    matrix-vector product into a reused buffer and an in-place maximum.
+
     Returns (picked indices in selection order, per-pick max-similarity trace).
     """
     if not features.unit_norm:
@@ -105,10 +108,11 @@ def kcenter_greedy(
     if n_pick == 0:
         return [], []
     X = features.data
+    Xc = X[cand]
     picked: list[int] = []
     trace: list[float] = []
     if ref.size:
-        maxsim = _max_similarity(X, cand, ref)
+        maxsim = _max_similarity(Xc, X, ref)
     else:
         if density is not None:
             first_pos = int(np.argmin(density.lookup(cand)))
@@ -117,14 +121,16 @@ def kcenter_greedy(
         u = int(cand[first_pos])
         picked.append(u)
         trace.append(-math.inf)
-        maxsim = X[cand] @ X[u]
+        maxsim = Xc @ X[u]
         maxsim[first_pos] = np.inf
+    sim = np.empty(cand.size)
     while len(picked) < n_pick:
         pos = int(np.argmin(maxsim))
         trace.append(float(maxsim[pos]))
         u = int(cand[pos])
         picked.append(u)
-        np.maximum(maxsim, X[cand] @ X[u], out=maxsim)
+        np.matmul(Xc, X[u], out=sim)
+        np.maximum(maxsim, sim, out=maxsim)
         maxsim[pos] = np.inf
     return picked, trace
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dacs.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from dacs.cli import COMPARE_MAX_ROWS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from dacs.config import RunConfig, parse_run_config
 from dacs.core import FeatureMatrix, Rng
 from dacs.formats import ParseError, write_embeddings, write_embeddings_csv
@@ -255,6 +255,25 @@ class TestDensityCommand:
         assert first[0] == "0"
         assert float(first[1]) > 0
         assert first[2] == "distance-based"
+
+    def test_compare_refuses_pools_over_the_row_cap(self, tmp_path, capsys):
+        gen = Rng(4, "cap").generator()
+        rows = unit(gen.normal(size=(COMPARE_MAX_ROWS + 1, 2)))
+        pool = tmp_path / "big.bin"
+        write_embeddings(pool, FeatureMatrix(rows, unit_norm=True))
+        out = tmp_path / "density.csv"
+        code = main(
+            [
+                "density",
+                "--embeddings", str(pool),
+                "--mode", "lsh",
+                "--compare",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert f"at most {COMPARE_MAX_ROWS} rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lsh_mode_with_rank_agreement(self, pool_file, tmp_path, capsys):
         pool, _ = pool_file

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,25 @@ def window_density_oracle(x, assignment, window="with-previous"):
             c_ij = float(Z[i] @ Z[j])
             total += c_ij / (1.0 + np.exp(-c_ij))
         out[i] = total
+    return out
+
+
+def chunk_formula_oracle(x, assignment, window="with-previous"):
+    """Reference: the one-shot per-chunk formula, weighting and summing each
+    chunk's whole similarity block with fresh temporaries."""
+    Z = x.data[assignment.sorted_order]
+    n = Z.shape[0]
+    m = assignment.chunk_size
+    vals_sorted = np.empty(n)
+    for c in range(-(-n // m)):
+        s, e = c * m, min(n, (c + 1) * m)
+        lo = s if (window == "own-chunk-only" or c == 0) else (c - 1) * m
+        sims = Z[s:e] @ Z[lo:e].T
+        rows = np.arange(e - s)
+        sims[rows, rows + (s - lo)] = 0.0
+        vals_sorted[s:e] = (1.0 / (1.0 + np.exp(-sims)) * sims).sum(axis=1)
+    out = np.empty(n)
+    out[assignment.sorted_order] = vals_sorted
     return out
 
 
@@ -131,7 +152,8 @@ class TestLshAssign:
     def test_identical_rows_share_bucket_and_stay_adjacent(self):
         row = np.array([0.6, 0.8])
         x = FeatureMatrix(np.array([row, [1.0, 0.0], row]), unit_norm=True)
-        a = lsh_assign(x, 4, Rng(3))
+        with pytest.warns(UserWarning, match="smaller than k=4"):
+            a = lsh_assign(x, 4, Rng(3))
         assert a.bucket_ids[0] == a.bucket_ids[2]
         order = a.sorted_order.tolist()
         assert abs(order.index(0) - order.index(2)) == 1
@@ -152,7 +174,15 @@ class TestLshAssign:
 
     def test_chunk_size_floors_at_one(self):
         x = normalize_rows(FeatureMatrix(np.eye(3)))
-        a = lsh_assign(x, 8, Rng(0))
+        with pytest.warns(UserWarning, match=r"n=3 .*k=8 "):
+            a = lsh_assign(x, 8, Rng(0))
+        assert a.chunk_size == 1
+
+    def test_pool_of_at_least_k_rows_does_not_warn(self):
+        x = normalize_rows(FeatureMatrix(np.eye(8)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = lsh_assign(x, 8, Rng(0))
         assert a.chunk_size == 1
 
     def test_odd_bucket_count_rejected(self):
@@ -256,6 +286,17 @@ class TestLshDensity:
         got = lsh_density(x, a, window=window)
         expect = window_density_oracle(x, a, window=window)
         assert np.allclose(got.values, expect, atol=1e-10)
+
+    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
+    def test_bit_identical_to_one_shot_chunk_formula(self, window):
+        # chunk size 383 spans several row tiles and ends in a partial one;
+        # 3070 = 8 * 383 + 6 leaves a 6-row remainder chunk
+        gen = Rng(24, "dens").generator()
+        x = normalize_rows(FeatureMatrix(gen.standard_normal((3070, 16))))
+        a = lsh_assign(x, 8, Rng(6))
+        assert a.chunk_size == 383
+        got = lsh_density(x, a, window=window)
+        assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
 
     def test_magnitude_bounded_by_window_size(self):
         gen = Rng(21, "dens").generator()

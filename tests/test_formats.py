@@ -64,6 +64,15 @@ class TestBinaryEmbeddings:
         with pytest.raises(ParseError, match="promises 48 bytes.*found 40"):
             read_embeddings(path)
 
+    def test_oversized_file_names_both_sizes(self, tmp_path):
+        x = f32_matrix(n=3, d=4)
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, x)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 8)  # two float32 values the header does not promise
+        with pytest.raises(ParseError, match="promises 48 bytes.*found 56"):
+            read_embeddings(path)
+
     def test_header_layout_is_fixed(self, tmp_path):
         x = f32_matrix(n=3, d=4)
         path = tmp_path / "emb.bin"

@@ -51,6 +51,35 @@ def greedy_oracle(X, candidates, reference, n_pick):
     return picked, trace
 
 
+def gather_every_pick_greedy(candidates, reference, n_pick, features, density=None):
+    """Reference: the cached greedy that gathers the candidate rows afresh for
+    the initial max-similarity pass and again on every pick."""
+    cand = np.unique(np.asarray(candidates, np.int64))
+    ref = np.asarray(reference, np.int64)
+    X = features.data
+    picked, trace = [], []
+    if ref.size:
+        maxsim = np.full(cand.size, -np.inf)
+        for start in range(0, ref.size, 2048):
+            sims = X[cand] @ X[ref[start : start + 2048]].T
+            np.maximum(maxsim, sims.max(axis=1), out=maxsim)
+    else:
+        first_pos = 0 if density is None else int(np.argmin(density.lookup(cand)))
+        u = int(cand[first_pos])
+        picked.append(u)
+        trace.append(-math.inf)
+        maxsim = X[cand] @ X[u]
+        maxsim[first_pos] = np.inf
+    while len(picked) < n_pick:
+        pos = int(np.argmin(maxsim))
+        trace.append(float(maxsim[pos]))
+        u = int(cand[pos])
+        picked.append(u)
+        np.maximum(maxsim, X[cand] @ X[u], out=maxsim)
+        maxsim[pos] = np.inf
+    return picked, trace
+
+
 class TestKcenterGreedy:
     def test_prefers_the_antipode(self):
         X = FeatureMatrix(
@@ -77,6 +106,23 @@ class TestKcenterGreedy:
             want_picked, want_trace = greedy_oracle(X.data, cand, ref, 10)
             assert picked == want_picked
             assert np.allclose(trace, want_trace, atol=1e-12)
+
+    # 2500 reference rows span two blocks of the initial max-similarity pass
+    @pytest.mark.parametrize("n_ref", [0, 40, 2500])
+    def test_bit_identical_to_gather_every_pick(self, n_ref):
+        X = sphere_points(4000, 16, 7)
+        ref = np.sort(Rng(7, "ref").generator().choice(4000, size=n_ref, replace=False))
+        cand = np.setdiff1d(np.arange(4000), ref)
+        profile = DensityProfile(
+            indices=np.arange(4000),
+            values=Rng(7, "dens").generator().uniform(size=4000),
+            convention=DensityConvention.SIMILARITY_BASED,
+            params={},
+        )
+        got = kcenter_greedy(cand, ref, 150, X, density=profile)
+        want = gather_every_pick_greedy(cand, ref, 150, X, density=profile)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
 
     def test_trace_is_nondecreasing(self):
         # each pick's coverage value can only grow as the covered set grows
