@@ -43,14 +43,21 @@ def _weighted_jenks_dp(u: np.ndarray, w: np.ndarray, h: int) -> np.ndarray:
     Returns h+1 edge positions (0 and len(u) included). Ties between equal-cost
     splits resolve to the smallest predecessor edge. Within each layer the
     optimal predecessor is non-decreasing in the segment end (the within-class
-    SSD satisfies the concave Monge condition), so a divide-and-conquer sweep
-    needs only O(p log p) cost evaluations instead of the naive O(p^2).
+    SSD satisfies the concave Monge condition), so divide and conquer solves
+    the middle end of a range and hands each half only the predecessors on its
+    side of that answer. The recursion runs one level at a time: every open
+    range of a level is solved in one flat, vectorised pass, so a layer costs
+    about log2(p) passes and O(p log p) cost evaluations instead of the naive
+    O(p^2).
     """
     p = u.size
     centered = u - np.average(u, weights=w)  # SSD is shift-invariant; this conditions the sums
     cw = np.concatenate([[0.0], np.cumsum(w)])
     c1 = np.concatenate([[0.0], np.cumsum(w * centered)])
-    c2 = np.concatenate([[0.0], np.cumsum(w * centered * centered)])
+    with np.errstate(over="ignore"):
+        c2 = np.concatenate([[0.0], np.cumsum(w * centered * centered)])
+    if not np.isfinite(c2[-1]):
+        raise ValueError("values are too far apart: squared deviations overflow float64")
 
     back = np.zeros((h + 1, p + 1), dtype=np.int64)
     prev = np.full(p + 1, np.inf)
@@ -59,32 +66,35 @@ def _weighted_jenks_dp(u: np.ndarray, w: np.ndarray, h: int) -> np.ndarray:
         cur = np.full(p + 1, np.inf)
         # Classes c..h each need one value, bounding this layer's edge range.
         j_hi = p - (h - c)
-        stack = [(c, j_hi, c - 1, j_hi - 1)]
-        while stack:
-            jlo, jhi, ilo, ihi = stack.pop()
-            if jlo > jhi:
-                continue
+        # Open ranges: segment ends jlo..jhi, whose predecessors lie in ilo..ihi.
+        jlo, jhi = np.array([c]), np.array([j_hi])
+        ilo, ihi = np.array([c - 1]), np.array([j_hi - 1])
+        while jlo.size:
             jm = (jlo + jhi) // 2
-            lo, hi = max(ilo, c - 1), min(ihi, jm - 1)
-            if hi - lo < 32:
-                best_i, best_v = lo, np.inf
-                for i in range(lo, hi + 1):
-                    ww = cw[jm] - cw[i]
-                    s1 = c1[jm] - c1[i]
-                    v = prev[i] + (c2[jm] - c2[i]) - s1 * s1 / ww
-                    if v < best_v:
-                        best_i, best_v = i, v
-            else:
-                i = np.arange(lo, hi + 1)
-                ww = cw[jm] - cw[i]
-                s1 = c1[jm] - c1[i]
-                totals = prev[i] + (c2[jm] - c2[i]) - s1 * s1 / ww
-                k = int(np.argmin(totals))
-                best_i, best_v = int(i[k]), float(totals[k])
+            # Every range keeps ilo < jlo <= jm and ilo <= ihi (children inherit
+            # a bound or take best_i, which lies in ilo..min(ihi, jm - 1)), so
+            # each has at least one candidate. reduceat needs that: for an
+            # empty range it would return the next range's first total.
+            counts = np.minimum(ihi, jm - 1) - ilo + 1
+            starts = np.cumsum(counts) - counts
+            i = np.arange(starts[-1] + counts[-1]) + np.repeat(ilo - starts, counts)
+            j = np.repeat(jm, counts)
+            ww = cw[j] - cw[i]
+            s1 = c1[j] - c1[i]
+            totals = prev[i] + (c2[j] - c2[i]) - s1 * s1 / ww
+            best_v = np.minimum.reduceat(totals, starts)
+            # First hit of each range's minimum: ties go to the smallest predecessor.
+            hits = np.flatnonzero(totals == np.repeat(best_v, counts))
+            best_i = i[hits[np.searchsorted(hits, starts)]]
             cur[jm] = best_v
             back[c, jm] = best_i
-            stack.append((jlo, jm - 1, ilo, best_i))
-            stack.append((jm + 1, jhi, best_i, ihi))
+            left, right = jlo < jm, jm < jhi
+            jlo, jhi, ilo, ihi = (
+                np.concatenate([jlo[left], jm[right] + 1]),
+                np.concatenate([jm[left] - 1, jhi[right]]),
+                np.concatenate([ilo[left], best_i[right]]),
+                np.concatenate([best_i[left], ihi[right]]),
+            )
         prev = cur
     edges = np.empty(h + 1, dtype=np.int64)
     edges[h] = p
@@ -115,7 +125,8 @@ def jenks_breaks(values, h: int) -> DensityPartition:
 
     Classes come back sparsest first (ascending value). A value exactly on a
     break boundary belongs to the lower class. Raises DegeneratePartitionError
-    when h exceeds the number of distinct values.
+    when h exceeds the number of distinct values, and ValueError when the
+    values are spread so far that their squared deviations overflow float64.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:

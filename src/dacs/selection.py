@@ -135,19 +135,25 @@ def kcenter_greedy(
     return picked, trace
 
 
-def _density_pipeline(pool: PoolState, features: FeatureMatrix, config: AcquisitionConfig, rng: Rng):
-    """Shared front half: hash, window density, natural breaks over the unlabeled pool."""
-    unlabeled = pool.unlabeled
-    sub = features.rows(unlabeled)
+def pool_density(
+    features: FeatureMatrix, indices: np.ndarray, config: AcquisitionConfig, rng: Rng
+) -> DensityProfile:
+    """Hash the given rows and estimate their window density, keyed by sample index."""
+    sub = features.rows(indices)
     assignment = lsh_assign(sub, config.n_buckets, rng)
     local = lsh_density(sub, assignment, window=config.window)
-    profile = DensityProfile(
-        indices=unlabeled,
+    return DensityProfile(
+        indices=indices,
         values=local.values,
         convention=local.convention,
         params=local.params,
         degenerate=local.degenerate,
     )
+
+
+def _density_pipeline(pool: PoolState, features: FeatureMatrix, config: AcquisitionConfig, rng: Rng):
+    """Shared front half: hash, window density, natural breaks over the unlabeled pool."""
+    profile = pool_density(features, pool.unlabeled, config, rng)
     h = config.n_breaks
     distinct = np.unique(profile.values).size
     if h > distinct:

@@ -26,7 +26,7 @@ from .core import (
     commit_acquisition,
     make_pool,
 )
-from .density import DensityProfile, lsh_assign, lsh_density
+from .density import DensityProfile
 from .model import ModelConfig, ModelOutputs, infer, init_model, train, uncertainty
 from .selection import (
     STRATEGY_COMBINED,
@@ -41,6 +41,7 @@ from .selection import (
     coreset_select,
     dacs_select,
     expand_and_squeeze,
+    pool_density,
     random_select,
     region_only_select,
 )
@@ -276,19 +277,6 @@ def _unit_embeddings(outputs: ModelOutputs) -> FeatureMatrix:
     return FeatureMatrix(outputs.embeddings, unit_norm=True)
 
 
-def _pool_density(embeddings: FeatureMatrix, indices: np.ndarray, config: AcquisitionConfig, rng: Rng) -> DensityProfile:
-    sub = embeddings.rows(indices)
-    assignment = lsh_assign(sub, config.n_buckets, rng)
-    local = lsh_density(sub, assignment, window=config.window)
-    return DensityProfile(
-        indices=indices,
-        values=local.values,
-        convention=local.convention,
-        params=local.params,
-        degenerate=local.degenerate,
-    )
-
-
 def _entropy_top_b(pool: PoolState, outputs: ModelOutputs, budget: int) -> AcquisitionResult:
     """Pure uncertainty baseline: the budget-many unlabeled samples with highest entropy."""
     ent = outputs.entropy[pool.unlabeled]
@@ -397,7 +385,7 @@ def run_al(
             t0 = time.perf_counter()
             emb0 = _unit_embeddings(out_train)
             try:
-                dens_unl = _pool_density(emb0, pool.unlabeled, acq_config, crng.derive("rho-unl"))
+                dens_unl = pool_density(emb0, pool.unlabeled, acq_config, crng.derive("rho-unl"))
                 out_unl = ModelOutputs(
                     probs=out_train.probs[pool.unlabeled],
                     embeddings=out_train.embeddings[pool.unlabeled],
@@ -405,7 +393,7 @@ def run_al(
                 )
                 rho_entropy, _ = density_uncertainty_correlation(out_unl, dens_unl)
                 emb_test = _unit_embeddings(out_test)
-                dens_test = _pool_density(
+                dens_test = pool_density(
                     emb_test, np.arange(n_test, dtype=np.int64), acq_config, crng.derive("rho-test")
                 )
                 _, rho_loss = density_uncertainty_correlation(out_test, dens_test)

@@ -68,6 +68,64 @@ def quadratic_reference_edges(u, w, h):
     return edges, float(cost[h, p])
 
 
+def stack_reference_edges(u: np.ndarray, w: np.ndarray, h: int) -> np.ndarray:
+    """Reference: the divide-and-conquer DP walked one stack frame at a time.
+
+    Optimal segment edges over ascending distinct values u with weights w.
+
+    Returns h+1 edge positions (0 and len(u) included). Ties between equal-cost
+    splits resolve to the smallest predecessor edge. Within each layer the
+    optimal predecessor is non-decreasing in the segment end (the within-class
+    SSD satisfies the concave Monge condition), so a divide-and-conquer sweep
+    needs only O(p log p) cost evaluations instead of the naive O(p^2).
+    """
+    p = u.size
+    centered = u - np.average(u, weights=w)  # SSD is shift-invariant; this conditions the sums
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    c1 = np.concatenate([[0.0], np.cumsum(w * centered)])
+    c2 = np.concatenate([[0.0], np.cumsum(w * centered * centered)])
+
+    back = np.zeros((h + 1, p + 1), dtype=np.int64)
+    prev = np.full(p + 1, np.inf)
+    prev[0] = 0.0
+    for c in range(1, h + 1):
+        cur = np.full(p + 1, np.inf)
+        # Classes c..h each need one value, bounding this layer's edge range.
+        j_hi = p - (h - c)
+        stack = [(c, j_hi, c - 1, j_hi - 1)]
+        while stack:
+            jlo, jhi, ilo, ihi = stack.pop()
+            if jlo > jhi:
+                continue
+            jm = (jlo + jhi) // 2
+            lo, hi = max(ilo, c - 1), min(ihi, jm - 1)
+            if hi - lo < 32:
+                best_i, best_v = lo, np.inf
+                for i in range(lo, hi + 1):
+                    ww = cw[jm] - cw[i]
+                    s1 = c1[jm] - c1[i]
+                    v = prev[i] + (c2[jm] - c2[i]) - s1 * s1 / ww
+                    if v < best_v:
+                        best_i, best_v = i, v
+            else:
+                i = np.arange(lo, hi + 1)
+                ww = cw[jm] - cw[i]
+                s1 = c1[jm] - c1[i]
+                totals = prev[i] + (c2[jm] - c2[i]) - s1 * s1 / ww
+                k = int(np.argmin(totals))
+                best_i, best_v = int(i[k]), float(totals[k])
+            cur[jm] = best_v
+            back[c, jm] = best_i
+            stack.append((jlo, jm - 1, ilo, best_i))
+            stack.append((jm + 1, jhi, best_i, ihi))
+        prev = cur
+    edges = np.empty(h + 1, dtype=np.int64)
+    edges[h] = p
+    for c in range(h, 0, -1):
+        edges[c - 1] = back[c, edges[c]]
+    return edges
+
+
 class TestJenksBreaks:
     def test_two_obvious_groups(self):
         part = jenks_breaks([1.0, 2.0, 9.0, 10.0], 2)
@@ -164,6 +222,85 @@ class TestJenksBreaks:
                 assert seg.min() > part.breaks[c - 1]
             if c < 3:
                 assert seg.max() <= part.breaks[c]
+
+
+@st.composite
+def weighted_points(draw, max_p=400):
+    """(ascending distinct values, weights, h) covering the DP's hard cases.
+
+    Kinds: random floats, evenly spaced values with equal weights (equal-cost
+    ties), normal values with integer weights up to 10^6, and raw drawn
+    floats. h is 1, p, or anything in between; p can be 1.
+    """
+    kind = draw(st.sampled_from(["random", "even", "heavy", "raw"]))
+    p = draw(st.integers(1, max_p))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        u = np.unique(gen.uniform(-1.0, 1.0, p))
+        w = gen.integers(1, 5, u.size).astype(np.float64)
+    elif kind == "even":
+        step = draw(st.sampled_from([1.0, 0.1, 3.0]))
+        u = draw(st.floats(-5.0, 5.0)) + step * np.arange(p, dtype=np.float64)
+        w = np.ones(p)
+    elif kind == "heavy":
+        u = np.unique(gen.normal(0.0, 1.0, p))
+        w = gen.integers(1, 10**6 + 1, u.size).astype(np.float64)
+    else:
+        raw = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=p))
+        u = np.unique(np.asarray(raw, dtype=np.float64))
+        w = gen.integers(1, 10**6 + 1, u.size).astype(np.float64)
+    h_mode = draw(st.sampled_from(["one", "all", "any"]))
+    h = {"one": 1, "all": u.size}.get(h_mode) or draw(st.integers(1, u.size))
+    return kind, u, w, h
+
+
+def weighted_ssd(u, w, edges):
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mean = np.average(u[a:b], weights=w[a:b])
+        total += float((w[a:b] * (u[a:b] - mean) ** 2).sum())
+    return total
+
+
+class TestWeightedJenksDP:
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_points())
+    def test_edges_equal_stack_reference(self, case):
+        # level-by-level and frame-by-frame visits evaluate the same candidates
+        # with the same arithmetic, so the edges agree exactly, ties included
+        kind, u, w, h = case
+        assert np.array_equal(_weighted_jenks_dp(u, w, h), stack_reference_edges(u, w, h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_points(max_p=300))
+    def test_agrees_with_quadratic_reference(self, case):
+        kind, u, w, h = case
+        got = _weighted_jenks_dp(u, w, h)
+        want, _ = quadratic_reference_edges(u, w, h)
+        # Equal-cost ties can round differently in the full scan, so exact edge
+        # equality is asserted where ties are improbable; optimality always.
+        if kind in ("random", "heavy"):
+            assert np.array_equal(got, want)
+        scale = max(1.0, weighted_ssd(u, w, [0, u.size]))
+        assert weighted_ssd(u, w, got) <= weighted_ssd(u, w, want) + 1e-9 * scale
+
+    def test_equal_cost_tie_goes_to_smallest_predecessor(self):
+        # 0..4 in two classes: {0,1}|{2,3,4} and {0,1,2}|{3,4} both cost 2.5 exactly
+        u, w = np.arange(5.0), np.ones(5)
+        assert _weighted_jenks_dp(u, w, 2).tolist() == [0, 2, 5]
+        assert stack_reference_edges(u, w, 2).tolist() == [0, 2, 5]
+
+    def test_one_value_per_class(self):
+        # p == h: every range has exactly one candidate predecessor
+        gen = Rng(7, "jenks").generator()
+        for p in (1, 2, 7, 64, 333):
+            u = np.sort(gen.uniform(0, 1, p))
+            w = gen.integers(1, 10**6, p).astype(np.float64)
+            assert _weighted_jenks_dp(u, w, p).tolist() == list(range(p + 1))
+
+    def test_overflowing_spread_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            jenks_breaks([0.0, 1e200, 2e200, 3e200], 2)
 
 
 class TestAllocateBudget:
