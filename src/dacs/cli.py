@@ -12,11 +12,12 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from .config import SEED_ENV_VAR, RunConfig, parse_run_config
 from .core import (
+    REFERENCE_GLOBAL,
+    WINDOW_WITH_PREVIOUS,
     AcquisitionConfig,
     DivergenceError,
     FeatureMatrix,
@@ -42,20 +43,7 @@ from .formats import (
     read_scores_file,
 )
 from .model import ModelConfig
-from .selection import (
-    STRATEGY_COMBINED,
-    STRATEGY_CORESET,
-    STRATEGY_DACS,
-    STRATEGY_DENSE_ONLY,
-    STRATEGY_RANDOM,
-    STRATEGY_SPARSE_ONLY,
-    UncertaintyScores,
-    coreset_select,
-    dacs_select,
-    expand_and_squeeze,
-    random_select,
-    region_only_select,
-)
+from .selection import SCORED_STRATEGIES, STRATEGIES, STRATEGY_DACS, UncertaintyScores, select
 from .simulate import (
     GENERATOR_NEAR_DUPLICATE,
     gen_gaussian_mixture,
@@ -66,15 +54,6 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
-
-SELECT_STRATEGIES = (
-    STRATEGY_RANDOM,
-    STRATEGY_CORESET,
-    STRATEGY_DACS,
-    STRATEGY_SPARSE_ONLY,
-    STRATEGY_DENSE_ONLY,
-    STRATEGY_COMBINED,
-)
 
 # Largest pool `density --compare` accepts: its exact k-NN oracle is quadratic
 # in the row count.
@@ -132,27 +111,18 @@ def cmd_select(args) -> int:
         reference=args.reference,
     )
     rng = Rng(_resolve_seed(args.seed))
-    started = time.perf_counter()
-    if args.strategy == STRATEGY_RANDOM:
-        result = random_select(pool, config.budget, rng)
-    elif args.strategy == STRATEGY_CORESET:
-        result = coreset_select(pool, embeddings, config.budget)
-    elif args.strategy == STRATEGY_DACS:
-        result = dacs_select(pool, embeddings, config, rng)
-    elif args.strategy == STRATEGY_SPARSE_ONLY:
-        result = region_only_select(pool, embeddings, config, "sparsest", rng)
-    elif args.strategy == STRATEGY_DENSE_ONLY:
-        result = region_only_select(pool, embeddings, config, "densest", rng)
-    else:  # combined
+    scores = None
+    if args.strategy in SCORED_STRATEGIES:
         if not args.scores:
-            raise ParseError("strategy 'combined' requires --scores")
+            raise ParseError(f"strategy {args.strategy!r} requires --scores")
         raw = read_scores_file(args.scores)
         if raw.size != embeddings.n:
             raise ParseError(
                 f"scores file has {raw.size} entries but embeddings have {embeddings.n} rows"
             )
         scores = UncertaintyScores(scores=raw)
-        result = expand_and_squeeze(pool, embeddings, config, scores, rng)
+    started = time.perf_counter()
+    result = select(args.strategy, pool, embeddings, config, rng, scores)
     elapsed = time.perf_counter() - started
     payload = {
         "selected": [int(i) for i in result.selected],
@@ -161,17 +131,7 @@ def cmd_select(args) -> int:
             for c in result.per_cluster
         ],
         "diagnostics": _json_safe(result.diagnostics),
-        "config_echo": {
-            "strategy": args.strategy,
-            "budget": config.budget,
-            "n_buckets": config.n_buckets,
-            "n_breaks": config.n_breaks,
-            "temperature": config.temperature,
-            "expand_factor": config.expand_factor,
-            "window": config.window,
-            "reference": config.reference,
-            "seed": rng.seed,
-        },
+        "config_echo": {**asdict(config), "strategy": args.strategy, "seed": rng.seed},
         "timings": {"select_seconds": elapsed},
     }
     atomic_write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -234,7 +194,6 @@ def run_config_grid(config: RunConfig, out_dir: str):
         n_buckets=config.buckets,
         n_breaks=config.breaks,
         temperature=config.temperature,
-        reduced_dim=config.reduced_dim,
         expand_factor=config.expand_factor,
         window=config.window,
         reference=config.reference,
@@ -319,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--format", choices=[FORMAT_BINARY, FORMAT_CSV], default=FORMAT_BINARY)
     p_select.add_argument("--labeled", help="file of labeled indices, one per line")
     p_select.add_argument("--budget", type=int, required=True)
-    p_select.add_argument("--strategy", choices=SELECT_STRATEGIES, default=STRATEGY_DACS)
-    p_select.add_argument("--scores", help="per-sample uncertainty file (combined strategy)")
+    p_select.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_DACS)
+    p_select.add_argument("--scores", help="per-sample uncertainty file (combined, entropy-top-b)")
     p_select.add_argument("--buckets", type=int, default=100)
     p_select.add_argument("--breaks", type=int, default=4)
     p_select.add_argument("--temperature", type=float, default=0.25)
     p_select.add_argument("--expand-factor", type=float, default=2.0)
-    p_select.add_argument("--window", default="with-previous")
-    p_select.add_argument("--reference", default="global")
+    p_select.add_argument("--window", default=WINDOW_WITH_PREVIOUS)
+    p_select.add_argument("--reference", default=REFERENCE_GLOBAL)
     p_select.add_argument("--seed", type=int, default=None)
     p_select.add_argument("--out", required=True)
     p_select.set_defaults(func=cmd_select)

@@ -18,7 +18,8 @@ from .core import (
     WINDOW_WITH_PREVIOUS,
 )
 from .formats import ParseError
-from .simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE, STRATEGIES
+from .selection import STRATEGIES
+from .simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE
 
 SEED_ENV_VAR = "DACS_SEED"
 

@@ -198,7 +198,6 @@ class AcquisitionConfig:
     n_buckets: hash bucket count (even) for density estimation.
     n_breaks: number of density classes for the natural-breaks split.
     temperature: softmax temperature for inverse-size budget ratios.
-    reduced_dim: auxiliary embedding width the learner projects into.
     expand_factor: candidate multiplier for the expand-then-squeeze combiner.
     """
 
@@ -206,7 +205,6 @@ class AcquisitionConfig:
     n_buckets: int = 100
     n_breaks: int = 4
     temperature: float = 0.25
-    reduced_dim: int = 16
     expand_factor: float = 2.0
     window: str = WINDOW_WITH_PREVIOUS
     reference: str = REFERENCE_GLOBAL
@@ -220,8 +218,6 @@ class AcquisitionConfig:
             raise ValueError("n_breaks must be at least 1")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.reduced_dim < 1:
-            raise ValueError("reduced_dim must be positive")
         if self.expand_factor < 1.0:
             raise ValueError("expand_factor must be at least 1")
         if self.window not in (WINDOW_WITH_PREVIOUS, WINDOW_OWN_CHUNK):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix, Rng, _readonly
+from .core import WINDOW_OWN_CHUNK, WINDOW_WITH_PREVIOUS, FeatureMatrix, Rng, _readonly
 
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_COSINE = "cosine-distance"
@@ -184,7 +184,7 @@ def chunk_window(assignment: LshAssignment, position: int) -> np.ndarray:
 def lsh_density(
     x: FeatureMatrix,
     assignment: LshAssignment,
-    window: str = "with-previous",
+    window: str = WINDOW_WITH_PREVIOUS,
 ) -> DensityProfile:
     """Windowed sigmoid-weighted cosine similarity mass per sample.
 
@@ -202,7 +202,7 @@ def lsh_density(
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
-    if window not in ("with-previous", "own-chunk-only"):
+    if window not in (WINDOW_WITH_PREVIOUS, WINDOW_OWN_CHUNK):
         raise ValueError(f"unknown window rule {window!r}")
     n = x.n
     if assignment.sorted_order.size != n:
@@ -233,7 +233,7 @@ def lsh_density(
     scratch = np.empty(min(_ROW_TILE, m) * min(n, 2 * m))
     for c in range(n_chunks):
         s, e = c * m, min(n, (c + 1) * m)
-        lo = s if (window == "own-chunk-only" or c == 0) else (c - 1) * m
+        lo = s if (window == WINDOW_OWN_CHUNK or c == 0) else (c - 1) * m
         sims = Z[s:e] @ Z[lo:e].T
         rows = np.arange(e - s)
         sims[rows, rows + (s - lo)] = 0.0  # self term contributes nothing

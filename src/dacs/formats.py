@@ -1,4 +1,4 @@
-"""On-disk formats: the embedding container, index/score lists, model blobs.
+"""On-disk formats: the embedding container and index/score lists.
 
 The embedding container is a fixed little-endian layout: 8-byte magic
 "DACSEMB1", u64 row count, u64 column count, one flag byte (bit 0 = rows are
@@ -9,8 +9,6 @@ so the CLI can report them cleanly.
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import struct
 import tempfile
@@ -18,8 +16,7 @@ import warnings
 
 import numpy as np
 
-from .core import FeatureMatrix, Rng
-from .model import ModelConfig, ToyModel
+from .core import FeatureMatrix
 
 MAGIC = b"DACSEMB1"
 FLAG_UNIT_NORM = 0x01
@@ -27,8 +24,6 @@ _HEADER = struct.Struct("<8sQQB")
 
 FORMAT_BINARY = "binary"
 FORMAT_CSV = "csv"
-
-MODEL_BLOB_VERSION = 1
 
 
 class ParseError(ValueError):
@@ -136,41 +131,3 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def save_model(path, model: ToyModel) -> None:
-    """Versioned binary blob: config and rng as JSON, parameters as npz arrays."""
-    meta = {
-        "format_version": MODEL_BLOB_VERSION,
-        "config": {
-            "n_classes": model.config.n_classes,
-            "reduced_dim": model.config.reduced_dim,
-            "hidden": model.config.hidden,
-            "lambda_aux": model.config.lambda_aux,
-            "epochs": model.config.epochs,
-            "stop_epoch": model.config.stop_epoch,
-            "batch_size": model.config.batch_size,
-            "learning_rate": model.config.learning_rate,
-            "lr_decay": model.config.lr_decay,
-        },
-        "rng": {"seed": model.rng.seed, "stream": model.rng.stream},
-    }
-    buf = io.BytesIO()
-    np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **model.params)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_model(path) -> ToyModel:
-    with np.load(path) as blob:
-        meta = json.loads(bytes(blob["__meta__"]).decode())
-        if meta.get("format_version") != MODEL_BLOB_VERSION:
-            raise ParseError(
-                f"unsupported model blob version {meta.get('format_version')!r}"
-            )
-        params = {k: blob[k] for k in blob.files if k != "__meta__"}
-    return ToyModel(
-        config=ModelConfig(**meta["config"]),
-        rng=Rng(meta["rng"]["seed"], meta["rng"]["stream"]),
-        params=params,
-    )

@@ -40,8 +40,11 @@ class DensityPartition:
 def _weighted_jenks_dp(u: np.ndarray, w: np.ndarray, h: int) -> np.ndarray:
     """Optimal segment edges over ascending distinct values u with weights w.
 
-    Returns h+1 edge positions (0 and len(u) included). Ties between equal-cost
-    splits resolve to the smallest predecessor edge. Within each layer the
+    Returns h+1 edge positions (0 and len(u) included). Equal-cost ties resolve
+    to the smallest predecessor edge within each divide-and-conquer range only,
+    so the cost is the full O(p^2) scan's optimum but on tied inputs the edges
+    may differ from that scan's: np.linspace(0, 1, 7) with h=3 gives
+    [0, 2, 4, 7] here and [0, 2, 5, 7] from the full scan. Within each layer the
     optimal predecessor is non-decreasing in the segment end (the within-class
     SSD satisfies the concave Monge condition), so divide and conquer solves
     the middle end of a range and hands each half only the predecessors on its

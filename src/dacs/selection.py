@@ -295,6 +295,24 @@ def region_only_select(
     )
 
 
+def entropy_top_b(pool: PoolState, scores: UncertaintyScores, budget: int) -> AcquisitionResult:
+    """Pure uncertainty baseline: the budget-many unlabeled samples with the highest scores.
+
+    Score ties keep index order.
+    """
+    if scores.scores.size < pool.n_total:
+        raise ValueError(
+            f"{scores.scores.size} uncertainty scores for a pool of {pool.n_total} samples"
+        )
+    order = np.argsort(-scores.scores[pool.unlabeled], kind="stable")[:budget]
+    picked = [int(i) for i in pool.unlabeled[order]]
+    return AcquisitionResult(
+        selected=picked,
+        per_cluster=[ClusterSelection(cluster=0, budget=len(picked), selected=picked)],
+        diagnostics={"strategy": STRATEGY_ENTROPY, "max_similarity": []},
+    )
+
+
 def expand_and_squeeze(
     pool: PoolState,
     features: FeatureMatrix,
@@ -344,3 +362,36 @@ def expand_and_squeeze(
             "max_similarity": [],
         },
     )
+
+
+# The one strategy dispatch: name -> fn(pool, features, config, rng, scores).
+# Each entry looks its function up in this module's globals when called, so a
+# wrapper installed there (for example a tracer) sees every call.
+_STRATEGY_TABLE = {
+    STRATEGY_RANDOM: lambda pool, x, cfg, rng, s: random_select(pool, cfg.budget, rng),
+    STRATEGY_CORESET: lambda pool, x, cfg, rng, s: coreset_select(pool, x, cfg.budget),
+    STRATEGY_DACS: lambda pool, x, cfg, rng, s: dacs_select(pool, x, cfg, rng),
+    STRATEGY_SPARSE_ONLY: lambda pool, x, cfg, rng, s: region_only_select(pool, x, cfg, "sparsest", rng),
+    STRATEGY_DENSE_ONLY: lambda pool, x, cfg, rng, s: region_only_select(pool, x, cfg, "densest", rng),
+    STRATEGY_COMBINED: lambda pool, x, cfg, rng, s: expand_and_squeeze(pool, x, cfg, s, rng),
+    STRATEGY_ENTROPY: lambda pool, x, cfg, rng, s: entropy_top_b(pool, s, cfg.budget),
+}
+STRATEGIES = tuple(_STRATEGY_TABLE)
+# Strategies that rank by per-sample uncertainty and so need scores.
+SCORED_STRATEGIES = (STRATEGY_COMBINED, STRATEGY_ENTROPY)
+
+
+def select(
+    strategy: str,
+    pool: PoolState,
+    features: FeatureMatrix,
+    config: AcquisitionConfig,
+    rng: Rng,
+    scores: UncertaintyScores | None = None,
+) -> AcquisitionResult:
+    """Run the named acquisition strategy; scores are required by SCORED_STRATEGIES only."""
+    if strategy not in _STRATEGY_TABLE:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if scores is None and strategy in SCORED_STRATEGIES:
+        raise ValueError(f"strategy {strategy!r} requires uncertainty scores")
+    return _STRATEGY_TABLE[strategy](pool, features, config, rng, scores)

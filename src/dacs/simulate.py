@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     AcquisitionConfig,
     FeatureMatrix,
-    PoolState,
     Rng,
     UndefinedCorrelationError,
     commit_acquisition,
@@ -28,36 +27,10 @@ from .core import (
 )
 from .density import DensityProfile
 from .model import ModelConfig, ModelOutputs, infer, init_model, train, uncertainty
-from .selection import (
-    STRATEGY_COMBINED,
-    STRATEGY_CORESET,
-    STRATEGY_DACS,
-    STRATEGY_DENSE_ONLY,
-    STRATEGY_ENTROPY,
-    STRATEGY_RANDOM,
-    STRATEGY_SPARSE_ONLY,
-    AcquisitionResult,
-    ClusterSelection,
-    coreset_select,
-    dacs_select,
-    expand_and_squeeze,
-    pool_density,
-    random_select,
-    region_only_select,
-)
+from .selection import STRATEGIES, pool_density, select
 
 GENERATOR_MIXTURE = "gaussian-mixture"
 GENERATOR_NEAR_DUPLICATE = "near-duplicate"
-
-STRATEGIES = (
-    STRATEGY_RANDOM,
-    STRATEGY_CORESET,
-    STRATEGY_DACS,
-    STRATEGY_SPARSE_ONLY,
-    STRATEGY_DENSE_ONLY,
-    STRATEGY_COMBINED,
-    STRATEGY_ENTROPY,
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,48 +246,6 @@ class ExperimentReport:
         return self.records[-1].test_accuracy
 
 
-def _unit_embeddings(outputs: ModelOutputs) -> FeatureMatrix:
-    return FeatureMatrix(outputs.embeddings, unit_norm=True)
-
-
-def _entropy_top_b(pool: PoolState, outputs: ModelOutputs, budget: int) -> AcquisitionResult:
-    """Pure uncertainty baseline: the budget-many unlabeled samples with highest entropy."""
-    ent = outputs.entropy[pool.unlabeled]
-    order = np.argsort(-ent, kind="stable")[:budget]
-    picked = [int(i) for i in pool.unlabeled[order]]
-    return AcquisitionResult(
-        selected=picked,
-        per_cluster=[ClusterSelection(cluster=0, budget=len(picked), selected=picked)],
-        diagnostics={"strategy": STRATEGY_ENTROPY, "max_similarity": []},
-    )
-
-
-def _run_strategy(
-    strategy: str,
-    pool: PoolState,
-    embeddings: FeatureMatrix,
-    outputs: ModelOutputs,
-    config: AcquisitionConfig,
-    rng: Rng,
-) -> AcquisitionResult:
-    if strategy == STRATEGY_RANDOM:
-        return random_select(pool, config.budget, rng)
-    if strategy == STRATEGY_CORESET:
-        return coreset_select(pool, embeddings, config.budget)
-    if strategy == STRATEGY_DACS:
-        return dacs_select(pool, embeddings, config, rng)
-    if strategy == STRATEGY_SPARSE_ONLY:
-        return region_only_select(pool, embeddings, config, "sparsest", rng)
-    if strategy == STRATEGY_DENSE_ONLY:
-        return region_only_select(pool, embeddings, config, "densest", rng)
-    if strategy == STRATEGY_COMBINED:
-        scores = uncertainty(outputs)
-        return expand_and_squeeze(pool, embeddings, config, scores, rng)
-    if strategy == STRATEGY_ENTROPY:
-        return _entropy_top_b(pool, outputs, config.budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def run_al(
     dataset: SyntheticDataset,
     strategy: str,
@@ -381,18 +312,18 @@ def run_al(
         out_train = infer(model, X_train)
         out_test = infer(model, X_test, labels=y_test)
         accuracy = float((out_test.probs.argmax(axis=1) == y_test).mean())
+        embeddings = out_train.embedding_matrix()
         if t == 0:
             t0 = time.perf_counter()
-            emb0 = _unit_embeddings(out_train)
             try:
-                dens_unl = pool_density(emb0, pool.unlabeled, acq_config, crng.derive("rho-unl"))
+                dens_unl = pool_density(embeddings, pool.unlabeled, acq_config, crng.derive("rho-unl"))
                 out_unl = ModelOutputs(
                     probs=out_train.probs[pool.unlabeled],
                     embeddings=out_train.embeddings[pool.unlabeled],
                     entropy=out_train.entropy[pool.unlabeled],
                 )
                 rho_entropy, _ = density_uncertainty_correlation(out_unl, dens_unl)
-                emb_test = _unit_embeddings(out_test)
+                emb_test = out_test.embedding_matrix()
                 dens_test = pool_density(
                     emb_test, np.arange(n_test, dtype=np.int64), acq_config, crng.derive("rho-test")
                 )
@@ -404,9 +335,10 @@ def run_al(
         if t == cycles:
             records.append(CycleRecord(cycle=t, labeled_fraction=frac, test_accuracy=accuracy))
             break
-        embeddings = _unit_embeddings(out_train)
         t0 = time.perf_counter()
-        result = _run_strategy(strategy, pool, embeddings, out_train, acq_config, crng.derive("select"))
+        result = select(
+            strategy, pool, embeddings, acq_config, crng.derive("select"), uncertainty(out_train)
+        )
         timings["select"] += time.perf_counter() - t0
         info, diversity = subset_metrics(result.selected, out_train, embeddings)
         record = CycleRecord(

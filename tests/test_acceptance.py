@@ -397,7 +397,7 @@ def _h1_equals_coreset() -> list:
 
 def _reports_are_byte_identical() -> list:
     data = gen_gaussian_mixture(3, 40, 8, 1.0, 2.2, Rng(5))
-    acq = AcquisitionConfig(budget=6, n_buckets=4, n_breaks=2, reduced_dim=4)
+    acq = AcquisitionConfig(budget=6, n_buckets=4, n_breaks=2)
     mc = ModelConfig(n_classes=3, reduced_dim=4, epochs=8, batch_size=32)
     runs = [
         run_al(data, "dacs", acq, mc, cycles=2, init_labeled=6, rng=Rng(1)).to_json(

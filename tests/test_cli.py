@@ -132,6 +132,10 @@ class TestSelectCommand:
         assert set(picks).isdisjoint({0, 34, 68})
         assert all(0 <= i < 100 for i in picks)
         assert sum(c["budget"] for c in payload["per_cluster"]) == 5
+        assert set(payload["config_echo"]) == {
+            "strategy", "budget", "n_buckets", "n_breaks", "temperature",
+            "expand_factor", "window", "reference", "seed",
+        }
         assert payload["config_echo"]["strategy"] == "dacs"
         assert payload["config_echo"]["seed"] == 1
         assert "select_seconds" in payload["timings"]
@@ -215,6 +219,27 @@ class TestSelectCommand:
         payload = json.loads(out.read_text())
         assert len(payload["selected"]) == 5
         assert payload["diagnostics"]["expanded_budget"] == 10
+
+    def test_entropy_top_b_ranks_by_scores(self, pool_file, tmp_path):
+        # Ten-way tie at the top score 9 (indices 9, 19, ..., 99); labeled 34
+        # carries the largest score and must be skipped.
+        values = [float(i % 10) for i in range(100)]
+        values[34] = 100.0
+        scores = tmp_path / "scores.txt"
+        scores.write_text("\n".join(repr(v) for v in values) + "\n")
+        code, out = self.run_select(
+            pool_file, tmp_path, "--strategy", "entropy-top-b", "--scores", str(scores)
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["selected"] == [9, 19, 29, 39, 49]
+        assert payload["config_echo"]["strategy"] == "entropy-top-b"
+
+    def test_entropy_top_b_requires_scores(self, pool_file, tmp_path, capsys):
+        code, out = self.run_select(pool_file, tmp_path, "--strategy", "entropy-top-b")
+        assert code == EXIT_USAGE
+        assert "requires --scores" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         code = main(

@@ -190,7 +190,6 @@ class TestAcquisitionConfig:
         assert cfg.n_buckets == 100
         assert cfg.n_breaks == 4
         assert cfg.temperature == 0.25
-        assert cfg.reduced_dim == 16
         assert cfg.expand_factor == 2.0
 
     @pytest.mark.parametrize(
@@ -201,7 +200,6 @@ class TestAcquisitionConfig:
             dict(budget=5, n_buckets=0),
             dict(budget=5, n_breaks=0),
             dict(budget=5, temperature=0.0),
-            dict(budget=5, reduced_dim=0),
             dict(budget=5, expand_factor=0.5),
             dict(budget=5, window="sideways"),
             dict(budget=5, reference="nowhere"),

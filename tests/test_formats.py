@@ -1,4 +1,3 @@
-import json
 import os
 
 import numpy as np
@@ -9,16 +8,13 @@ from dacs.formats import (
     MAGIC,
     ParseError,
     atomic_write_text,
-    load_model,
     read_embeddings,
     read_embeddings_csv,
     read_index_file,
     read_scores_file,
-    save_model,
     write_embeddings,
     write_embeddings_csv,
 )
-from dacs.model import ModelConfig, init_model
 
 
 def f32_matrix(n=7, d=5, seed=0):
@@ -153,23 +149,3 @@ class TestAtomicWrite:
         atomic_write_text(tmp_path / "out.json", "payload")
         assert os.listdir(tmp_path) == ["out.json"]
 
-
-class TestModelBlob:
-    def test_round_trip(self, tmp_path):
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=6, epochs=5)
-        model = init_model(cfg, 8, Rng(9, "model"))
-        path = tmp_path / "model.npz"
-        save_model(path, model)
-        back = load_model(path)
-        assert back.config == cfg
-        assert back.rng == Rng(9, "model")
-        assert set(back.params) == set(model.params)
-        for key in model.params:
-            assert np.array_equal(back.params[key], model.params[key]), key
-
-    def test_rejects_unknown_version(self, tmp_path):
-        meta = json.dumps({"format_version": 99})
-        path = tmp_path / "model.npz"
-        np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8))
-        with pytest.raises(ParseError, match="version 99"):
-            load_model(path)

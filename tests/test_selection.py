@@ -12,14 +12,19 @@ from dacs.core import (
     make_pool,
 )
 from dacs.density import DensityConvention, DensityProfile
+import dacs.selection
 from dacs.selection import (
+    SCORED_STRATEGIES,
+    STRATEGIES,
     UncertaintyScores,
     coreset_select,
     dacs_select,
+    entropy_top_b,
     expand_and_squeeze,
     kcenter_greedy,
     random_select,
     region_only_select,
+    select,
 )
 
 
@@ -361,3 +366,44 @@ class TestExpandAndSqueeze:
                 UncertaintyScores(scores=np.zeros(3), source="test"),
                 Rng(3, "sel"),
             )
+
+
+class TestEntropyTopB:
+    def test_highest_scores_win_and_ties_keep_index_order(self):
+        pool = make_pool(8, [1])
+        scores = UncertaintyScores(scores=np.array([0.5, 9.0, 0.7, 0.5, 0.7, 0.1, 0.7, 0.5]))
+        out = entropy_top_b(pool, scores, 4)
+        assert out.selected == [2, 4, 6, 0]
+        assert out.per_cluster[0].selected == out.selected
+
+    def test_short_score_vector_rejected(self):
+        with pytest.raises(ValueError, match="3 uncertainty scores for a pool of 8"):
+            entropy_top_b(make_pool(8, [1]), UncertaintyScores(scores=np.zeros(3)), 2)
+
+
+class TestSelectDispatch:
+    def test_unknown_strategy_rejected(self):
+        X, pool, cfg = expand_fixture()
+        with pytest.raises(ValueError, match="unknown strategy 'oracle'"):
+            select("oracle", pool, X, cfg, Rng(3, "sel"))
+
+    @pytest.mark.parametrize("strategy", SCORED_STRATEGIES)
+    def test_scored_strategy_requires_scores(self, strategy):
+        X, pool, cfg = expand_fixture()
+        assert strategy in STRATEGIES
+        with pytest.raises(ValueError, match="requires uncertainty scores"):
+            select(strategy, pool, X, cfg, Rng(3, "sel"))
+
+    def test_entries_call_through_module_globals(self, monkeypatch):
+        X, pool, cfg = expand_fixture()
+        calls = []
+        original = dacs.selection.dacs_select
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dacs.selection, "dacs_select", recording)
+        out = select("dacs", pool, X, cfg, Rng(3, "sel"))
+        assert len(calls) == 1
+        assert out.selected == original(pool, X, cfg, Rng(3, "sel")).selected

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,9 +13,9 @@ from dacs.core import (
 )
 from dacs.density import DensityConvention, DensityProfile
 from dacs.model import ModelConfig, ModelOutputs
+from dacs.selection import STRATEGIES
 from dacs.simulate import (
     GENERATOR_NEAR_DUPLICATE,
-    STRATEGIES,
     density_uncertainty_correlation,
     duplicate_threshold,
     gen_gaussian_mixture,
@@ -215,15 +217,32 @@ class TestDensityUncertaintyCorrelation:
 
 def small_run(strategy, seed=0, cycles=2, budget=6, data_seed=0):
     ds = gen_gaussian_mixture(3, 40, 8, 1.0, 2.2, Rng(data_seed, "sim"))
-    acq = AcquisitionConfig(budget=budget, n_buckets=4, n_breaks=2, reduced_dim=4)
+    acq = AcquisitionConfig(budget=budget, n_buckets=4, n_breaks=2)
     model = ModelConfig(n_classes=3, reduced_dim=4, epochs=8, batch_size=32)
     return run_al(ds, strategy, acq, model, cycles=cycles, init_labeled=6, rng=Rng(seed, "al"))
 
 
+# sha256 of the concatenated per-cycle picks of small_run(strategy); pins the
+# scores, rng stream and density region each strategy is handed.
+SMALL_RUN_PICK_DIGESTS = {
+    "random": "707861f2003494a5ac29471fd44d780604417a347602a59585db9f3435172ae5",
+    "coreset": "bee72648f268673fb5e8a5eeb911118a0f2911a3122073bbe54ca3339dc86394",
+    "dacs": "c314fef9d10292c8b7207ae9a8880cbcedab5b0f1ef058f5267c65a9dd08ce56",
+    "sparse-only": "4524b28a35a99b22804833c4abdd08afcf3811acf8e6d9d8b7ff38a8fdcc6f42",
+    "dense-only": "321d5721780d42cc21e691576cb8a4a9e1fe0d6bf4ffaae10cc6cba782c7270f",
+    "combined": "5e70dc34a3a74e803aa9ea5831b91d6c2a75f05ef8a38033d1877b807092a816",
+    "entropy-top-b": "3d3141ab94fefa07e71935c14b3bb714542f27e3224d4167ca1d107e25daf3e8",
+}
+
+
 class TestRunAl:
     def test_every_strategy_completes(self):
+        assert set(SMALL_RUN_PICK_DIGESTS) == set(STRATEGIES)
         for strategy in STRATEGIES:
             report = small_run(strategy)
+            picks = [i for r in report.records[:-1] for i in r.selected]
+            digest = hashlib.sha256(json.dumps(picks).encode()).hexdigest()
+            assert digest == SMALL_RUN_PICK_DIGESTS[strategy], strategy
             assert len(report.records) == 3
             assert report.error is None
             for r in report.records:
@@ -272,7 +291,7 @@ class TestRunAl:
     def test_near_duplicate_runs_track_duplicate_pulls(self):
         base = gen_gaussian_mixture(3, 30, 8, 1.0, 2.2, Rng(0, "sim"))
         ds = gen_near_duplicate(base, 1, 0.1, Rng(0, "sim"))
-        acq = AcquisitionConfig(budget=6, n_buckets=4, n_breaks=2, reduced_dim=4)
+        acq = AcquisitionConfig(budget=6, n_buckets=4, n_breaks=2)
         model = ModelConfig(n_classes=3, reduced_dim=4, epochs=8, batch_size=32)
         report = run_al(ds, "random", acq, model, cycles=1, init_labeled=6, rng=Rng(0, "al"))
         frac = report.records[0].near_duplicate_fraction
@@ -286,7 +305,7 @@ class TestRunAl:
 
     def test_rejects_bad_arguments(self):
         ds = gen_gaussian_mixture(3, 10, 8, 1.0, 2.2, Rng(0, "sim"))
-        acq = AcquisitionConfig(budget=2, n_buckets=4, reduced_dim=4)
+        acq = AcquisitionConfig(budget=2, n_buckets=4)
         model = ModelConfig(n_classes=3, reduced_dim=4, epochs=2)
         with pytest.raises(ValueError, match="unknown strategy"):
             run_al(ds, "oracle", acq, model, 1, 2, Rng(0, "al"))
