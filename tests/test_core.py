@@ -203,6 +203,7 @@ class TestAcquisitionConfig:
             dict(budget=5, expand_factor=0.5),
             dict(budget=5, window="sideways"),
             dict(budget=5, reference="nowhere"),
+            dict(budget=5, temperature=float("nan")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
