@@ -39,9 +39,13 @@ class UndefinedCorrelationError(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+    """Read-only C-contiguous view of a; the caller's own array stays writeable.
+
+    Copies only when a is not already C-contiguous.
+    """
+    view = np.ascontiguousarray(a).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)

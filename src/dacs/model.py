@@ -11,6 +11,7 @@ the shared trunk (the heads' own parameters keep learning).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,80 +105,111 @@ def init_model(config: ModelConfig, n_features: int, rng: Rng) -> ToyModel:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax over the last axis of a C-contiguous array."""
+    n = logits.shape[-1]
+    # The row max does not depend on the order it is taken in, and one pass
+    # down the columns of a transposed copy costs far less than one
+    # reduction per short row.
+    top = np.maximum.reduce(logits.reshape(-1, n).T.copy(), axis=0)
+    shifted = logits - top.reshape(logits.shape[:-1] + (1,))
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _forward(params: dict, X: np.ndarray, hidden: bool):
-    """Returns (trunk output, main logits, pre-norm projection, unit embeddings, aux logits)."""
-    if hidden:
-        T = np.tanh(X @ params["trunk_w"] + params["trunk_b"])
-    else:
-        T = X
-    logits_main = T @ params["main_w"] + params["main_b"]
-    U = T @ params["proj_w"]
-    norms = np.linalg.norm(U, axis=1, keepdims=True)
-    # A projection without a usable direction (zero norm, or a norm that
-    # overflowed) parks on the first axis so the embedding stays exactly
-    # unit-norm.
+def _unit_rows(U: np.ndarray):
+    """Returns (U / |u| per row, divisor per row, bad-row mask or None).
+
+    A row without a usable direction (zero norm, or a norm that overflowed)
+    parks on the first axis so the embedding stays exactly unit-norm; its
+    divisor is 1. The norm is np.linalg.norm's, computed the same way.
+    """
+    norms = np.sqrt(np.add.reduce(U * U, axis=1, keepdims=True))
+    if np.minimum.reduce(norms, axis=None) > 0.0 and np.maximum.reduce(norms, axis=None) < np.inf:
+        return U / norms, norms, None
     bad = ~np.isfinite(norms) | (norms == 0.0)
     safe = np.where(bad, 1.0, norms)
     Z = U / safe
     bad_rows = bad.ravel()
-    if np.any(bad_rows):
-        Z[bad_rows, :] = 0.0
-        Z[bad_rows, 0] = 1.0
-    logits_aux = Z @ params["aux_w"] + params["aux_b"]
-    return T, logits_main, U, Z, logits_aux
+    Z[bad_rows, :] = 0.0
+    Z[bad_rows, 0] = 1.0
+    return Z, safe, bad_rows
+
+
+def _forward(params: dict, X: np.ndarray, hidden: bool):
+    """Returns (main logits, unit embeddings)."""
+    T = np.tanh(X @ params["trunk_w"] + params["trunk_b"]) if hidden else X
+    return T @ params["main_w"] + params["main_b"], _unit_rows(T @ params["proj_w"])[0]
 
 
 def loss_and_grads(
     params: dict,
+    grads: dict,
     X: np.ndarray,
     y: np.ndarray,
     lambda_aux: float,
     hidden: bool,
     aux_to_trunk: bool,
 ):
-    """Combined cross-entropy and its analytic gradients for one batch.
+    """Combined cross-entropy of one batch; writes its analytic gradients into grads.
 
-    aux_to_trunk=False cuts the auxiliary gradient path into the shared trunk
-    (the gradient stop); the auxiliary head's own parameters always learn.
+    grads holds one array per parameter, shaped like it; every entry is
+    overwritten. aux_to_trunk=False cuts the auxiliary gradient path into the
+    shared trunk (the gradient stop); the auxiliary head's own parameters
+    always learn.
+
+    Both heads live in one (2, B, C) block, main logits first, so one
+    log-softmax, one exp and one flat-index take serve both losses, while
+    each head stays a contiguous (B, C) matrix: a strided head view can send
+    a matrix-vector product down a different BLAS path and move last bits.
+    Every element goes through the two-head arithmetic in the same order
+    (the auxiliary head scaled by lambda_aux, then both divided by B), so
+    results are bit for bit those of computing the heads apart.
     """
     B = X.shape[0]
-    T, logits_main, U, Z, logits_aux = _forward(params, X, hidden)
-    n_classes = logits_main.shape[1]
-    Y = np.zeros((B, n_classes))
-    Y[np.arange(B), y] = 1.0
-    log_p_main = _log_softmax(logits_main)
-    log_p_aux = _log_softmax(logits_aux)
-    loss_main = -log_p_main[np.arange(B), y].mean()
-    loss_aux = -log_p_aux[np.arange(B), y].mean()
-    loss = loss_main + lambda_aux * loss_aux
+    T = np.tanh(X @ params["trunk_w"] + params["trunk_b"]) if hidden else X
+    n_classes = params["main_b"].size
+    logits = np.empty((2, B, n_classes))
+    np.matmul(T, params["main_w"], out=logits[0])
+    Z, norms, bad_rows = _unit_rows(T @ params["proj_w"])
+    np.matmul(Z, params["aux_w"], out=logits[1])
+    logits += np.array((params["main_b"], params["aux_b"]))[:, None]
+    log_p = _log_softmax(logits)
+    # flat index of each true-class entry, one row per head
+    pick = np.arange(0, B * n_classes, n_classes) + y + np.array([[0], [B * n_classes]])
+    sums = np.add.reduce(log_p.take(pick), axis=1)
+    loss = -(sums[0] / B) + lambda_aux * -(sums[1] / B)
 
-    grads: dict[str, np.ndarray] = {}
-    G_main = (np.exp(log_p_main) - Y) / B
-    grads["main_w"] = T.T @ G_main
-    grads["main_b"] = G_main.sum(axis=0)
-    G_aux = lambda_aux * (np.exp(log_p_aux) - Y) / B
-    grads["aux_w"] = Z.T @ G_aux
-    grads["aux_b"] = G_aux.sum(axis=0)
+    G = np.exp(log_p)
+    G.reshape(-1)[pick] -= 1.0
+    G_main, G_aux = G
+    G_aux *= lambda_aux
+    G /= B
+    np.matmul(T.T, G_main, out=grads["main_w"])
+    np.add.reduce(G_main, axis=0, out=grads["main_b"])
+    np.matmul(Z.T, G_aux, out=grads["aux_w"])
+    np.add.reduce(G_aux, axis=0, out=grads["aux_b"])
     G_z = G_aux @ params["aux_w"].T
-    norms = np.linalg.norm(U, axis=1, keepdims=True)
-    bad = ~np.isfinite(norms) | (norms == 0.0)
-    safe = np.where(bad, 1.0, norms)
     # d(u/|u|) pulls out the radial component: (g - z <g,z>) / |u|.
-    G_u = (G_z - Z * (G_z * Z).sum(axis=1, keepdims=True)) / safe
-    G_u[bad.ravel(), :] = 0.0
-    grads["proj_w"] = T.T @ G_u
+    G_u = (G_z - Z * np.add.reduce(G_z * Z, axis=1, keepdims=True)) / norms
+    if bad_rows is not None:
+        G_u[bad_rows, :] = 0.0
+    np.matmul(T.T, G_u, out=grads["proj_w"])
     if hidden:
         G_T = G_main @ params["main_w"].T
         if aux_to_trunk:
-            G_T = G_T + G_u @ params["proj_w"].T
+            G_T += G_u @ params["proj_w"].T
         G_pre = G_T * (1.0 - T * T)
-        grads["trunk_w"] = X.T @ G_pre
-        grads["trunk_b"] = G_pre.sum(axis=0)
-    return loss, grads
+        np.matmul(X.T, G_pre, out=grads["trunk_w"])
+        np.add.reduce(G_pre, axis=0, out=grads["trunk_b"])
+    return loss
+
+
+def _views(flat: np.ndarray, template: dict) -> dict:
+    """Per-name views into flat, laid out in template's order and shapes."""
+    views, at = {}, 0
+    for k, v in template.items():
+        views[k] = flat[at : at + v.size].reshape(v.shape)
+        at += v.size
+    return views
 
 
 def train(
@@ -197,11 +229,15 @@ def train(
     lab = np.asarray(labeled_indices, np.int64)
     if lab.size == 0:
         raise ValueError("cannot train on an empty labeled set")
-    y = np.asarray(labels, np.int64)[lab]
+    labels = np.asarray(labels, np.int64)
+    y = labels[lab]
     if y.min() < 0 or y.max() >= cfg.n_classes:
         raise ValueError("labels out of range for configured class count")
-    X = features.data[lab]
-    params = {k: v.copy() for k, v in model.params.items()}
+    # Parameters and gradients each live in one flat vector, so one update
+    # moves every parameter; the step reads and writes per-name views.
+    flat = np.concatenate([v.ravel() for v in model.params.values()])
+    gflat = np.empty_like(flat)
+    params, grads = _views(flat, model.params), _views(gflat, model.params)
     hidden = cfg.hidden is not None
     gen = model.rng.derive("batch").generator()
     lr = cfg.learning_rate
@@ -211,19 +247,27 @@ def train(
     for epoch in range(cfg.epochs):
         if cfg.lr_decay and cfg.epochs > 1 and epoch == decay_at:
             lr *= 0.1
-        perm = gen.permutation(lab.size)
+        # One gather per epoch makes every batch a contiguous slice.
+        order = lab[gen.permutation(lab.size)]
+        X_epoch = y_epoch = None  # free the last epoch's rows: one copy at a time
+        X_epoch, y_epoch = features.data[order], labels[order]
         batch_losses = []
         for start in range(0, lab.size, cfg.batch_size):
-            sel = perm[start : start + cfg.batch_size]
-            loss, grads = loss_and_grads(
-                params, X[sel], y[sel], cfg.lambda_aux, hidden, aux_to_trunk=epoch < stop
+            end = start + cfg.batch_size
+            loss = loss_and_grads(
+                params,
+                grads,
+                X_epoch[start:end],
+                y_epoch[start:end],
+                cfg.lambda_aux,
+                hidden,
+                aux_to_trunk=epoch < stop,
             )
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch} (lr={lr})", epoch=epoch, learning_rate=lr
                 )
-            for k, g in grads.items():
-                params[k] -= lr * g
+            flat -= lr * gflat
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
     return ToyModel(config=cfg, rng=model.rng, params=params, epoch_losses=epoch_losses)
@@ -232,7 +276,7 @@ def train(
 def infer(model: ToyModel, features: FeatureMatrix, labels=None) -> ModelOutputs:
     """Forward pass over all rows; per-sample loss only when labels are given."""
     cfg = model.config
-    _, logits_main, _, Z, _ = _forward(model.params, features.data, cfg.hidden is not None)
+    logits_main, Z = _forward(model.params, features.data, cfg.hidden is not None)
     log_p = _log_softmax(logits_main)
     probs = np.exp(log_p)
     entropy = -(probs * np.where(probs > 0.0, log_p, 0.0)).sum(axis=1)

@@ -419,10 +419,12 @@ def _gradients_match_finite_differences() -> list:
         cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, lambda_aux=0.7)
         params = init_model(cfg, 5, Rng(4, "model")).params
         use_hidden = hidden is not None
-        _, grads = loss_and_grads(params, X, y, 0.7, use_hidden, aux_to_trunk=True)
+        grads = {k: np.empty_like(v) for k, v in params.items()}
+        loss_and_grads(params, grads, X, y, 0.7, use_hidden, aux_to_trunk=True)
+        scratch = {k: np.empty_like(v) for k, v in params.items()}
         for key in params:
             want = _fd_grad(
-                lambda: loss_and_grads(params, X, y, 0.7, use_hidden, True)[0],
+                lambda: loss_and_grads(params, scratch, X, y, 0.7, use_hidden, True),
                 params,
                 key,
             )

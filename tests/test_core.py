@@ -15,6 +15,8 @@ from dacs.core import (
     make_pool,
     normalize_rows,
 )
+from dacs.density import DensityConvention, DensityProfile
+from dacs.selection import UncertaintyScores
 
 
 class TestRng:
@@ -87,6 +89,47 @@ class TestFeatureMatrix:
         x = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             x.rows([2])
+
+
+class TestReadOnlyFields:
+    """Wrappers freeze a view of the caller's array, never the array itself."""
+
+    @staticmethod
+    def assert_frozen_view(field, caller):
+        assert not field.flags.writeable
+        assert np.shares_memory(field, caller)  # a view, not a copy
+        assert caller.flags.writeable
+        caller[0] = caller[0]
+        with pytest.raises(ValueError):
+            field[0] = field[0]
+
+    def test_feature_matrix(self):
+        a = np.ones((3, 2))
+        self.assert_frozen_view(FeatureMatrix(a).data, a)
+
+    def test_pool_state(self):
+        lab, unlab = np.array([0, 2]), np.array([1, 3])
+        pool = PoolState(n_total=4, labeled=lab, unlabeled=unlab)
+        self.assert_frozen_view(pool.labeled, lab)
+        self.assert_frozen_view(pool.unlabeled, unlab)
+
+    def test_uncertainty_scores(self):
+        a = np.ones(4)
+        self.assert_frozen_view(UncertaintyScores(scores=a).scores, a)
+
+    def test_density_profile(self):
+        idx, vals = np.arange(4), np.linspace(0.0, 1.0, 4)
+        profile = DensityProfile(
+            indices=idx, values=vals, convention=DensityConvention.SIMILARITY_BASED, params={}
+        )
+        self.assert_frozen_view(profile.indices, idx)
+        self.assert_frozen_view(profile.values, vals)
+
+    def test_non_contiguous_input_is_copied_once(self):
+        a = np.ones((4, 3))[:, ::2]
+        x = FeatureMatrix(a)
+        assert x.data.flags.c_contiguous and not x.data.flags.writeable
+        assert not np.shares_memory(x.data, a)
 
 
 class TestNormalizeRows:

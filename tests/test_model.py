@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacs.core import DivergenceError, FeatureMatrix, Rng
 from dacs.model import (
@@ -9,6 +11,7 @@ from dacs.model import (
     UNCERTAINTY_LOSS_PROXY,
     ModelConfig,
     ModelOutputs,
+    ToyModel,
     infer,
     init_model,
     loss_and_grads,
@@ -26,6 +29,149 @@ def blob_data(seed=0, n_per=20, n_classes=3, d=6, scale=3.0):
     labels = np.repeat(np.arange(n_classes), n_per)
     pts = centers[labels] + gen.normal(size=(n_per * n_classes, d))
     return FeatureMatrix(pts), labels
+
+
+# ---------------------------------------------------------------- oracle
+# The two-head, per-parameter training step that model.train replaced, kept
+# verbatim (names prefixed) so the fused step can be checked bit for bit.
+
+
+def _reference_log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_forward(params: dict, X: np.ndarray, hidden: bool):
+    """Returns (trunk output, main logits, pre-norm projection, unit embeddings, aux logits)."""
+    if hidden:
+        T = np.tanh(X @ params["trunk_w"] + params["trunk_b"])
+    else:
+        T = X
+    logits_main = T @ params["main_w"] + params["main_b"]
+    U = T @ params["proj_w"]
+    norms = np.linalg.norm(U, axis=1, keepdims=True)
+    # A projection without a usable direction (zero norm, or a norm that
+    # overflowed) parks on the first axis so the embedding stays exactly
+    # unit-norm.
+    bad = ~np.isfinite(norms) | (norms == 0.0)
+    safe = np.where(bad, 1.0, norms)
+    Z = U / safe
+    bad_rows = bad.ravel()
+    if np.any(bad_rows):
+        Z[bad_rows, :] = 0.0
+        Z[bad_rows, 0] = 1.0
+    logits_aux = Z @ params["aux_w"] + params["aux_b"]
+    return T, logits_main, U, Z, logits_aux
+
+
+def reference_loss_and_grads(
+    params: dict,
+    X: np.ndarray,
+    y: np.ndarray,
+    lambda_aux: float,
+    hidden: bool,
+    aux_to_trunk: bool,
+):
+    """Combined cross-entropy and its analytic gradients for one batch.
+
+    aux_to_trunk=False cuts the auxiliary gradient path into the shared trunk
+    (the gradient stop); the auxiliary head's own parameters always learn.
+    """
+    B = X.shape[0]
+    T, logits_main, U, Z, logits_aux = _reference_forward(params, X, hidden)
+    n_classes = logits_main.shape[1]
+    Y = np.zeros((B, n_classes))
+    Y[np.arange(B), y] = 1.0
+    log_p_main = _reference_log_softmax(logits_main)
+    log_p_aux = _reference_log_softmax(logits_aux)
+    loss_main = -log_p_main[np.arange(B), y].mean()
+    loss_aux = -log_p_aux[np.arange(B), y].mean()
+    loss = loss_main + lambda_aux * loss_aux
+
+    grads: dict[str, np.ndarray] = {}
+    G_main = (np.exp(log_p_main) - Y) / B
+    grads["main_w"] = T.T @ G_main
+    grads["main_b"] = G_main.sum(axis=0)
+    G_aux = lambda_aux * (np.exp(log_p_aux) - Y) / B
+    grads["aux_w"] = Z.T @ G_aux
+    grads["aux_b"] = G_aux.sum(axis=0)
+    G_z = G_aux @ params["aux_w"].T
+    norms = np.linalg.norm(U, axis=1, keepdims=True)
+    bad = ~np.isfinite(norms) | (norms == 0.0)
+    safe = np.where(bad, 1.0, norms)
+    # d(u/|u|) pulls out the radial component: (g - z <g,z>) / |u|.
+    G_u = (G_z - Z * (G_z * Z).sum(axis=1, keepdims=True)) / safe
+    G_u[bad.ravel(), :] = 0.0
+    grads["proj_w"] = T.T @ G_u
+    if hidden:
+        G_T = G_main @ params["main_w"].T
+        if aux_to_trunk:
+            G_T = G_T + G_u @ params["proj_w"].T
+        G_pre = G_T * (1.0 - T * T)
+        grads["trunk_w"] = X.T @ G_pre
+        grads["trunk_b"] = G_pre.sum(axis=0)
+    return loss, grads
+
+
+def reference_train(
+    model: ToyModel,
+    features: FeatureMatrix,
+    labels: np.ndarray,
+    labeled_indices,
+) -> ToyModel:
+    """Bit-exact oracle for train: the per-parameter step it replaced.
+
+    Mini-batch gradient descent on the labeled subset.
+
+    Shuffles per epoch from the "batch" stream, decays the learning rate by
+    10x at 80% of epochs when lr_decay is set, and applies the gradient stop
+    after effective_stop_epoch. Returns a new model; raises DivergenceError on
+    a non-finite loss.
+    """
+    cfg = model.config
+    lab = np.asarray(labeled_indices, np.int64)
+    if lab.size == 0:
+        raise ValueError("cannot train on an empty labeled set")
+    y = np.asarray(labels, np.int64)[lab]
+    if y.min() < 0 or y.max() >= cfg.n_classes:
+        raise ValueError("labels out of range for configured class count")
+    X = features.data[lab]
+    params = {k: v.copy() for k, v in model.params.items()}
+    hidden = cfg.hidden is not None
+    gen = model.rng.derive("batch").generator()
+    lr = cfg.learning_rate
+    decay_at = int(np.floor(0.8 * cfg.epochs))
+    stop = cfg.effective_stop_epoch
+    epoch_losses = []
+    for epoch in range(cfg.epochs):
+        if cfg.lr_decay and cfg.epochs > 1 and epoch == decay_at:
+            lr *= 0.1
+        perm = gen.permutation(lab.size)
+        batch_losses = []
+        for start in range(0, lab.size, cfg.batch_size):
+            sel = perm[start : start + cfg.batch_size]
+            loss, grads = reference_loss_and_grads(
+                params, X[sel], y[sel], cfg.lambda_aux, hidden, aux_to_trunk=epoch < stop
+            )
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch} (lr={lr})", epoch=epoch, learning_rate=lr
+                )
+            for k, g in grads.items():
+                params[k] -= lr * g
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return ToyModel(config=cfg, rng=model.rng, params=params, epoch_losses=epoch_losses)
+
+
+# ---------------------------------------------------------------- helpers
+
+
+def step(params, X, y, lambda_aux, hidden, aux_to_trunk):
+    """(loss, gradients) of one batch through the step train runs."""
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    loss = loss_and_grads(params, grads, X, y, lambda_aux, hidden, aux_to_trunk)
+    return loss, grads
 
 
 def fd_grad(loss_fn, params, key, eps=1e-6):
@@ -55,10 +201,10 @@ class TestGradients:
         params = model.params
         Xb, yb = X.data[:12], y[:12]
         use_hidden = hidden is not None
-        _, grads = loss_and_grads(params, Xb, yb, 0.7, use_hidden, aux_to_trunk=True)
+        _, grads = step(params, Xb, yb, 0.7, use_hidden, aux_to_trunk=True)
         for key in params:
             want = fd_grad(
-                lambda: loss_and_grads(params, Xb, yb, 0.7, use_hidden, True)[0],
+                lambda: step(params, Xb, yb, 0.7, use_hidden, True)[0],
                 params,
                 key,
             )
@@ -74,19 +220,17 @@ class TestGradients:
         model = init_model(cfg, 5, Rng(3, "model"))
         params = model.params
         Xb, yb = X.data[:12], y[:12]
-        _, grads = loss_and_grads(params, Xb, yb, 0.7, True, aux_to_trunk=False)
+        _, grads = step(params, Xb, yb, 0.7, True, aux_to_trunk=False)
         for key in ("trunk_w", "trunk_b"):
             want = fd_grad(
-                lambda: loss_and_grads(params, Xb, yb, 0.0, True, True)[0],
+                lambda: step(params, Xb, yb, 0.0, True, True)[0],
                 params,
                 key,
             )
             denom = np.maximum(np.abs(want), 1e-2)
             assert np.max(np.abs(grads[key] - want) / denom) <= 1e-5, key
         # the auxiliary head itself still gets the full-loss gradient
-        want = fd_grad(
-            lambda: loss_and_grads(params, Xb, yb, 0.7, True, True)[0], params, "aux_w"
-        )
+        want = fd_grad(lambda: step(params, Xb, yb, 0.7, True, True)[0], params, "aux_w")
         denom = np.maximum(np.abs(want), 1e-2)
         assert np.max(np.abs(grads["aux_w"] - want) / denom) <= 1e-5
 
@@ -200,6 +344,97 @@ class TestTraining:
         b = train(init_model(off, 6, Rng(8, "model")), X, y, np.arange(60))
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key])
+
+
+def assert_train_matches_reference(cfg, X, y, lab, seed=0, prepare=None):
+    init = init_model(cfg, X.d, Rng(seed, "model"))
+    if prepare is not None:
+        prepare(init.params)
+    before = {k: v.copy() for k, v in init.params.items()}
+    want = reference_train(init, X, y, lab)
+    got = train(init, X, y, lab)
+    assert list(got.params) == list(want.params)
+    for key in want.params:
+        assert got.params[key].shape == want.params[key].shape, key
+        assert np.array_equal(got.params[key], want.params[key]), key
+        assert np.array_equal(init.params[key], before[key]), key  # input untouched
+    assert got.epoch_losses == want.epoch_losses
+
+
+def oracle_data(n=900, d=6, n_classes=3, zero_rows=0, seed=0):
+    X, y = blob_data(seed=seed, n_per=-(-n // n_classes), n_classes=n_classes, d=d)
+    data = X.data[:n].copy()
+    data[:zero_rows] = 0.0  # rows whose projection has zero norm
+    return FeatureMatrix(data), y[:n]
+
+
+class TestTrainMatchesReference:
+    """train is bit-identical to the per-parameter two-head step it replaced."""
+
+    @pytest.mark.parametrize("n_labeled", [1, 63, 64, 65, 864])
+    @pytest.mark.parametrize("lambda_aux", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("hidden", [None, 8])
+    def test_batch_remainders(self, hidden, lambda_aux, n_labeled):
+        X, y = oracle_data()
+        lab = Rng(n_labeled, "lab").generator().permutation(X.n)[:n_labeled]
+        cfg = ModelConfig(
+            n_classes=3, reduced_dim=2, hidden=hidden, lambda_aux=lambda_aux, epochs=3
+        )
+        assert_train_matches_reference(cfg, X, y, lab, seed=n_labeled)
+
+    @pytest.mark.parametrize("hidden", [None, 8])
+    def test_zero_norm_projection_rows(self, hidden):
+        # zero feature rows project to zero (the trunk starts with zero bias)
+        X, y = oracle_data(n=150, zero_rows=20)
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, epochs=4)
+        assert_train_matches_reference(cfg, X, y, np.arange(150)[::-1])
+
+    @pytest.mark.parametrize("hidden", [None, 8])
+    def test_zero_projection_everywhere(self, hidden):
+        X, y = oracle_data(n=100)
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, epochs=3)
+
+        def zero_projection(params):
+            params["proj_w"][...] = 0.0
+
+        assert_train_matches_reference(cfg, X, y, np.arange(100), prepare=zero_projection)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"stop_epoch": 2},
+            {"stop_epoch": 0},
+            {"lr_decay": False},
+            {"epochs": 1},
+            {"epochs": 1, "stop_epoch": 0, "lr_decay": False},
+        ],
+    )
+    def test_schedules(self, schedule):
+        X, y = oracle_data(n=200)
+        kwargs = {"epochs": 6, **schedule}
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=8, lambda_aux=0.7, **kwargs)
+        assert_train_matches_reference(cfg, X, y, np.arange(0, 200, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_shapes(self, data):
+        n_classes = data.draw(st.integers(2, 12), label="n_classes")
+        d = data.draw(st.integers(3, 9), label="d")
+        hidden = data.draw(st.sampled_from([None, d + 2]), label="hidden")
+        reduced = data.draw(st.integers(1, d - 1), label="reduced_dim")
+        n = data.draw(st.integers(1, 150), label="n_labeled")
+        cfg = ModelConfig(
+            n_classes=n_classes,
+            reduced_dim=reduced,
+            hidden=hidden,
+            lambda_aux=data.draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]), label="lambda_aux"),
+            epochs=data.draw(st.integers(1, 4), label="epochs"),
+            batch_size=data.draw(st.integers(1, 70), label="batch_size"),
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        X, y = oracle_data(n=n + 5, d=d, n_classes=n_classes, seed=seed)
+        lab = Rng(seed, "lab").generator().permutation(n + 5)[:n]
+        assert_train_matches_reference(cfg, X, y, lab, seed=seed)
 
 
 class TestConfig:

@@ -3,15 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacs.core import (
     REFERENCE_CLUSTER_LOCAL,
+    REFERENCE_GLOBAL,
     AcquisitionConfig,
     FeatureMatrix,
     Rng,
     make_pool,
 )
 from dacs.density import DensityConvention, DensityProfile
+from dacs.partition import allocate_budget
 import dacs.selection
 from dacs.selection import (
     SCORED_STRATEGIES,
@@ -83,6 +87,109 @@ def gather_every_pick_greedy(candidates, reference, n_pick, features, density=No
         np.maximum(maxsim, X[cand] @ X[u], out=maxsim)
         maxsim[pos] = np.inf
     return picked, trace
+
+
+def brute_force_greedy(candidates, reference, n_pick, features, density=None):
+    """Reference greedy that keeps no running state.
+
+    Before every pick it recomputes each candidate's similarity to the whole
+    covered set (reference rows plus earlier picks) and scans for the lowest
+    maximum, ties to the lowest index. The similarities come from the same
+    products kcenter_greedy uses (candidates x reference in one matrix
+    product, one matrix-vector product per covered pick), so traces compare
+    with ==.
+    """
+    cand = np.unique(np.asarray(candidates, np.int64))
+    ref = np.asarray(reference, np.int64)
+    X = features.data
+    Xc = X[cand]
+    taken, trace = [], []
+    if n_pick and ref.size == 0:
+        if density is None:
+            first = 0
+        else:
+            vals = density.lookup(cand)
+            first = min(range(cand.size), key=lambda i: (vals[i], i))
+        taken.append(first)
+        trace.append(-math.inf)
+    while len(taken) < n_pick:
+        blocks = [Xc @ X[ref].T] if ref.size else []
+        blocks += [(Xc @ X[cand[pos]])[:, None] for pos in taken]
+        cover = np.concatenate(blocks, axis=1).max(axis=1)
+        best = None
+        for i in range(cand.size):
+            if i not in taken and (best is None or cover[i] < cover[best]):
+                best = i
+        taken.append(best)
+        trace.append(float(cover[best]))
+    return [int(cand[pos]) for pos in taken], trace
+
+
+def tied_sphere_rows(seed, n, d, n_distinct, lattice):
+    """n unit rows drawn from n_distinct directions: duplicate rows, and on a
+    {-1, 0, 1} lattice many exactly equal similarities."""
+    gen = Rng(seed, "tied").generator()
+    if lattice:
+        base = gen.integers(-1, 2, size=(n_distinct, d)).astype(np.float64)
+        base[~base.any(axis=1), 0] = 1.0
+    else:
+        base = gen.normal(size=(n_distinct, d))
+    return FeatureMatrix(unit(base[gen.integers(0, n_distinct, size=n)]), unit_norm=True)
+
+
+def tied_profile(n, seed):
+    values = Rng(seed, "tied-density").generator().integers(0, 3, size=n).astype(np.float64)
+    return DensityProfile(
+        indices=np.arange(n),
+        values=values,
+        convention=DensityConvention.SIMILARITY_BASED,
+        params={},
+    )
+
+
+def assert_matches_brute_force(cand, ref, n_pick, X, density=None):
+    got = kcenter_greedy(cand, ref, n_pick, X, density=density)
+    want = brute_force_greedy(cand, ref, n_pick, X, density=density)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+class TestKcenterBruteForce:
+    """kcenter_greedy against a greedy that recomputes everything per pick."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        X = tied_sphere_rows(
+            data.draw(st.integers(0, 10**6), label="rows"),
+            n,
+            data.draw(st.integers(2, 5), label="d"),
+            data.draw(st.integers(1, 6), label="n_distinct"),
+            data.draw(st.booleans(), label="lattice"),
+        )
+        order = data.draw(st.permutations(range(n)), label="order")
+        n_ref = data.draw(st.integers(0, n - 1), label="n_ref")
+        ref = sorted(order[:n_ref])
+        cand = list(order[n_ref:])
+        cand += data.draw(st.lists(st.sampled_from(cand), max_size=4), label="repeats")
+        n_pick = data.draw(st.integers(0, len(set(cand))), label="n_pick")
+        density = tied_profile(n, n) if data.draw(st.booleans(), label="density") else None
+        assert_matches_brute_force(cand, ref, n_pick, X, density)
+
+    @pytest.mark.parametrize("with_density", [False, True])
+    def test_empty_reference_takes_every_candidate(self, with_density):
+        X = tied_sphere_rows(3, 12, 3, 4, lattice=True)
+        density = tied_profile(12, 3) if with_density else None
+        assert_matches_brute_force(np.arange(12), [], 12, X, density)
+
+    @pytest.mark.parametrize("n_ref", [0, 3])
+    def test_single_distinct_row(self, n_ref):
+        X = tied_sphere_rows(5, 10, 4, 1, lattice=False)
+        picked, _ = kcenter_greedy(np.arange(n_ref, 10), np.arange(n_ref), 10 - n_ref, X)
+        # every similarity ties, so picks run in index order
+        assert picked == list(range(n_ref, 10))
+        assert_matches_brute_force(np.arange(n_ref, 10), np.arange(n_ref), 10 - n_ref, X)
 
 
 class TestKcenterGreedy:
@@ -249,6 +356,32 @@ class TestDacsSelect:
         # conservation under clamping: every unlabeled sample gets picked
         assert sorted(out.selected) == sorted(pool.unlabeled.tolist())
         assert sum(c.budget for c in out.per_cluster) == pool.unlabeled.size
+
+    @pytest.mark.parametrize("labeled", [[], [0, 17, 40]])
+    @pytest.mark.parametrize("reference", [REFERENCE_GLOBAL, REFERENCE_CLUSTER_LOCAL])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_brute_force_per_class(self, seed, reference, labeled):
+        # duplicated rows give tied similarities and tied densities
+        X0, _ = clustered_pool(seed, n_per=14, d=6, n_clusters=3)
+        X = FeatureMatrix(np.repeat(X0.data, 2, axis=0)[:80], unit_norm=True)
+        pool = make_pool(80, labeled)
+        cfg = AcquisitionConfig(budget=15, n_buckets=4, n_breaks=3, reference=reference)
+        got = dacs_select(pool, X, cfg, Rng(seed, "sel"))
+        profile, partition, _ = dacs.selection._density_pipeline(pool, X, cfg, Rng(seed, "sel"))
+        partition = allocate_budget(partition, cfg.budget, cfg.temperature, pool.unlabeled.size)
+        running, trace = [], []
+        for ci, members in enumerate(partition.clusters):
+            ref = pool.labeled.tolist()
+            if reference == REFERENCE_GLOBAL:
+                ref += running
+            picked, t = brute_force_greedy(
+                pool.unlabeled[members], ref, int(partition.budgets[ci]), X, density=profile
+            )
+            assert got.per_cluster[ci].selected == picked
+            running += picked
+            trace += t
+        assert got.selected == running
+        assert got.diagnostics["max_similarity"] == trace
 
 
 class TestCoresetSelect:
