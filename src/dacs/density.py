@@ -125,10 +125,18 @@ def exact_knn_density(
 
 
 def _assign_buckets(z: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Bucket id per row: argmax over the concatenated [R^T z; -R^T z] responses."""
+    """Bucket id per row: argmax over the concatenated [R^T z; -R^T z] responses.
+
+    The concatenation is never built. Its argmax is the first argmax of
+    R^T z, or, shifted by k/2, the first argmin; negation is exact, and a tie
+    between the two goes to the first half, as argmax over the concatenation
+    sends it.
+    """
     proj = z @ rotation
-    scores = np.concatenate([proj, -proj], axis=1)
-    return np.argmax(scores, axis=1).astype(np.int64)
+    rows = np.arange(proj.shape[0])
+    hi = proj.argmax(axis=1)
+    lo = proj.argmin(axis=1)
+    return np.where(proj[rows, hi] >= -proj[rows, lo], hi, lo + proj.shape[1]).astype(np.int64)
 
 
 def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
@@ -161,24 +169,6 @@ def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
         n_buckets=k,
         rotation_seed=stream.key(),
     )
-
-
-def chunk_window(assignment: LshAssignment, position: int) -> np.ndarray:
-    """Sorted positions in the sample's own chunk plus the immediately preceding chunk.
-
-    Position arithmetic is pure floor division by chunk_size: the window of
-    position i is every j with floor(i/m)-1 <= floor(j/m) <= floor(i/m). The
-    first chunk has no predecessor and a trailing remainder forms its own
-    (smaller) chunk.
-    """
-    n = assignment.sorted_order.size
-    if not 0 <= position < n:
-        raise ValueError(f"position {position} out of range for n={n}")
-    m = assignment.chunk_size
-    c = position // m
-    lo = max(0, (c - 1) * m)
-    hi = min(n, (c + 1) * m)
-    return np.arange(lo, hi, dtype=np.int64)
 
 
 def lsh_density(

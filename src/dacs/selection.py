@@ -69,12 +69,46 @@ class AcquisitionResult:
     diagnostics: dict
 
 
-def _max_similarity(Xc: np.ndarray, X: np.ndarray, ref: np.ndarray, block: int = 2048) -> np.ndarray:
-    """max over reference rows of X of cosine similarity, per row of Xc."""
-    out = np.full(Xc.shape[0], -np.inf)
+# Reference rows gathered at once, and candidate rows multiplied against them
+# at once, by the first k-center pass: together they bound its scratch block
+# to _CAND_TILE x _REF_BLOCK floats (64 MB) whatever the pool size.
+_REF_BLOCK = 2048
+_CAND_TILE = 4096
+
+
+def _max_similarity(
+    Xc: np.ndarray, X: np.ndarray, ref: np.ndarray, block: int = _REF_BLOCK, tile: int = _CAND_TILE
+) -> np.ndarray:
+    """max over reference rows of X of cosine similarity, per row of Xc.
+
+    Each block of reference rows is gathered once. The candidate rows then
+    meet it in tiles of `tile` rows, each tile's product written into one
+    reused buffer and its row maxima folded into the output. Every value is
+    the one a single candidates x block product gives; a bit-exact oracle
+    test checks this, since no BLAS documents it.
+
+    BLAS takes its matrix-vector path, which rounds differently, for a
+    product with one row or one column. So no tile holds a single row unless
+    Xc does (a one-row tail starts a row early; a tile is at least 2 rows),
+    and a one-column block is multiplied whole, as it is no larger than the
+    output.
+    """
+    n = Xc.shape[0]
+    out = np.full(n, -np.inf)
+    tile = max(tile, 2)
+    sims_buf = np.empty(min(tile, n) * min(block, ref.size))
     for start in range(0, ref.size, block):
-        sims = Xc @ X[ref[start : start + block]].T
-        np.maximum(out, sims.max(axis=1), out=out)
+        R = X[ref[start : start + block]].T
+        if R.shape[1] == 1:
+            np.maximum(out, (Xc @ R)[:, 0], out=out)
+            continue
+        for r in range(0, n, tile):
+            if r and r == n - 1:
+                r -= 1
+            rows = Xc[r : r + tile]
+            sims = sims_buf[: rows.shape[0] * R.shape[1]].reshape(rows.shape[0], R.shape[1])
+            np.matmul(rows, R, out=sims)
+            np.maximum(out[r : r + tile], sims.max(axis=1), out=out[r : r + tile])
     return out
 
 

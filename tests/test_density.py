@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dacs.core import FeatureMatrix, Rng, normalize_rows
 from dacs.density import (
     DensityConvention,
     LshAssignment,
     _assign_buckets,
-    chunk_window,
     exact_knn_density,
     lsh_assign,
     lsh_density,
@@ -35,6 +37,33 @@ def brute_knn_density(X, k_nn, metric):
         dists.sort()
         out[i] = float(np.mean(dists[:k_nn]))
     return out
+
+
+def chunk_window(assignment, position):
+    """Reference: sorted positions in the sample's own chunk plus the
+    immediately preceding chunk.
+
+    Position arithmetic is pure floor division by chunk_size: the window of
+    position i is every j with floor(i/m)-1 <= floor(j/m) <= floor(i/m). The
+    first chunk has no predecessor and a trailing remainder forms its own
+    (smaller) chunk.
+    """
+    n = assignment.sorted_order.size
+    if not 0 <= position < n:
+        raise ValueError(f"position {position} out of range for n={n}")
+    m = assignment.chunk_size
+    c = position // m
+    lo = max(0, (c - 1) * m)
+    hi = min(n, (c + 1) * m)
+    return np.arange(lo, hi, dtype=np.int64)
+
+
+def reference_assign_buckets(z, rotation):
+    """Reference: argmax over the concatenated [R^T z; -R^T z] responses,
+    with the concatenation built."""
+    proj = z @ rotation
+    scores = np.concatenate([proj, -proj], axis=1)
+    return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def window_density_oracle(x, assignment, window="with-previous"):
@@ -210,6 +239,61 @@ class TestLshAssign:
         b = lsh_assign(x, 6, Rng(1))
         assert a.rotation_seed != b.rotation_seed
         assert not np.array_equal(a.bucket_ids, b.bucket_ids)
+
+
+# Projection entries: a {-1, 0, 1} lattice with both zeros makes max == -min
+# ties, all-zero rows and -0.0 responses common.
+LATTICE = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+
+
+class TestAssignBucketsMatchesConcatenation:
+    """_assign_buckets against the argmax over the built concatenation."""
+
+    @pytest.mark.parametrize(
+        "proj_row",
+        [
+            [1.0, -1.0],  # max == -min: first half wins
+            [-1.0, 1.0],
+            [0.5, -0.5, 0.25],
+            [0.0, 0.0],
+            [-0.0, 0.0],
+            [-0.0, -0.0],
+            [-2.0, 1.0, 2.0],
+        ],
+    )
+    def test_ties_go_to_the_first_half(self, proj_row):
+        # rotation = identity, so the projection is the row itself
+        z = np.array([proj_row])
+        rotation = np.eye(len(proj_row))
+        got = _assign_buckets(z, rotation)
+        assert np.array_equal(got, reference_assign_buckets(z, rotation))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        half = data.draw(st.integers(1, 6), label="k/2")
+        kind = data.draw(st.sampled_from(["random", "lattice", "zero"]), label="kind")
+        if kind == "random":
+            elements = st.floats(-4.0, 4.0, allow_nan=False)
+            z = data.draw(arrays(np.float64, (n, d), elements=elements), label="z")
+            rotation = data.draw(arrays(np.float64, (d, half), elements=elements), label="rotation")
+        else:
+            rotation = data.draw(arrays(np.float64, (d, half), elements=LATTICE), label="rotation")
+            if kind == "lattice":
+                z = data.draw(arrays(np.float64, (n, d), elements=LATTICE), label="z")
+            else:
+                z = np.zeros((n, d))
+        got = _assign_buckets(z, rotation)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_assign_buckets(z, rotation))
+
+    def test_matches_reference_on_a_hashed_pool(self):
+        gen = Rng(16, "lsh").generator()
+        z = normalize_rows(FeatureMatrix(gen.standard_normal((5000, 16)))).data
+        rotation = gen.standard_normal((16, 50))
+        assert np.array_equal(_assign_buckets(z, rotation), reference_assign_buckets(z, rotation))
 
 
 def make_assignment(n, m, bucket_ids=None):

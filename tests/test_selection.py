@@ -19,6 +19,7 @@ from dacs.partition import allocate_budget
 import dacs.selection
 from dacs.selection import (
     SCORED_STRATEGIES,
+    _max_similarity,
     STRATEGIES,
     UncertaintyScores,
     coreset_select,
@@ -87,6 +88,16 @@ def gather_every_pick_greedy(candidates, reference, n_pick, features, density=No
         np.maximum(maxsim, X[cand] @ X[u], out=maxsim)
         maxsim[pos] = np.inf
     return picked, trace
+
+
+def reference_max_similarity(Xc, X, ref, block=2048):
+    """Reference: the first k-center pass as one candidates x block product
+    per reference block, untiled."""
+    out = np.full(Xc.shape[0], -np.inf)
+    for start in range(0, ref.size, block):
+        sims = Xc @ X[ref[start : start + block]].T
+        np.maximum(out, sims.max(axis=1), out=out)
+    return out
 
 
 def brute_force_greedy(candidates, reference, n_pick, features, density=None):
@@ -190,6 +201,50 @@ class TestKcenterBruteForce:
         # every similarity ties, so picks run in index order
         assert picked == list(range(n_ref, 10))
         assert_matches_brute_force(np.arange(n_ref, 10), np.arange(n_ref), 10 - n_ref, X)
+
+
+class TestMaxSimilarityTiling:
+    """The tiled first pass against one product per reference block."""
+
+    # 61 candidates: tiles of 7 end in a 5-row tail, tiles of 1 (taken as 2)
+    # in a one-row tail. Blocks of 8 reference rows: 1 row, exactly one
+    # block, two blocks and a one-row third block.
+    @pytest.mark.parametrize("tile", [1, 2, 7, 61])
+    @pytest.mark.parametrize("n_ref", [1, 8, 17, 29])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_bit_identical_to_untiled(self, tile, n_ref, lattice):
+        X = tied_sphere_rows(n_ref + tile, 61 + n_ref, 16, 12, lattice).data
+        Xc, ref = X[:61], np.arange(61, 61 + n_ref)
+        got = _max_similarity(Xc, X, ref, block=8, tile=tile)
+        assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_identical_on_random_shapes(self, data):
+        n = data.draw(st.integers(1, 90), label="n")
+        n_ref = data.draw(st.integers(1, 40), label="n_ref")
+        X = tied_sphere_rows(
+            data.draw(st.integers(0, 10**6), label="rows"),
+            n + n_ref,
+            data.draw(st.integers(1, 17), label="d"),
+            data.draw(st.integers(1, 8), label="n_distinct"),
+            data.draw(st.booleans(), label="lattice"),
+        ).data
+        # candidates may repeat reference rows and each other
+        row = st.integers(0, n + n_ref - 1)
+        Xc = X[data.draw(st.lists(row, min_size=n, max_size=n), label="cand")]
+        ref = np.asarray(data.draw(st.lists(row, min_size=n_ref, max_size=n_ref), label="ref"))
+        block = data.draw(st.integers(1, 12), label="block")
+        tile = data.draw(st.integers(1, 100), label="tile")
+        got = _max_similarity(Xc, X, ref, block=block, tile=tile)
+        assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=block))
+
+    def test_default_tiles_with_one_row_tail_and_one_column_block(self):
+        # 4,097 candidates leave a one-row tail after a 4,096-row tile, and
+        # 2,049 reference rows a one-row second block
+        X = sphere_points(6146, 16, 11).data
+        Xc, ref = X[:4097], np.arange(4097, 6146)
+        assert np.array_equal(_max_similarity(Xc, X, ref), reference_max_similarity(Xc, X, ref))
 
 
 class TestKcenterGreedy:
