@@ -22,6 +22,7 @@ from .core import (
     DivergenceError,
     FeatureMatrix,
     Rng,
+    _worker_count,
     make_pool,
     normalize_rows,
 )
@@ -132,7 +133,8 @@ def cmd_select(args) -> int:
         ],
         "diagnostics": _json_safe(result.diagnostics),
         "config_echo": {**asdict(config), "strategy": args.strategy, "seed": rng.seed},
-        "timings": {"select_seconds": elapsed},
+        # workers: threads a large density or k-center pass may run on here.
+        "timings": {"select_seconds": elapsed, "workers": _worker_count()},
     }
     atomic_write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"selected {len(result.selected)} samples -> {args.out}", file=sys.stderr)

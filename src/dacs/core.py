@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +13,68 @@ import numpy as np
 UNIT_NORM_TOL = 1e-6
 # Re-normalizing an already unit-norm matrix must be a no-op within this tolerance.
 IDEMPOTENCE_TOL = 1e-12
+# Scored pairs below which a kernel runs on the calling thread alone. A call
+# this large takes tens of milliseconds, far above the cost of handing parts
+# to threads; the small selections of a simulation stay below it.
+_PARALLEL_MIN_WORK = 1 << 24
+# Float64 scratch elements that one parallel call may hold across all its
+# threads: the single 4,096 x 2,048 buffer (64 MB) the serial k-center first
+# pass held. Threads are capped to fit it, so scratch does not grow with the
+# CPU count; one part larger than the budget runs alone, as the serial kernel
+# would have held it.
+_SCRATCH_BUDGET = 4096 * 2048
+# Variables OpenBLAS, the BLAS of numpy's wheels, reads its thread count from
+# when it loads; the first one set wins, and with none set it runs a thread
+# per CPU.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_count() -> int:
+    """Threads a large kernel call may run on.
+
+    Every CPU this process may run on (its affinity mask, else every CPU)
+    when BLAS runs one thread. Otherwise one: a multithreaded BLAS already
+    spreads each product over the CPUs, and its idle threads spin, so kernel
+    threads beside it made a select slower, not faster.
+    """
+    values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
+    blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), 0)
+    if blas_threads != 1:  # 0: none set, one BLAS thread per CPU
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parallel_ranges(n_items: int, work: int, scratch: int, fn) -> None:
+    """Run fn(start, stop, buf) over contiguous parts of range(n_items), one part per thread.
+
+    numpy releases the interpreter lock inside BLAS and ufunc loops, so parts
+    that write disjoint outputs run on separate cores. Below _PARALLEL_MIN_WORK
+    scored pairs the whole range runs inline as fn(0, n_items, buf). An
+    exception raised in any part reaches the caller.
+
+    Each part gets its own float64 buffer of `scratch` elements, allocated
+    here on the calling thread: glibc serves a thread's allocations from a
+    per-thread arena that keeps freed memory, so large buffers allocated on
+    the workers would stay in the process's resident set. There are no more
+    parts than _SCRATCH_BUDGET holds buffers; a single part runs inline.
+    """
+    if work < _PARALLEL_MIN_WORK:
+        workers = 1
+    else:
+        workers = min(_worker_count(), n_items, _SCRATCH_BUDGET // max(scratch, 1))
+    if workers <= 1:
+        if n_items:
+            fn(0, n_items, np.empty(scratch))
+        return
+    bounds = [n_items * i // workers for i in range(workers + 1)]
+    bufs = [np.empty(scratch) for _ in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, a, b, buf) for a, b, buf in zip(bounds, bounds[1:], bufs)]
+        for future in futures:
+            future.result()
 
 
 class DegenerateInputError(ValueError):

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WINDOW_OWN_CHUNK, WINDOW_WITH_PREVIOUS, FeatureMatrix, Rng, _readonly
+from .core import (
+    WINDOW_OWN_CHUNK,
+    WINDOW_WITH_PREVIOUS,
+    FeatureMatrix,
+    Rng,
+    _parallel_ranges,
+    _readonly,
+)
 
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_COSINE = "cosine-distance"
@@ -183,12 +190,15 @@ def lsh_density(
     convention: larger values mean denser neighborhoods. window="own-chunk-only"
     drops the preceding chunk (ablation switch).
 
-    Each chunk's similarities against its window come from one matrix product.
-    The weighting then runs over row tiles of that block inside a single
-    reused scratch buffer, and each tile's rows are summed straight into the
-    output, so no chunk-sized temporaries are allocated. Tiling never splits a
-    row, so every value is the same as weighting and summing the whole block
-    at once.
+    Each chunk's similarities against its window come from one matrix product
+    into a reused buffer. The weighting then runs over row tiles of that block
+    inside a reused scratch buffer, and each tile's rows are summed straight
+    into the output, so no chunk-sized temporaries are allocated. Tiling never
+    splits a row, so every value is the same as weighting and summing the
+    whole block at once. A large pool splits its chunks into contiguous runs,
+    one per thread (see core._parallel_ranges for how many), each with its
+    own two buffers; a chunk's arithmetic does not depend on which thread
+    runs it, so neither does any value.
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
@@ -217,27 +227,34 @@ def lsh_density(
     Z = x.data[assignment.sorted_order]
     m = assignment.chunk_size
     n_chunks = -(-n // m)
+    width = min(n, m if window == WINDOW_OWN_CHUNK else 2 * m)  # widest window
+    product_size = min(m, n) * width
     vals_sorted = np.empty(n, dtype=np.float64)
-    # One scratch tile, reused for every row tile of every chunk: no window is
-    # wider than two chunks.
-    scratch = np.empty(min(_ROW_TILE, m) * min(n, 2 * m))
-    for c in range(n_chunks):
-        s, e = c * m, min(n, (c + 1) * m)
-        lo = s if (window == WINDOW_OWN_CHUNK or c == 0) else (c - 1) * m
-        sims = Z[s:e] @ Z[lo:e].T
-        rows = np.arange(e - s)
-        sims[rows, rows + (s - lo)] = 0.0  # self term contributes nothing
-        for t in range(0, e - s, _ROW_TILE):
-            tile = sims[t : t + _ROW_TILE]
-            buf = scratch[: tile.size].reshape(tile.shape)
-            # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
-            # Cosines lie in [-1, 1], so exp cannot overflow.
-            np.negative(tile, out=buf)
-            np.exp(buf, out=buf)
-            np.add(buf, 1.0, out=buf)
-            np.divide(1.0, buf, out=buf)
-            np.multiply(buf, tile, out=buf)
-            buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
+
+    def chunks(first: int, last: int, mem: np.ndarray) -> None:
+        # One product buffer and one scratch tile per thread, reused for
+        # every chunk it takes.
+        product, scratch = mem[:product_size], mem[product_size:]
+        for c in range(first, last):
+            s, e = c * m, min(n, (c + 1) * m)
+            lo = s if (window == WINDOW_OWN_CHUNK or c == 0) else (c - 1) * m
+            sims = product[: (e - s) * (e - lo)].reshape(e - s, e - lo)
+            np.matmul(Z[s:e], Z[lo:e].T, out=sims)
+            rows = np.arange(e - s)
+            sims[rows, rows + (s - lo)] = 0.0  # self term contributes nothing
+            for t in range(0, e - s, _ROW_TILE):
+                tile = sims[t : t + _ROW_TILE]
+                buf = scratch[: tile.size].reshape(tile.shape)
+                # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
+                # Cosines lie in [-1, 1], so exp cannot overflow.
+                np.negative(tile, out=buf)
+                np.exp(buf, out=buf)
+                np.add(buf, 1.0, out=buf)
+                np.divide(1.0, buf, out=buf)
+                np.multiply(buf, tile, out=buf)
+                buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
+
+    _parallel_ranges(n_chunks, n * width, product_size + min(_ROW_TILE, m) * width, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(

@@ -23,6 +23,7 @@ from .core import (
     FeatureMatrix,
     PoolState,
     Rng,
+    _parallel_ranges,
     _readonly,
 )
 from .density import DensityProfile, lsh_assign, lsh_density
@@ -70,10 +71,15 @@ class AcquisitionResult:
 
 
 # Reference rows gathered at once, and candidate rows multiplied against them
-# at once, by the first k-center pass: together they bound its scratch block
-# to _CAND_TILE x _REF_BLOCK floats (64 MB) whatever the pool size.
+# at once, by the first k-center pass: each thread's scratch is _CAND_TILE x
+# _REF_BLOCK floats (6 MB) whatever the pool size. The tile size is fixed, not
+# derived from the thread count, so every product has the same shape and the
+# same bits on any number of cores; that holds for any BLAS. That 384-row
+# tiles also round every entry as the untiled product does was seen only on
+# x86-64 OpenBLAS 0.3.31 (Haswell kernels), where 4,096- and 128-row tiles
+# moved the last rows of a tile in the last columns by an ulp.
 _REF_BLOCK = 2048
-_CAND_TILE = 4096
+_CAND_TILE = 384
 
 
 def _max_similarity(
@@ -82,33 +88,42 @@ def _max_similarity(
     """max over reference rows of X of cosine similarity, per row of Xc.
 
     Each block of reference rows is gathered once. The candidate rows then
-    meet it in tiles of `tile` rows, each tile's product written into one
+    meet it in tiles of `tile` rows, each tile's product written into a
     reused buffer and its row maxima folded into the output. Every value is
     the one a single candidates x block product gives; a bit-exact oracle
-    test checks this, since no BLAS documents it.
+    test checks this, since no BLAS documents it (see _CAND_TILE).
 
     BLAS takes its matrix-vector path, which rounds differently, for a
-    product with one row or one column. So no tile holds a single row unless
-    Xc does (a one-row tail starts a row early; a tile is at least 2 rows),
-    and a one-column block is multiplied whole, as it is no larger than the
-    output.
+    product with one row or one column. So no product has a single row
+    unless Xc does (a one-row tail is multiplied together with the row before
+    it; a tile is at least 2 rows), and a one-column block is multiplied
+    whole, as it is no larger than the output.
+
+    A large pass splits the list of tiles into contiguous runs, one per
+    thread, each with its own buffer. The tiles are the same on any number of
+    threads, and a thread writes only the output rows of its own tiles (the
+    row a tail borrows belongs to the tile before it), so no value depends on
+    the thread count.
     """
     n = Xc.shape[0]
     out = np.full(n, -np.inf)
     tile = max(tile, 2)
-    sims_buf = np.empty(min(tile, n) * min(block, ref.size))
+    starts = range(0, n, tile)
     for start in range(0, ref.size, block):
         R = X[ref[start : start + block]].T
         if R.shape[1] == 1:
             np.maximum(out, (Xc @ R)[:, 0], out=out)
             continue
-        for r in range(0, n, tile):
-            if r and r == n - 1:
-                r -= 1
-            rows = Xc[r : r + tile]
-            sims = sims_buf[: rows.shape[0] * R.shape[1]].reshape(rows.shape[0], R.shape[1])
-            np.matmul(rows, R, out=sims)
-            np.maximum(out[r : r + tile], sims.max(axis=1), out=out[r : r + tile])
+
+        def tiles(first: int, last: int, sims_buf: np.ndarray) -> None:
+            for r in starts[first:last]:
+                lo = r - 1 if r and r == n - 1 else r
+                rows = Xc[lo : r + tile]
+                sims = sims_buf[: rows.shape[0] * R.shape[1]].reshape(rows.shape[0], R.shape[1])
+                np.matmul(rows, R, out=sims)
+                np.maximum(out[r : r + tile], sims[r - lo :].max(axis=1), out=out[r : r + tile])
+
+        _parallel_ranges(len(starts), n * R.shape[1], min(tile, n) * R.shape[1], tiles)
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import dacs.cli
 from dacs.cli import COMPARE_MAX_ROWS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from dacs.config import RunConfig, parse_run_config
 from dacs.core import FeatureMatrix, Rng
@@ -123,7 +124,8 @@ class TestSelectCommand:
         )
         return code, out
 
-    def test_dacs_end_to_end(self, pool_file, tmp_path, capsys):
+    def test_dacs_end_to_end(self, pool_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dacs.cli, "_worker_count", lambda: 5)
         code, out = self.run_select(pool_file, tmp_path, "--seed", "1")
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
@@ -139,6 +141,7 @@ class TestSelectCommand:
         assert payload["config_echo"]["strategy"] == "dacs"
         assert payload["config_echo"]["seed"] == 1
         assert "select_seconds" in payload["timings"]
+        assert payload["timings"]["workers"] == 5
         # flagged unit-norm input is taken as-is
         assert "normalizing" not in capsys.readouterr().err
 

@@ -1,8 +1,12 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dacs.core
 from dacs.core import (
     IDEMPOTENCE_TOL,
     UNIT_NORM_TOL,
@@ -11,6 +15,8 @@ from dacs.core import (
     FeatureMatrix,
     PoolState,
     Rng,
+    _parallel_ranges,
+    _worker_count,
     commit_acquisition,
     make_pool,
     normalize_rows,
@@ -252,3 +258,125 @@ class TestAcquisitionConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             AcquisitionConfig(**kwargs)
+
+
+class TestParallelRanges:
+    """The one thread helper: contiguous parts of range(n_items), one per thread."""
+
+    @staticmethod
+    def force(monkeypatch, workers):
+        """Make every call parallel, on the given number of threads."""
+        monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
+
+    @staticmethod
+    def record(n_items, work=0, scratch=0):
+        calls, lock = [], threading.Lock()
+
+        def fn(start, stop, buf):
+            with lock:
+                calls.append((start, stop, threading.get_ident()))
+
+        _parallel_ranges(n_items, work, scratch, fn)
+        return calls
+
+    # The first of these BLAS thread variables that is set decides, as in
+    # OpenBLAS: kernels use every CPU of the affinity mask only beside a
+    # one-thread BLAS, and one thread beside a multithreaded or unset one.
+    @pytest.mark.parametrize(
+        "env, on_every_cpu",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "2"}, False),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+            ({"MKL_NUM_THREADS": "1"}, False),
+        ],
+    )
+    def test_workers_follow_the_affinity_mask_beside_one_blas_thread(
+        self, monkeypatch, env, on_every_cpu
+    ):
+        for var in dacs.core._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        expected = len(os.sched_getaffinity(0)) if on_every_cpu else 1
+        assert _worker_count() == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 5, 17])
+    def test_every_index_runs_exactly_once(self, monkeypatch, workers, n_items):
+        self.force(monkeypatch, workers)
+        calls = self.record(n_items)
+        parts = sorted((a, b) for a, b, _ in calls)
+        assert len(parts) == min(workers, n_items)
+        assert all(a < b for a, b in parts)
+        covered = [i for a, b in parts for i in range(a, b)]
+        assert covered == list(range(n_items))
+
+    def test_parts_run_at_once_off_the_calling_thread(self, monkeypatch):
+        self.force(monkeypatch, 3)
+        # Each part waits for the other two, so this passes only if all three
+        # run at the same time; a missing thread breaks the barrier.
+        barrier = threading.Barrier(3, timeout=10)
+        threads = []
+
+        def fn(start, stop, buf):
+            threads.append(threading.get_ident())
+            barrier.wait()
+
+        _parallel_ranges(9, 0, 0, fn)
+        assert len(set(threads)) == 3
+        assert threading.get_ident() not in threads
+
+    def test_each_part_gets_its_own_buffer(self, monkeypatch):
+        self.force(monkeypatch, 3)
+        bufs, lock = [], threading.Lock()
+
+        def fn(start, stop, buf):
+            buf[:] = start  # a shared buffer would be overwritten by another part
+            with lock:
+                bufs.append((start, buf))
+
+        _parallel_ranges(9, 0, 5, fn)
+        assert len(bufs) == 3
+        for start, buf in bufs:
+            assert buf.dtype == np.float64 and buf.shape == (5,)
+            assert np.all(buf == start)
+
+    # 64 CPUs and a budget of 40 floats: as many parts as 40 holds buffers;
+    # a buffer larger than the budget gets one part, on the calling thread.
+    @pytest.mark.parametrize("scratch, parts", [(0, 17), (10, 4), (13, 3), (21, 1), (41, 1)])
+    def test_threads_are_capped_by_the_scratch_budget(self, monkeypatch, scratch, parts):
+        self.force(monkeypatch, 64)
+        monkeypatch.setattr(dacs.core, "_SCRATCH_BUDGET", 40)
+        calls = self.record(17, scratch=scratch)
+        assert len(calls) == parts
+        if parts == 1:
+            assert calls == [(0, 17, threading.get_ident())]
+
+    def test_work_below_the_threshold_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(dacs.core, "_worker_count", lambda: 4)
+        calls = self.record(9, work=dacs.core._PARALLEL_MIN_WORK - 1)
+        assert calls == [(0, 9, threading.get_ident())]
+
+    def test_work_at_the_threshold_is_split(self, monkeypatch):
+        monkeypatch.setattr(dacs.core, "_worker_count", lambda: 4)
+        calls = self.record(9, work=dacs.core._PARALLEL_MIN_WORK)
+        assert len(calls) == 4
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        self.force(monkeypatch, 3)
+        ran = []
+
+        def fn(start, stop, buf):
+            ran.append(start)
+            if start == 3:
+                raise ZeroDivisionError(f"part {start}-{stop}")
+
+        with pytest.raises(ZeroDivisionError, match="part 3-6"):
+            _parallel_ranges(9, 0, 0, fn)
+        assert sorted(ran) == [0, 3, 6]

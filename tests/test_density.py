@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dacs.core
 from dacs.core import FeatureMatrix, Rng, normalize_rows
 from dacs.density import (
     DensityConvention,
@@ -379,6 +380,19 @@ class TestLshDensity:
         x = normalize_rows(FeatureMatrix(gen.standard_normal((3070, 16))))
         a = lsh_assign(x, 8, Rng(6))
         assert a.chunk_size == 383
+        got = lsh_density(x, a, window=window)
+        assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
+
+    # The same 9 chunks as above (8 of 383 rows, then 6) split across threads:
+    # 2 and 3 threads get uneven runs, 16 threads more threads than chunks.
+    @pytest.mark.parametrize("workers", [1, 2, 3, 16])
+    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
+    def test_bit_identical_on_any_number_of_threads(self, monkeypatch, workers, window):
+        monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
+        gen = Rng(24, "dens").generator()
+        x = normalize_rows(FeatureMatrix(gen.standard_normal((3070, 16))))
+        a = lsh_assign(x, 8, Rng(6))
         got = lsh_density(x, a, window=window)
         assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
 

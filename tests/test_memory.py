@@ -1,16 +1,19 @@
-"""Working-set bounds of the two largest temporaries of one dacs select.
+"""Working-set bounds of the largest temporaries of one dacs select.
 
-Each test measures the tracemalloc peak of one call and bounds it by half of
-what the replaced kernel's temporaries took for the same shapes, so the bound
-follows from the shapes alone.
+Each test measures the tracemalloc peak of one call and bounds it by what the
+shapes allow: half of what a replaced kernel's temporaries took, or the
+buffers the kernel is meant to hold and no more. tracemalloc sees the
+allocations of every thread, so the bounds hold with the kernels on threads.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
+import dacs.core
 from dacs.core import FeatureMatrix, Rng, normalize_rows
-from dacs.density import lsh_assign
+from dacs.density import _ROW_TILE, lsh_assign, lsh_density
 from dacs.selection import kcenter_greedy
 
 FLOAT = 8  # bytes per float64
@@ -31,7 +34,9 @@ def unit_rows(n, d, seed):
     return normalize_rows(FeatureMatrix(gen.standard_normal((n, d))))
 
 
-def test_kcenter_first_pass_is_tiled():
+def test_kcenter_first_pass_is_tiled(monkeypatch):
+    # Two threads even on one CPU: 20M scored pairs are past the threshold.
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: 2)
     n_cand, n_ref = 20_000, 1_000
     x = unit_rows(n_cand + n_ref, 16, 0)
     cand, ref = np.arange(n_cand), np.arange(n_cand, n_cand + n_ref)
@@ -49,3 +54,50 @@ def test_bucket_hash_builds_no_concatenation():
     # concatenation [proj, -proj] at once.
     concatenating = n * (k // 2) * FLOAT + n * k * FLOAT
     assert peak < concatenating / 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_window_density_holds_one_product_per_thread(monkeypatch, workers):
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
+    n, d, k = 50_000, 16, 100
+    x = unit_rows(n, d, 2)
+    a = lsh_assign(x, k, Rng(0))
+    m = a.chunk_size
+    peak = traced_peak(lambda: lsh_density(x, a))
+    # The sorted copy of the rows, the output, its sorted copy and the
+    # indices; then per thread one m x 2m chunk product and one scratch tile
+    # of its rows, plus 1 MB for Python objects. One more chunk-sized
+    # temporary on any thread (4 MB here) would break the bound.
+    pool_sized = (n * d + 3 * n) * FLOAT
+    per_thread = (m * 2 * m + _ROW_TILE * 2 * m) * FLOAT
+    assert peak < pool_sized + workers * per_thread + 2**20
+
+
+def force_64_threads(monkeypatch):
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: 64)
+
+
+def test_kcenter_scratch_fits_the_budget_on_64_threads(monkeypatch):
+    force_64_threads(monkeypatch)
+    n_cand, n_ref, d = 20_000, 1_000, 16
+    x = unit_rows(n_cand + n_ref, d, 0)
+    cand, ref = np.arange(n_cand), np.arange(n_cand, n_cand + n_ref)
+    peak = traced_peak(lambda: kcenter_greedy(cand, ref, 1, x))
+    # The gathered candidate rows and 4 candidate-sized vectors, plus the
+    # whole scratch budget and 1 MB. One 384 x 1,000 buffer for each of the
+    # 53 tiles (163 MB) would break the bound.
+    gathered = n_cand * (d + 4) * FLOAT
+    assert peak < gathered + dacs.core._SCRATCH_BUDGET * FLOAT + 2**20
+
+
+def test_window_density_fits_the_budget_on_64_threads(monkeypatch):
+    force_64_threads(monkeypatch)
+    n, d, k = 50_000, 16, 100
+    x = unit_rows(n, d, 2)
+    a = lsh_assign(x, k, Rng(0))
+    peak = traced_peak(lambda: lsh_density(x, a))
+    # As above, with the whole scratch budget in place of the per-thread
+    # buffers. One m x 2m product for each of the 100 chunks (400 MB), or
+    # each of 64 threads (256 MB), would break the bound.
+    pool_sized = (n * d + 3 * n) * FLOAT
+    assert peak < pool_sized + dacs.core._SCRATCH_BUDGET * FLOAT + 2**20

@@ -16,6 +16,7 @@ from dacs.core import (
 )
 from dacs.density import DensityConvention, DensityProfile
 from dacs.partition import allocate_budget
+import dacs.core
 import dacs.selection
 from dacs.selection import (
     SCORED_STRATEGIES,
@@ -203,6 +204,12 @@ class TestKcenterBruteForce:
         assert_matches_brute_force(np.arange(n_ref, 10), np.arange(n_ref), 10 - n_ref, X)
 
 
+def force_threads(monkeypatch, workers):
+    """Run every parallel kernel call on `workers` threads, however small."""
+    monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
+
+
 class TestMaxSimilarityTiling:
     """The tiled first pass against one product per reference block."""
 
@@ -239,12 +246,49 @@ class TestMaxSimilarityTiling:
         got = _max_similarity(Xc, X, ref, block=block, tile=tile)
         assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=block))
 
-    def test_default_tiles_with_one_row_tail_and_one_column_block(self):
-        # 4,097 candidates leave a one-row tail after a 4,096-row tile, and
-        # 2,049 reference rows a one-row second block
-        X = sphere_points(6146, 16, 11).data
-        Xc, ref = X[:4097], np.arange(4097, 6146)
-        assert np.array_equal(_max_similarity(Xc, X, ref), reference_max_similarity(Xc, X, ref))
+    def test_default_tiles_with_one_row_tail_and_one_column_block(self, monkeypatch):
+        # 3,841 candidates leave a one-row tail after ten 384-row tiles, and
+        # 2,049 reference rows a one-row second block; on 1, 2 and 3 threads
+        X = sphere_points(5890, 16, 11).data
+        Xc, ref = X[:3841], np.arange(3841, 5890)
+        expected = reference_max_similarity(Xc, X, ref)
+        for workers in (1, 2, 3):
+            force_threads(monkeypatch, workers)
+            assert np.array_equal(_max_similarity(Xc, X, ref), expected), workers
+
+    # 15 candidates in tiles of 7 end in a one-row tail. On 3 threads the tail
+    # is alone on its thread, and the row it borrows belongs to the tile
+    # before it, on another; 40 threads is more threads than tiles. 9 and 17
+    # reference rows in blocks of 8 end in a one-column block.
+    @pytest.mark.parametrize("workers", [1, 2, 3, 40])
+    @pytest.mark.parametrize("n_ref", [1, 8, 9, 17])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_bit_identical_on_any_number_of_threads(self, monkeypatch, workers, n_ref, lattice):
+        force_threads(monkeypatch, workers)
+        X = tied_sphere_rows(n_ref + workers, 15 + n_ref, 16, 12, lattice).data
+        Xc, ref = X[:15], np.arange(15, 15 + n_ref)
+        got = _max_similarity(Xc, X, ref, block=8, tile=7)
+        assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=8))
+
+    def test_thread_count_does_not_change_the_tiles(self, monkeypatch):
+        # Every candidate lies near one direction and the last 7 of 807
+        # reference rows lie nearer it, so each row maximum sits in the last
+        # columns. There BLAS rounds the last rows of a product by its own
+        # rules (on x86-64 OpenBLAS, 128-row tiles move 42 of these maxima
+        # against 384-row ones), so tiles that depended on the thread count
+        # would show here.
+        gen = Rng(12, "corner").generator()
+        v = unit(gen.normal(size=16))
+        cand = unit(v + 0.05 * gen.normal(size=(1200, 16)))
+        refs = unit(gen.normal(size=(807, 16)))
+        refs[-7:] = unit(v + 0.01 * gen.normal(size=(7, 16)))
+        X = np.concatenate([cand, refs])
+        ref = np.arange(1200, 2007)
+        force_threads(monkeypatch, 1)
+        one = _max_similarity(X[:1200], X, ref)
+        for workers in (2, 3, 5):
+            force_threads(monkeypatch, workers)
+            assert np.array_equal(_max_similarity(X[:1200], X, ref), one), workers
 
 
 class TestKcenterGreedy:
@@ -391,6 +435,18 @@ class TestDacsSelect:
         b = dacs_select(pool, X, cfg, Rng(7, "sel"))
         assert a.selected == b.selected
         assert a.diagnostics["max_similarity"] == b.diagnostics["max_similarity"]
+
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    def test_same_result_on_any_number_of_threads(self, monkeypatch, workers):
+        # 2,000 rows: several density chunks and several 384-row candidate
+        # tiles per class, all split across threads
+        X, pool = clustered_pool(5, n_per=1000, d=8)
+        cfg = AcquisitionConfig(budget=40, n_buckets=8, n_breaks=3)
+        one = dacs_select(pool, X, cfg, Rng(7, "sel"))
+        force_threads(monkeypatch, workers)
+        many = dacs_select(pool, X, cfg, Rng(7, "sel"))
+        assert many.selected == one.selected
+        assert many.diagnostics == one.diagnostics
 
     def test_falls_back_when_density_values_collapse(self):
         # two coincident groups give 2 distinct density values at most
