@@ -7,12 +7,15 @@ Exit codes: 0 success, 2 usage/parse errors (bad files, budget over pool),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict
+import traceback
+import warnings
+from dataclasses import asdict, dataclass
 
 from .config import SEED_ENV_VAR, RunConfig, parse_run_config
 from .core import (
@@ -22,6 +25,7 @@ from .core import (
     DivergenceError,
     FeatureMatrix,
     Rng,
+    _enter_worker_process,
     _worker_count,
     make_pool,
     normalize_rows,
@@ -47,6 +51,7 @@ from .model import ModelConfig
 from .selection import SCORED_STRATEGIES, STRATEGIES, STRATEGY_DACS, UncertaintyScores, select
 from .simulate import (
     GENERATOR_NEAR_DUPLICATE,
+    SyntheticDataset,
     gen_gaussian_mixture,
     gen_near_duplicate,
     run_al,
@@ -184,8 +189,134 @@ def _dataset_from_config(config: RunConfig):
     return base
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """What every run of a grid shares. A worker process gets it through fork."""
+
+    dataset: SyntheticDataset
+    acq: AcquisitionConfig
+    model_config: ModelConfig
+    cycles: int
+    init_labeled: int
+    test_fraction: float
+
+    def run(self, strategy: str, seed: int):
+        """The run's ExperimentReport, or the message of its DivergenceError."""
+        try:
+            return run_al(
+                self.dataset,
+                strategy,
+                self.acq,
+                self.model_config,
+                self.cycles,
+                self.init_labeled,
+                Rng(seed),
+                test_fraction=self.test_fraction,
+            )
+        except DivergenceError as exc:
+            return str(exc)
+
+
+# The grid a worker process serves; set in the worker only, by _start_grid_worker.
+_worker_grid: _Grid | None = None
+
+
+def _start_grid_worker(grid: _Grid) -> None:
+    global _worker_grid
+    _worker_grid = grid
+    _enter_worker_process()
+
+
+def _grid_job(job):
+    """Run one (strategy, seed) job of _worker_grid in a worker process.
+
+    Returns (outcome, error, warnings): the outcome of _Grid.run, or else
+    error = (exception, its formatted traceback); and every warning the run
+    raised, recorded whatever the filters say, so that the parent's filters
+    judge them.
+    """
+    outcome = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = _worker_grid.run(*job)
+        except Exception as exc:  # re-raised by the parent, after the run's warnings
+            error = (exc, traceback.format_exc())
+    return outcome, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback, chained as the cause of its error in the parent."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
+def _warn_again(message, category, filename: str, lineno: int) -> None:
+    """Issue a worker's warning under this process's filters, from its origin.
+
+    The origin's module name and registry are what warnings.warn would have
+    used there, so module filters and once-per-location actions behave as
+    they do for a run on this process.
+    """
+    module = next(
+        (name for name, m in list(sys.modules.items()) if getattr(m, "__file__", None) == filename),
+        None,
+    )
+    registry = vars(sys.modules[module]).setdefault("__warningregistry__", {}) if module else None
+    warnings.warn_explicit(message, category, filename, lineno, module=module, registry=registry)
+
+
+def _grid_outcomes(grid: _Grid, jobs):
+    """Yield (strategy, seed, outcome of _Grid.run) for each job, in job order.
+
+    The jobs are independent, so they run on min(_worker_count(), len(jobs))
+    worker processes forked from this one, which hands them the dataset
+    without pickling it; with one worker they run here, one after another.
+    _worker_count() is above 1 only when BLAS runs one thread, so no BLAS
+    threads are alive at the fork. A worker's warnings are issued here, and
+    its error raised here, when its job's turn comes, so the caller sees what
+    a run on this process would show, in the same order.
+    """
+    workers = min(_worker_count(), len(jobs))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        for strategy, seed in jobs:
+            yield strategy, seed, grid.run(strategy, seed)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_grid_worker,
+        initargs=(grid,),
+    )
+    try:
+        futures = [pool.submit(_grid_job, job) for job in jobs]
+        for (strategy, seed), future in zip(jobs, futures):
+            outcome, error, caught = future.result()
+            for warning in caught:
+                _warn_again(*warning)
+            if error is not None:
+                exc, tb = error
+                raise exc from _WorkerTraceback(tb)
+            yield strategy, seed, outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_config_grid(config: RunConfig, out_dir: str):
-    """Run the strategy x seed grid; returns (reports, diverged strategy/seed pairs)."""
+    """Run the strategy x seed grid; returns (reports, diverged strategy/seed pairs).
+
+    Runs may go to worker processes (see _grid_outcomes); the output files
+    are written here, in strategy x seed order, and are the same on any
+    number of workers.
+    """
     os.makedirs(out_dir, exist_ok=True)
     dataset = _dataset_from_config(config)
     n_train = dataset.n - int(round(config.test_fraction * dataset.n))
@@ -211,41 +342,22 @@ def run_config_grid(config: RunConfig, out_dir: str):
         learning_rate=config.learning_rate,
         lr_decay=config.lr_decay,
     )
+    grid = _Grid(dataset, acq, model_config, config.cycles, init_labeled, config.test_fraction)
+    jobs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
     reports = []
     diverged = []
     csv_rows = ["cycle,frac,acc,info,div,strategy,seed"]
-    for strategy in config.strategies:
-        for seed in config.seeds:
-            try:
-                report = run_al(
-                    dataset,
-                    strategy,
-                    acq,
-                    model_config,
-                    config.cycles,
-                    init_labeled,
-                    Rng(seed),
-                    test_fraction=config.test_fraction,
-                )
-            except DivergenceError as exc:
-                diverged.append((strategy, seed, str(exc)))
-                stub = {
-                    "strategy": strategy,
-                    "seed": seed,
-                    "error": str(exc),
-                    "records": [],
-                }
-                atomic_write_text(
-                    os.path.join(out_dir, f"{strategy}-seed{seed}.json"),
-                    json.dumps(stub, sort_keys=True, indent=2) + "\n",
-                )
+    with contextlib.closing(_grid_outcomes(grid, jobs)) as outcomes:
+        for strategy, seed, outcome in outcomes:
+            path = os.path.join(out_dir, f"{strategy}-seed{seed}.json")
+            if isinstance(outcome, str):
+                diverged.append((strategy, seed, outcome))
+                stub = {"strategy": strategy, "seed": seed, "error": outcome, "records": []}
+                atomic_write_text(path, json.dumps(stub, sort_keys=True, indent=2) + "\n")
                 continue
-            reports.append(report)
-            atomic_write_text(
-                os.path.join(out_dir, f"{strategy}-seed{seed}.json"),
-                report.to_json() + "\n",
-            )
-            for rec in report.records:
+            reports.append(outcome)
+            atomic_write_text(path, outcome.to_json() + "\n")
+            for rec in outcome.records:
                 info = "" if rec.informativeness is None else repr(rec.informativeness)
                 div = "" if rec.diversity is None else repr(rec.diversity)
                 csv_rows.append(

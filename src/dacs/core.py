@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,24 +28,54 @@ _SCRATCH_BUDGET = 4096 * 2048
 # when it loads; the first one set wins, and with none set it runs a thread
 # per CPU.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# cgroup v2 CPU bandwidth limit of this process's group: "<quota> <period>"
+# in microseconds, or "max <period>" for none.
+_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+# Set in a worker process of a simulation grid (_enter_worker_process): the
+# grid already runs one process per CPU, so its kernels stay on one thread.
+_in_worker_process = False
+
+
+def _enter_worker_process() -> None:
+    """Mark this process as one of a pool's workers: _worker_count() is 1 from now on."""
+    global _in_worker_process
+    _in_worker_process = True
+
+
+def _cgroup_cpu_limit() -> int | None:
+    """CPUs the cgroup v2 quota grants, rounded up; None when there is no quota."""
+    try:
+        with open(_CGROUP_CPU_MAX) as f:
+            quota, period = f.read().split()[:2]
+        if quota == "max":
+            return None
+        return max(1, math.ceil(int(quota) / int(period)))
+    except (OSError, ValueError):  # no cgroup v2 file, or one this does not parse
+        return None
 
 
 def _worker_count() -> int:
-    """Threads a large kernel call may run on.
+    """Threads a large kernel call, or processes a simulation grid, may run on.
 
-    Every CPU this process may run on (its affinity mask, else every CPU)
-    when BLAS runs one thread. Otherwise one: a multithreaded BLAS already
-    spreads each product over the CPUs, and its idle threads spin, so kernel
-    threads beside it made a select slower, not faster.
+    Every CPU this process may run on (its affinity mask, else every CPU),
+    capped by its cgroup's CPU quota, when BLAS runs one thread. Otherwise
+    one: a multithreaded BLAS already spreads each product over the CPUs, and
+    its idle threads spin, so kernel threads beside it made a select slower,
+    not faster. One as well inside a grid's worker process, so that a grid
+    does not start workers x CPUs kernel threads.
     """
+    if _in_worker_process:
+        return 1
     values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
     blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), 0)
     if blas_threads != 1:  # 0: none set, one BLAS thread per CPU
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return cpus if limit is None else min(cpus, limit)
 
 
 def _parallel_ranges(n_items: int, work: int, scratch: int, fn) -> None:
@@ -84,6 +115,12 @@ class DegenerateInputError(ValueError):
         super().__init__(message)
         self.row = row
 
+    # An exception is unpickled (as a worker process's error is, in its
+    # parent) by calling its class with its args, which hold only the
+    # message; these pass every field.
+    def __reduce__(self):
+        return type(self), (self.args[0], self.row), self.__dict__
+
 
 class DegeneratePartitionError(ValueError):
     """More classes requested than the data can support."""
@@ -96,6 +133,9 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.epoch = epoch
         self.learning_rate = learning_rate
+
+    def __reduce__(self):  # see DegenerateInputError.__reduce__
+        return type(self), (self.args[0], self.epoch, self.learning_rate), self.__dict__
 
 
 class UndefinedCorrelationError(ValueError):

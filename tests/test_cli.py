@@ -1,12 +1,15 @@
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
 
 import dacs.cli
-from dacs.cli import COMPARE_MAX_ROWS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+import dacs.core
+from dacs.cli import COMPARE_MAX_ROWS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main, run_config_grid
 from dacs.config import RunConfig, parse_run_config
-from dacs.core import FeatureMatrix, Rng
+from dacs.core import DegenerateInputError, DivergenceError, FeatureMatrix, Rng
 from dacs.formats import ParseError, write_embeddings, write_embeddings_csv
 
 
@@ -345,6 +348,32 @@ def write_sim_config(path, **overrides):
     path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
 
 
+def check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    write_sim_config(cfg, strategies="random, dacs")
+    real_run_al = dacs.cli.run_al
+
+    def flaky_run_al(dataset, strategy, *args, **kwargs):
+        if strategy == "dacs":
+            raise DivergenceError(
+                "non-finite loss at epoch 3 (lr=1e+307)", epoch=3, learning_rate=1e307
+            )
+        return real_run_al(dataset, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(dacs.cli, "run_al", flaky_run_al)
+    out_dir = tmp_path / "results"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == EXIT_DIVERGED
+    assert "diverged: dacs seed 0" in capsys.readouterr().err
+    stub = json.loads((out_dir / "dacs-seed0.json").read_text())
+    assert "non-finite loss" in stub["error"]
+    assert stub["records"] == []
+    # the surviving strategy still reports in full
+    survivor = json.loads((out_dir / "random-seed0.json").read_text())
+    assert len(survivor["records"]) == 2
+    assert (out_dir / "aggregate.csv").exists()
+
+
 class TestSimulateCommand:
     def test_grid_runs_and_writes_reports(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -383,32 +412,7 @@ class TestSimulateCommand:
         assert names == ["aggregate.csv", "dacs-seed5.json", "random-seed5.json"]
 
     def test_divergence_keeps_partial_results_and_exits_3(self, tmp_path, capsys, monkeypatch):
-        import dacs.cli as cli_module
-        from dacs.core import DivergenceError
-
-        cfg = tmp_path / "run.cfg"
-        write_sim_config(cfg, strategies="random, dacs")
-        real_run_al = cli_module.run_al
-
-        def flaky_run_al(dataset, strategy, *args, **kwargs):
-            if strategy == "dacs":
-                raise DivergenceError(
-                    "non-finite loss at epoch 3 (lr=1e+307)", epoch=3, learning_rate=1e307
-                )
-            return real_run_al(dataset, strategy, *args, **kwargs)
-
-        monkeypatch.setattr(cli_module, "run_al", flaky_run_al)
-        out_dir = tmp_path / "results"
-        code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
-        assert code == EXIT_DIVERGED
-        assert "diverged: dacs seed 0" in capsys.readouterr().err
-        stub = json.loads((out_dir / "dacs-seed0.json").read_text())
-        assert "non-finite loss" in stub["error"]
-        assert stub["records"] == []
-        # the surviving strategy still reports in full
-        survivor = json.loads((out_dir / "random-seed0.json").read_text())
-        assert len(survivor["records"]) == 2
-        assert (out_dir / "aggregate.csv").exists()
+        check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch)
 
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -416,3 +420,119 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert code == EXIT_USAGE
         assert "unknown key" in capsys.readouterr().err
+
+
+def grid_outputs(out_dir):
+    """aggregate.csv bytes, and every report as sorted JSON without its timings."""
+    reports = {}
+    for path in sorted(out_dir.glob("*-seed*.json")):
+        report = json.loads(path.read_text())
+        report.pop("timings", None)
+        reports[path.name] = json.dumps(report, sort_keys=True)
+    return (out_dir / "aggregate.csv").read_bytes(), reports
+
+
+def force_workers(monkeypatch, workers):
+    """Run the next grids on this many processes (no more than they have runs)."""
+    monkeypatch.setattr(dacs.cli, "_worker_count", lambda: workers)
+
+
+class TestGridWorkers:
+    """run_config_grid on forked worker processes shows what it shows on one."""
+
+    def test_same_outputs_on_one_two_and_three_workers(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg, seeds="0, 1")  # 4 runs
+        outputs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            out_dir = tmp_path / f"workers{workers}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+            outputs.append(grid_outputs(out_dir))
+        assert len(outputs[0][1]) == 4
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_divergence_on_two_workers(self, tmp_path, capsys, monkeypatch):
+        force_workers(monkeypatch, 2)
+        check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch)
+
+    def test_a_worker_runs_its_kernels_on_one_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(dacs.core.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(dacs.core, "_CGROUP_CPU_MAX", str(tmp_path / "absent"))
+        assert dacs.core._worker_count() == 4
+
+        def probe_run_al(dataset, strategy, *args, **kwargs):
+            raise DivergenceError(
+                f"pid {os.getpid()} workers {dacs.core._worker_count()}", epoch=0, learning_rate=0.0
+            )
+
+        monkeypatch.setattr(dacs.cli, "run_al", probe_run_al)
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg)  # 2 runs, so 2 workers
+        _, diverged = run_config_grid(parse_run_config(cfg), str(tmp_path / "results"))
+        assert [(strategy, seed) for strategy, seed, _ in diverged] == [("random", 0), ("dacs", 0)]
+        for _, _, message in diverged:
+            pid, workers = message.split()[1::2]
+            assert int(pid) != os.getpid()
+            assert workers == "1"
+        assert dacs.core._worker_count() == 4  # the mark stays in the workers
+
+    @pytest.mark.parametrize(
+        "error",
+        [ZeroDivisionError("boom"), DegenerateInputError("row 3 has zero norm", row=3)],
+        ids=["ZeroDivisionError", "DegenerateInputError"],
+    )
+    def test_another_error_in_a_run_is_raised_with_its_type(self, tmp_path, monkeypatch, error):
+        force_workers(monkeypatch, 2)
+        real_run_al = dacs.cli.run_al
+
+        def failing_run_al(dataset, strategy, *args, **kwargs):
+            if strategy == "dacs":
+                raise error
+            return real_run_al(dataset, strategy, *args, **kwargs)
+
+        monkeypatch.setattr(dacs.cli, "run_al", failing_run_al)
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg)
+        out_dir = tmp_path / "results"
+        with pytest.raises(type(error), match=str(error)) as caught:
+            run_config_grid(parse_run_config(cfg), str(out_dir))
+        assert vars(caught.value) == vars(error)
+        assert "failing_run_al" in str(caught.value.__cause__)  # the worker's traceback
+        # runs before the failed one are written, as on one process
+        assert sorted(p.name for p in out_dir.iterdir()) == ["random-seed0.json"]
+
+    @staticmethod
+    def small_pool_config(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg, buckets=100)  # 72 training rows, fewer than 100 buckets
+        return parse_run_config(cfg)
+
+    def test_a_worker_warning_reaches_pytest_warns(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 2)
+        with pytest.warns(UserWarning, match="smaller than k=100 buckets"):
+            run_config_grid(self.small_pool_config(tmp_path), str(tmp_path / "results"))
+
+    def test_a_worker_warning_meets_the_error_filter(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 2)
+        out_dir = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="smaller than k=100 buckets"):
+                run_config_grid(self.small_pool_config(tmp_path), str(out_dir))
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_worker_warnings_arrive_as_on_one_process(self, tmp_path, monkeypatch, action):
+        config = self.small_pool_config(tmp_path)
+        seen = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                run_config_grid(config, str(tmp_path / f"workers{workers}"))
+            seen.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        assert seen[0], "the config should warn"
+        assert seen[1] == seen[0]

@@ -1,4 +1,5 @@
 import os
+import pickle
 import threading
 
 import numpy as np
@@ -12,9 +13,12 @@ from dacs.core import (
     UNIT_NORM_TOL,
     AcquisitionConfig,
     DegenerateInputError,
+    DegeneratePartitionError,
+    DivergenceError,
     FeatureMatrix,
     PoolState,
     Rng,
+    UndefinedCorrelationError,
     _parallel_ranges,
     _worker_count,
     commit_acquisition,
@@ -297,14 +301,37 @@ class TestParallelRanges:
         ],
     )
     def test_workers_follow_the_affinity_mask_beside_one_blas_thread(
-        self, monkeypatch, env, on_every_cpu
+        self, monkeypatch, tmp_path, env, on_every_cpu
     ):
+        monkeypatch.setattr(dacs.core, "_CGROUP_CPU_MAX", str(tmp_path / "absent"))
         for var in dacs.core._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         expected = len(os.sched_getaffinity(0)) if on_every_cpu else 1
         assert _worker_count() == expected
+
+    # cgroup v2 cpu.max: a quota caps the CPUs of the mask at quota / period,
+    # rounded up; "max", a missing file or an unreadable one leave the mask.
+    @pytest.mark.parametrize(
+        "cpu_max, workers",
+        [
+            ("150000 100000\n", 2),
+            ("50000 100000\n", 1),
+            ("800000 100000\n", 4),
+            ("max 100000\n", 4),
+            (None, 4),
+            ("garbled\n", 4),
+        ],
+    )
+    def test_workers_follow_the_cgroup_cpu_quota(self, monkeypatch, tmp_path, cpu_max, workers):
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(dacs.core, "_CGROUP_CPU_MAX", str(path))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(dacs.core.os, "sched_getaffinity", lambda pid: set(range(4)))
+        assert _worker_count() == workers
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("n_items", [0, 1, 2, 5, 17])
@@ -380,3 +407,25 @@ class TestParallelRanges:
         with pytest.raises(ZeroDivisionError, match="part 3-6"):
             _parallel_ranges(9, 0, 0, fn)
         assert sorted(ran) == [0, 3, 6]
+
+
+# Errors cross from a worker process to its parent pickled; each must come back
+# whole: same type, message and fields.
+@pytest.mark.parametrize(
+    "error",
+    [
+        DegenerateInputError("row 3 has zero norm", row=3),
+        DegenerateInputError("no row"),
+        DegeneratePartitionError("4 classes from 3 values"),
+        DivergenceError("non-finite loss at epoch 3 (lr=1e+307)", epoch=3, learning_rate=1e307),
+        UndefinedCorrelationError("zero variance"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_errors_survive_a_pickle_round_trip(error):
+    error.extra = "kept"
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert back.args == error.args
+    assert str(back) == str(error)
+    assert vars(back) == vars(error)
