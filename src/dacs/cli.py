@@ -17,7 +17,9 @@ import traceback
 import warnings
 from dataclasses import asdict, dataclass
 
-from .config import SEED_ENV_VAR, RunConfig, parse_run_config
+import numpy as np
+
+from .config import SEED_ENV_VAR, RunConfig, engine_configs, parse_run_config
 from .core import (
     REFERENCE_GLOBAL,
     WINDOW_WITH_PREVIOUS,
@@ -30,13 +32,7 @@ from .core import (
     make_pool,
     normalize_rows,
 )
-from .density import (
-    METRIC_COSINE,
-    METRIC_EUCLIDEAN,
-    exact_knn_density,
-    lsh_assign,
-    lsh_density,
-)
+from .density import METRIC_COSINE, METRIC_EUCLIDEAN, exact_knn_density, pool_density
 from .formats import (
     FORMAT_BINARY,
     FORMAT_CSV,
@@ -101,8 +97,6 @@ def cmd_select(args) -> int:
         embeddings = normalize_rows(embeddings)
     labeled = read_index_file(args.labeled) if args.labeled else []
     pool = make_pool(embeddings.n, labeled)
-    if args.budget < 1:
-        raise ParseError("budget must be positive")
     if args.budget > pool.unlabeled.size:
         raise ParseError(
             f"budget {args.budget} exceeds unlabeled pool size {pool.unlabeled.size}"
@@ -160,8 +154,7 @@ def cmd_density(args) -> int:
             print("note: input rows are not flagged unit-norm; normalizing", file=sys.stderr)
             embeddings = normalize_rows(embeddings)
         rng = Rng(_resolve_seed(args.seed))
-        assignment = lsh_assign(embeddings, args.buckets, rng)
-        profile = lsh_density(embeddings, assignment)
+        profile = pool_density(embeddings, np.arange(embeddings.n), args.buckets, rng)
         if args.compare:
             from scipy.stats import spearmanr
 
@@ -319,29 +312,7 @@ def run_config_grid(config: RunConfig, out_dir: str):
     """
     os.makedirs(out_dir, exist_ok=True)
     dataset = _dataset_from_config(config)
-    n_train = dataset.n - int(round(config.test_fraction * dataset.n))
-    init_labeled = max(1, int(round(config.init_fraction * n_train)))
-    budget = max(1, int(round(config.budget_fraction * n_train)))
-    acq = AcquisitionConfig(
-        budget=budget,
-        n_buckets=config.buckets,
-        n_breaks=config.breaks,
-        temperature=config.temperature,
-        expand_factor=config.expand_factor,
-        window=config.window,
-        reference=config.reference,
-    )
-    model_config = ModelConfig(
-        n_classes=config.classes,
-        reduced_dim=config.reduced_dim,
-        hidden=config.hidden if config.hidden > 0 else None,
-        lambda_aux=config.lambda_aux,
-        epochs=config.epochs,
-        stop_epoch=config.stop_epoch if config.stop_epoch >= 0 else None,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        lr_decay=config.lr_decay,
-    )
+    acq, model_config, init_labeled = engine_configs(config, dataset.n)
     grid = _Grid(dataset, acq, model_config, config.cycles, init_labeled, config.test_fraction)
     jobs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
     reports = []

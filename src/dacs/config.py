@@ -1,8 +1,9 @@
 """Plain-text run configuration for the simulation command.
 
-One `key = value` pair per line, `#` comments, unknown keys rejected. Defaults
-follow the engine's standard operating point (reduced_dim 16, 100 buckets, 4
-density classes, temperature 0.25). The DACS_SEED environment variable, when
+One `key = value` pair per line, `#` comments, unknown keys rejected; a value
+AcquisitionConfig or ModelConfig would refuse is refused at parse time.
+Defaults follow the engine's standard operating point (reduced_dim 16, 100
+buckets, 4 density classes, temperature 0.25). The DACS_SEED environment variable, when
 set, overrides the configured run seeds with that single seed.
 """
 
@@ -11,13 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
-from .core import (
-    REFERENCE_CLUSTER_LOCAL,
-    REFERENCE_GLOBAL,
-    WINDOW_OWN_CHUNK,
-    WINDOW_WITH_PREVIOUS,
-)
+from .core import REFERENCE_GLOBAL, WINDOW_WITH_PREVIOUS, AcquisitionConfig
 from .formats import ParseError
+from .model import ModelConfig
 from .selection import STRATEGIES
 from .simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE
 
@@ -136,10 +133,6 @@ def _validate(config: RunConfig) -> None:
         raise ParseError("strategies must be non-empty")
     if not config.seeds:
         raise ParseError("seeds must be non-empty")
-    if config.window not in (WINDOW_WITH_PREVIOUS, WINDOW_OWN_CHUNK):
-        raise ParseError(f"unknown window rule {config.window!r}")
-    if config.reference not in (REFERENCE_GLOBAL, REFERENCE_CLUSTER_LOCAL):
-        raise ParseError(f"unknown reference rule {config.reference!r}")
     if not 0 < config.test_fraction < 1:
         raise ParseError("test_fraction must lie in (0, 1)")
     if not 0 < config.init_fraction < 1:
@@ -148,3 +141,39 @@ def _validate(config: RunConfig) -> None:
         raise ParseError("budget_fraction must lie in (0, 1)")
     if config.cycles < 0:
         raise ParseError("cycles must be non-negative")
+    try:
+        # The budget and initial label count are at least 1 for any pool
+        # size, so an empty pool checks every value before data exists.
+        engine_configs(config, 0)
+    except ValueError as exc:
+        raise ParseError(f"bad engine setting: {exc}") from exc
+
+
+def engine_configs(config: RunConfig, n_rows: int):
+    """(AcquisitionConfig, ModelConfig, initial labeled count) for a dataset of n_rows.
+
+    The engine's classes check their own values, so a config that parses
+    builds them without error.
+    """
+    n_train = n_rows - int(round(config.test_fraction * n_rows))
+    acq = AcquisitionConfig(
+        budget=max(1, int(round(config.budget_fraction * n_train))),
+        n_buckets=config.buckets,
+        n_breaks=config.breaks,
+        temperature=config.temperature,
+        expand_factor=config.expand_factor,
+        window=config.window,
+        reference=config.reference,
+    )
+    model = ModelConfig(
+        n_classes=config.classes,
+        reduced_dim=config.reduced_dim,
+        hidden=config.hidden if config.hidden > 0 else None,
+        lambda_aux=config.lambda_aux,
+        epochs=config.epochs,
+        stop_epoch=config.stop_epoch if config.stop_epoch >= 0 else None,
+        batch_size=config.batch_size,
+        learning_rate=config.learning_rate,
+        lr_decay=config.lr_decay,
+    )
+    return acq, model, max(1, int(round(config.init_fraction * n_train)))

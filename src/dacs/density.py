@@ -5,7 +5,8 @@ distance (quadratic, used as a reference), and a fast path that bucket-hashes
 unit-norm features with a random rotation, sorts buckets into equal-size
 chunks, and sums sigmoid-weighted cosine similarity inside a sliding window of
 adjacent chunks. The fast path never compares samples more than two chunks
-apart, which is what makes it near-linear.
+apart, which is what makes it near-linear. pool_density is its one front-end:
+selection, the simulator and the CLI all estimate density through it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class DensityProfile:
     values: np.ndarray
     convention: DensityConvention
     params: dict
-    degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "indices", _readonly(np.asarray(self.indices, np.int64)))
@@ -222,7 +222,6 @@ def lsh_density(
             values=np.zeros(n),
             convention=DensityConvention.SIMILARITY_BASED,
             params=params,
-            degenerate=True,
         )
     Z = x.data[assignment.sorted_order]
     m = assignment.chunk_size
@@ -262,4 +261,26 @@ def lsh_density(
         values=values,
         convention=DensityConvention.SIMILARITY_BASED,
         params=params,
+    )
+
+
+def pool_density(
+    features: FeatureMatrix,
+    indices: np.ndarray,
+    n_buckets: int,
+    rng: Rng,
+    window: str = WINDOW_WITH_PREVIOUS,
+) -> DensityProfile:
+    """Hash the given rows into n_buckets and estimate their window density.
+
+    The profile is keyed by sample index: value i belongs to indices[i], and
+    equals what lsh_assign and lsh_density give on features.rows(indices).
+    """
+    sub = features.rows(indices)
+    local = lsh_density(sub, lsh_assign(sub, n_buckets, rng), window=window)
+    return DensityProfile(
+        indices=indices,
+        values=local.values,
+        convention=local.convention,
+        params=local.params,
     )

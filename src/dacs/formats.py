@@ -89,8 +89,8 @@ def read_embeddings_csv(path) -> FeatureMatrix:
     return FeatureMatrix(data)
 
 
-def read_index_file(path) -> list:
-    """Newline-separated non-negative integers."""
+def _read_values(path, cast, kind: str) -> list:
+    """One cast value per line; blank lines and # comments are skipped."""
     out = []
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -98,25 +98,20 @@ def read_index_file(path) -> list:
             if not line or line.startswith("#"):
                 continue
             try:
-                out.append(int(line))
+                out.append(cast(line))
             except ValueError as exc:
-                raise ParseError(f"line {ln}: {line!r} is not an integer") from exc
+                raise ParseError(f"line {ln}: {line!r} is not {kind}") from exc
     return out
+
+
+def read_index_file(path) -> list:
+    """Newline-separated non-negative integers."""
+    return _read_values(path, int, "an integer")
 
 
 def read_scores_file(path) -> np.ndarray:
     """Newline-separated floats, one per sample."""
-    out = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                out.append(float(line))
-            except ValueError as exc:
-                raise ParseError(f"line {ln}: {line!r} is not a number") from exc
-    return np.asarray(out, dtype=np.float64)
+    return np.asarray(_read_values(path, float, "a number"), dtype=np.float64)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -20,7 +20,6 @@ from .core import DivergenceError, FeatureMatrix, Rng
 from .selection import UncertaintyScores
 
 UNCERTAINTY_ENTROPY = "entropy"
-UNCERTAINTY_LOSS_PROXY = "loss-proxy"
 
 
 @dataclass(frozen=True)
@@ -289,16 +288,6 @@ def infer(model: ToyModel, features: FeatureMatrix, labels=None) -> ModelOutputs
     return ModelOutputs(probs=probs, embeddings=Z, entropy=entropy, loss_per_sample=loss_per_sample)
 
 
-def uncertainty(outputs: ModelOutputs, kind: str = UNCERTAINTY_ENTROPY) -> UncertaintyScores:
-    """Per-sample uncertainty; higher = more uncertain.
-
-    "entropy" is predictive entropy in nats; "loss-proxy" is one minus the
-    top-two probability margin, a label-free stand-in for loss.
-    """
-    if kind == UNCERTAINTY_ENTROPY:
-        return UncertaintyScores(scores=outputs.entropy, source=UNCERTAINTY_ENTROPY)
-    if kind == UNCERTAINTY_LOSS_PROXY:
-        part = np.sort(outputs.probs, axis=1)
-        margin = part[:, -1] - part[:, -2]
-        return UncertaintyScores(scores=1.0 - margin, source=UNCERTAINTY_LOSS_PROXY)
-    raise ValueError(f"unknown uncertainty kind {kind!r}")
+def uncertainty(outputs: ModelOutputs) -> UncertaintyScores:
+    """Per-sample predictive entropy in nats; higher = more uncertain."""
+    return UncertaintyScores(scores=outputs.entropy, source=UNCERTAINTY_ENTROPY)

@@ -185,7 +185,7 @@ def allocate_budget(
         raise ValueError("clusters must be non-empty")
     if budget > total_unlabeled:
         warnings.warn(
-            f"budget {budget} exceeds pool size {total_unlabeled}; clamping"
+            f"budget {budget} exceeds unlabeled pool size {total_unlabeled}; clamping"
         )
         budget = total_unlabeled
     ratios = _softmax((1.0 - sizes / total_unlabeled) / temperature)

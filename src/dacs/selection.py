@@ -26,7 +26,7 @@ from .core import (
     _parallel_ranges,
     _readonly,
 )
-from .density import DensityProfile, lsh_assign, lsh_density
+from .density import DensityProfile, pool_density
 from .partition import allocate_budget, jenks_breaks
 
 STRATEGY_RANDOM = "random"
@@ -184,25 +184,9 @@ def kcenter_greedy(
     return picked, trace
 
 
-def pool_density(
-    features: FeatureMatrix, indices: np.ndarray, config: AcquisitionConfig, rng: Rng
-) -> DensityProfile:
-    """Hash the given rows and estimate their window density, keyed by sample index."""
-    sub = features.rows(indices)
-    assignment = lsh_assign(sub, config.n_buckets, rng)
-    local = lsh_density(sub, assignment, window=config.window)
-    return DensityProfile(
-        indices=indices,
-        values=local.values,
-        convention=local.convention,
-        params=local.params,
-        degenerate=local.degenerate,
-    )
-
-
 def _density_pipeline(pool: PoolState, features: FeatureMatrix, config: AcquisitionConfig, rng: Rng):
     """Shared front half: hash, window density, natural breaks over the unlabeled pool."""
-    profile = pool_density(features, pool.unlabeled, config, rng)
+    profile = pool_density(features, pool.unlabeled, config.n_buckets, rng, config.window)
     h = config.n_breaks
     distinct = np.unique(profile.values).size
     if h > distinct:
@@ -228,16 +212,10 @@ def dacs_select(
     densest. By default every class sees the running selected set as part of
     its reference; config.reference="cluster-local" restricts each class to
     its own picks. A budget larger than the unlabeled pool is clamped (with a
-    warning) so the invariant sum(budgets) == min(budget, pool size) holds.
+    warning, by allocate_budget) so that sum(budgets) == min(budget, pool size).
     """
-    b = config.budget
-    if b > pool.unlabeled.size:
-        warnings.warn(
-            f"budget {b} exceeds unlabeled pool size {pool.unlabeled.size}; clamping"
-        )
-        b = pool.unlabeled.size
     profile, partition, h_used = _density_pipeline(pool, features, config, rng)
-    partition = allocate_budget(partition, b, config.temperature, pool.unlabeled.size)
+    partition = allocate_budget(partition, config.budget, config.temperature, pool.unlabeled.size)
     cluster_local = config.reference == REFERENCE_CLUSTER_LOCAL
     running: list[int] = []
     per_cluster: list[ClusterSelection] = []
@@ -349,6 +327,10 @@ def entropy_top_b(pool: PoolState, scores: UncertaintyScores, budget: int) -> Ac
 
     Score ties keep index order.
     """
+    if budget > pool.unlabeled.size:
+        raise ValueError(
+            f"budget {budget} exceeds unlabeled pool size {pool.unlabeled.size}"
+        )
     if scores.scores.size < pool.n_total:
         raise ValueError(
             f"{scores.scores.size} uncertainty scores for a pool of {pool.n_total} samples"

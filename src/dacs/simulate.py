@@ -25,9 +25,9 @@ from .core import (
     commit_acquisition,
     make_pool,
 )
-from .density import DensityProfile
+from .density import DensityProfile, pool_density
 from .model import ModelConfig, ModelOutputs, infer, init_model, train, uncertainty
-from .selection import STRATEGIES, pool_density, select
+from .selection import STRATEGIES, select
 
 GENERATOR_MIXTURE = "gaussian-mixture"
 GENERATOR_NEAR_DUPLICATE = "near-duplicate"
@@ -44,10 +44,6 @@ class SyntheticDataset:
     @property
     def n(self) -> int:
         return self.features.n
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1
 
 
 def gen_gaussian_mixture(
@@ -224,8 +220,8 @@ class ExperimentReport:
     error: str | None = None
     timings: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "strategy": self.strategy,
             "seed": self.seed,
             "config": self.config,
@@ -233,13 +229,11 @@ class ExperimentReport:
             "rho_entropy": self.rho_entropy,
             "rho_loss": self.rho_loss,
             "error": self.error,
+            "timings": self.timings,
         }
-        if include_timings:
-            out["timings"] = self.timings
-        return out
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @property
     def final_accuracy(self) -> float:
@@ -316,7 +310,10 @@ def run_al(
         if t == 0:
             t0 = time.perf_counter()
             try:
-                dens_unl = pool_density(embeddings, pool.unlabeled, acq_config, crng.derive("rho-unl"))
+                dens_unl = pool_density(
+                    embeddings, pool.unlabeled, acq_config.n_buckets, crng.derive("rho-unl"),
+                    acq_config.window,
+                )
                 out_unl = ModelOutputs(
                     probs=out_train.probs[pool.unlabeled],
                     embeddings=out_train.embeddings[pool.unlabeled],
@@ -325,7 +322,8 @@ def run_al(
                 rho_entropy, _ = density_uncertainty_correlation(out_unl, dens_unl)
                 emb_test = out_test.embedding_matrix()
                 dens_test = pool_density(
-                    emb_test, np.arange(n_test, dtype=np.int64), acq_config, crng.derive("rho-test")
+                    emb_test, np.arange(n_test, dtype=np.int64), acq_config.n_buckets,
+                    crng.derive("rho-test"), acq_config.window,
                 )
                 _, rho_loss = density_uncertainty_correlation(out_test, dens_test)
             except UndefinedCorrelationError:

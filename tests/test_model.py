@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dacs.core import DivergenceError, FeatureMatrix, Rng
 from dacs.model import (
     UNCERTAINTY_ENTROPY,
-    UNCERTAINTY_LOSS_PROXY,
     ModelConfig,
     ModelOutputs,
     ToyModel,
@@ -521,24 +520,6 @@ class TestUncertainty:
             embeddings=np.array([[1.0, 0.0]]),
             entropy=np.array([0.3]),
         )
-        scores = uncertainty(out, UNCERTAINTY_ENTROPY)
+        scores = uncertainty(out)
         assert scores.source == UNCERTAINTY_ENTROPY
         assert scores.scores.tolist() == [0.3]
-
-    def test_margin_proxy(self):
-        out = ModelOutputs(
-            probs=np.array([[0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3]]),
-            embeddings=np.eye(2, 3),
-            entropy=np.zeros(2),
-        )
-        scores = uncertainty(out, UNCERTAINTY_LOSS_PROXY)
-        assert np.allclose(scores.scores, [0.5, 1.0])
-
-    def test_unknown_kind_rejected(self):
-        out = ModelOutputs(
-            probs=np.array([[1.0, 0.0]]),
-            embeddings=np.array([[1.0, 0.0]]),
-            entropy=np.zeros(1),
-        )
-        with pytest.raises(ValueError, match="unknown uncertainty"):
-            uncertainty(out, "variance")

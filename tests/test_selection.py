@@ -20,6 +20,9 @@ import dacs.core
 import dacs.selection
 from dacs.selection import (
     SCORED_STRATEGIES,
+    STRATEGY_DACS,
+    STRATEGY_DENSE_ONLY,
+    STRATEGY_SPARSE_ONLY,
     _max_similarity,
     STRATEGIES,
     UncertaintyScores,
@@ -651,3 +654,24 @@ class TestSelectDispatch:
         out = select("dacs", pool, X, cfg, Rng(3, "sel"))
         assert len(calls) == 1
         assert out.selected == original(pool, X, cfg, Rng(3, "sel")).selected
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_budget_over_the_pool(self, strategy):
+        # dacs clamps to the pool and the region strategies to their class,
+        # each with a warning; every other strategy refuses the budget
+        X, pool = clustered_pool(8, n_per=10)
+        n = pool.unlabeled.size
+        cfg = AcquisitionConfig(budget=n + 2, n_buckets=4, n_breaks=2)
+        scores = UncertaintyScores(scores=np.linspace(0.0, 1.0, pool.n_total))
+        over = f"budget {n + 2} exceeds unlabeled pool size {n}"
+        if strategy == STRATEGY_DACS:
+            with pytest.warns(UserWarning, match=over + "; clamping"):
+                out = select(strategy, pool, X, cfg, Rng(8, "sel"), scores)
+            assert sorted(out.selected) == pool.unlabeled.tolist()
+        elif strategy in (STRATEGY_SPARSE_ONLY, STRATEGY_DENSE_ONLY):
+            with pytest.warns(UserWarning, match="class size .*; clamping"):
+                out = select(strategy, pool, X, cfg, Rng(8, "sel"), scores)
+            assert len(out.selected) == out.diagnostics["region_size"] < n
+        else:
+            with pytest.raises(ValueError, match=over + "$"):
+                select(strategy, pool, X, cfg, Rng(8, "sel"), scores)
