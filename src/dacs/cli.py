@@ -19,10 +19,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import SEED_ENV_VAR, RunConfig, engine_configs, parse_run_config
+from .config import (
+    RunConfig,
+    acquisition_config,
+    dataset_from_config,
+    env_seed,
+    parse_run_config,
+    run_settings,
+)
 from .core import (
-    REFERENCE_GLOBAL,
-    WINDOW_WITH_PREVIOUS,
     AcquisitionConfig,
     DivergenceError,
     FeatureMatrix,
@@ -43,15 +48,15 @@ from .formats import (
     read_index_file,
     read_scores_file,
 )
-from .model import ModelConfig
-from .selection import SCORED_STRATEGIES, STRATEGIES, STRATEGY_DACS, UncertaintyScores, select
-from .simulate import (
-    GENERATOR_NEAR_DUPLICATE,
-    SyntheticDataset,
-    gen_gaussian_mixture,
-    gen_near_duplicate,
-    run_al,
+from .selection import (
+    SCORED_STRATEGIES,
+    STRATEGIES,
+    STRATEGY_DACS,
+    UncertaintyScores,
+    check_budget,
+    select,
 )
+from .simulate import SyntheticDataset, run_al
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,22 +67,22 @@ EXIT_DIVERGED = 3
 COMPARE_MAX_ROWS = 20_000
 
 
-def _load_embeddings(path: str, fmt: str) -> FeatureMatrix:
-    if fmt == FORMAT_CSV:
-        return read_embeddings_csv(path)
-    return read_embeddings(path)
+def _load_embeddings(args, normalize: bool) -> FeatureMatrix:
+    """The --embeddings pool, read in --format; unit-normalized (with a note) if asked."""
+    read = read_embeddings_csv if args.format == FORMAT_CSV else read_embeddings
+    embeddings = read(args.embeddings)
+    if normalize and not embeddings.unit_norm:
+        print("note: input rows are not flagged unit-norm; normalizing", file=sys.stderr)
+        embeddings = normalize_rows(embeddings)
+    return embeddings
 
 
 def _resolve_seed(cli_seed) -> int:
+    """--seed, else DACS_SEED, else 0."""
     if cli_seed is not None:
         return cli_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return 0
+    seed = env_seed()
+    return 0 if seed is None else seed
 
 
 def _json_safe(value):
@@ -91,25 +96,11 @@ def _json_safe(value):
 
 
 def cmd_select(args) -> int:
-    embeddings = _load_embeddings(args.embeddings, args.format)
-    if not embeddings.unit_norm:
-        print("note: input rows are not flagged unit-norm; normalizing", file=sys.stderr)
-        embeddings = normalize_rows(embeddings)
+    embeddings = _load_embeddings(args, normalize=True)
     labeled = read_index_file(args.labeled) if args.labeled else []
     pool = make_pool(embeddings.n, labeled)
-    if args.budget > pool.unlabeled.size:
-        raise ParseError(
-            f"budget {args.budget} exceeds unlabeled pool size {pool.unlabeled.size}"
-        )
-    config = AcquisitionConfig(
-        budget=args.budget,
-        n_buckets=args.buckets,
-        n_breaks=args.breaks,
-        temperature=args.temperature,
-        expand_factor=args.expand_factor,
-        window=args.window,
-        reference=args.reference,
-    )
+    check_budget(args.budget, pool)
+    config = acquisition_config(args, args.budget)
     rng = Rng(_resolve_seed(args.seed))
     scores = None
     if args.strategy in SCORED_STRATEGIES:
@@ -141,8 +132,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_density(args) -> int:
-    embeddings = _load_embeddings(args.embeddings, args.format)
-    if args.mode == "lsh" and args.compare and embeddings.n > COMPARE_MAX_ROWS:
+    if args.compare and args.mode == "exact":
+        raise ParseError(
+            "--compare needs --mode lsh: it ranks the hashed density against exact k-NN"
+        )
+    embeddings = _load_embeddings(args, normalize=args.mode == "lsh")
+    if args.compare and embeddings.n > COMPARE_MAX_ROWS:
         raise ParseError(
             f"--compare runs the quadratic exact k-NN oracle and accepts at most "
             f"{COMPARE_MAX_ROWS} rows; the pool has {embeddings.n}"
@@ -150,9 +145,6 @@ def cmd_density(args) -> int:
     if args.mode == "exact":
         profile = exact_knn_density(embeddings, args.knn, metric=args.metric)
     else:
-        if not embeddings.unit_norm:
-            print("note: input rows are not flagged unit-norm; normalizing", file=sys.stderr)
-            embeddings = normalize_rows(embeddings)
         rng = Rng(_resolve_seed(args.seed))
         profile = pool_density(embeddings, np.arange(embeddings.n), args.buckets, rng)
         if args.compare:
@@ -172,40 +164,17 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _dataset_from_config(config: RunConfig):
-    data_rng = Rng(config.data_seed)
-    base = gen_gaussian_mixture(
-        config.classes, config.per_class, config.dim, config.spread, config.separation, data_rng
-    )
-    if config.dataset == GENERATOR_NEAR_DUPLICATE:
-        return gen_near_duplicate(base, config.replication, config.noise_sigma, data_rng)
-    return base
-
-
 @dataclass(frozen=True)
 class _Grid:
     """What every run of a grid shares. A worker process gets it through fork."""
 
     dataset: SyntheticDataset
-    acq: AcquisitionConfig
-    model_config: ModelConfig
-    cycles: int
-    init_labeled: int
-    test_fraction: float
+    settings: dict  # run_al's keyword arguments, from run_settings
 
     def run(self, strategy: str, seed: int):
         """The run's ExperimentReport, or the message of its DivergenceError."""
         try:
-            return run_al(
-                self.dataset,
-                strategy,
-                self.acq,
-                self.model_config,
-                self.cycles,
-                self.init_labeled,
-                Rng(seed),
-                test_fraction=self.test_fraction,
-            )
+            return run_al(self.dataset, strategy, rng=Rng(seed), **self.settings)
         except DivergenceError as exc:
             return str(exc)
 
@@ -311,9 +280,8 @@ def run_config_grid(config: RunConfig, out_dir: str):
     number of workers.
     """
     os.makedirs(out_dir, exist_ok=True)
-    dataset = _dataset_from_config(config)
-    acq, model_config, init_labeled = engine_configs(config, dataset.n)
-    grid = _Grid(dataset, acq, model_config, config.cycles, init_labeled, config.test_fraction)
+    dataset = dataset_from_config(config)
+    grid = _Grid(dataset, run_settings(config, dataset.n))
     jobs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
     reports = []
     diverged = []
@@ -357,38 +325,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dacs", description="Density-aware core-set selection toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by the two commands that take an embedding pool.
+    pool_flags = argparse.ArgumentParser(add_help=False)
+    pool_flags.add_argument("--embeddings", required=True)
+    pool_flags.add_argument("--format", choices=[FORMAT_BINARY, FORMAT_CSV], default=FORMAT_BINARY)
+    pool_flags.add_argument("--buckets", type=int, default=AcquisitionConfig.n_buckets)
+    pool_flags.add_argument("--seed", type=int, default=None)
+    pool_flags.add_argument("--out", required=True)
 
-    p_select = sub.add_parser("select", help="pick samples from an embedding pool")
-    p_select.add_argument("--embeddings", required=True)
-    p_select.add_argument("--format", choices=[FORMAT_BINARY, FORMAT_CSV], default=FORMAT_BINARY)
+    p_select = sub.add_parser(
+        "select", parents=[pool_flags], help="pick samples from an embedding pool"
+    )
     p_select.add_argument("--labeled", help="file of labeled indices, one per line")
     p_select.add_argument("--budget", type=int, required=True)
     p_select.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_DACS)
     p_select.add_argument("--scores", help="per-sample uncertainty file (combined, entropy-top-b)")
-    p_select.add_argument("--buckets", type=int, default=100)
-    p_select.add_argument("--breaks", type=int, default=4)
-    p_select.add_argument("--temperature", type=float, default=0.25)
-    p_select.add_argument("--expand-factor", type=float, default=2.0)
-    p_select.add_argument("--window", default=WINDOW_WITH_PREVIOUS)
-    p_select.add_argument("--reference", default=REFERENCE_GLOBAL)
-    p_select.add_argument("--seed", type=int, default=None)
-    p_select.add_argument("--out", required=True)
+    p_select.add_argument("--breaks", type=int, default=AcquisitionConfig.n_breaks)
+    p_select.add_argument("--temperature", type=float, default=AcquisitionConfig.temperature)
+    p_select.add_argument("--expand-factor", type=float, default=AcquisitionConfig.expand_factor)
+    p_select.add_argument("--window", default=AcquisitionConfig.window)
+    p_select.add_argument("--reference", default=AcquisitionConfig.reference)
     p_select.set_defaults(func=cmd_select)
 
-    p_density = sub.add_parser("density", help="estimate per-sample density")
-    p_density.add_argument("--embeddings", required=True)
-    p_density.add_argument("--format", choices=[FORMAT_BINARY, FORMAT_CSV], default=FORMAT_BINARY)
+    p_density = sub.add_parser("density", parents=[pool_flags], help="estimate per-sample density")
     p_density.add_argument("--mode", choices=["exact", "lsh"], required=True)
     p_density.add_argument("--knn", type=int, default=20)
     p_density.add_argument("--metric", choices=[METRIC_EUCLIDEAN, METRIC_COSINE], default=METRIC_EUCLIDEAN)
-    p_density.add_argument("--buckets", type=int, default=100)
-    p_density.add_argument("--seed", type=int, default=None)
     p_density.add_argument(
         "--compare", action="store_true",
-        help="with --mode lsh: also run the exact oracle and report rank agreement on stderr"
-        f" (pools of at most {COMPARE_MAX_ROWS} rows)",
+        help="--mode lsh only (refused with --mode exact): also run the exact oracle and"
+        f" report rank agreement on stderr (pools of at most {COMPARE_MAX_ROWS} rows)",
     )
-    p_density.add_argument("--out", required=True)
     p_density.set_defaults(func=cmd_density)
 
     p_sim = sub.add_parser("simulate", help="run the acquisition-strategy grid")

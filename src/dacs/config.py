@@ -1,10 +1,10 @@
-"""Plain-text run configuration for the simulation command.
+"""Plain-text run configuration, and the one path from user settings to the engine.
 
-One `key = value` pair per line, `#` comments, unknown keys rejected; a value
-AcquisitionConfig or ModelConfig would refuse is refused at parse time.
-Defaults follow the engine's standard operating point (reduced_dim 16, 100
-buckets, 4 density classes, temperature 0.25). The DACS_SEED environment variable, when
-set, overrides the configured run seeds with that single seed.
+One `key = value` pair per line, `#` comments, unknown keys rejected. A key
+left out takes the engine's own default. parse_run_config refuses every value
+a grid run would refuse, with the engine's own checks and before any data
+exists. The DACS_SEED environment variable, when set, overrides the
+configured run seeds with that single seed.
 """
 
 from __future__ import annotations
@@ -12,13 +12,23 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
-from .core import REFERENCE_GLOBAL, WINDOW_WITH_PREVIOUS, AcquisitionConfig
+from .core import AcquisitionConfig, Rng
 from .formats import ParseError
 from .model import ModelConfig
-from .selection import STRATEGIES
-from .simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE
+from .simulate import (
+    GENERATOR_MIXTURE,
+    GENERATOR_NEAR_DUPLICATE,
+    TEST_FRACTION,
+    check_run,
+    gen_gaussian_mixture,
+    gen_near_duplicate,
+    mixture_rows,
+    near_duplicate_rows,
+)
 
 SEED_ENV_VAR = "DACS_SEED"
+# Engine fields that a config key and a `dacs select` flag name differently.
+_SETTING_NAMES = {"n_buckets": "buckets", "n_breaks": "breaks"}
 
 
 @dataclass
@@ -34,28 +44,39 @@ class RunConfig:
     noise_sigma: float = 0.1
     data_seed: int = 7
     # pool schedule
-    test_fraction: float = 0.2
+    test_fraction: float = TEST_FRACTION
     init_fraction: float = 0.02
     budget_fraction: float = 0.02
     cycles: int = 8
     strategies: list = field(default_factory=lambda: ["random", "coreset", "dacs"])
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     # acquisition
-    buckets: int = 100
-    breaks: int = 4
-    temperature: float = 0.25
-    expand_factor: float = 2.0
-    window: str = WINDOW_WITH_PREVIOUS
-    reference: str = REFERENCE_GLOBAL
+    buckets: int = AcquisitionConfig.n_buckets
+    breaks: int = AcquisitionConfig.n_breaks
+    temperature: float = AcquisitionConfig.temperature
+    expand_factor: float = AcquisitionConfig.expand_factor
+    window: str = AcquisitionConfig.window
+    reference: str = AcquisitionConfig.reference
     # learner
-    reduced_dim: int = 16
+    reduced_dim: int = ModelConfig.reduced_dim
     hidden: int = 0  # 0 = no shared trunk
-    lambda_aux: float = 1.0
-    epochs: int = 24
+    lambda_aux: float = ModelConfig.lambda_aux
+    epochs: int = ModelConfig.epochs
     stop_epoch: int = -1  # -1 = 60% of epochs
-    batch_size: int = 64
-    learning_rate: float = 0.32
-    lr_decay: bool = True
+    batch_size: int = ModelConfig.batch_size
+    learning_rate: float = ModelConfig.learning_rate
+    lr_decay: bool = ModelConfig.lr_decay
+
+
+def env_seed() -> int | None:
+    """The DACS_SEED environment variable as an integer, or None when it is unset."""
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ParseError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
 
 
 def _parse_bool(raw: str) -> bool:
@@ -65,10 +86,6 @@ def _parse_bool(raw: str) -> bool:
     if low in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"{raw!r} is not a boolean")
-
-
-def _parse_int_list(raw: str) -> list:
-    return [int(tok.strip()) for tok in raw.split(",") if tok.strip()]
 
 
 def _parse_str_list(raw: str) -> list:
@@ -106,19 +123,16 @@ def parse_run_config(path) -> RunConfig:
                 if key == "strategies":
                     value = _parse_str_list(raw)
                 elif key == "seeds":
-                    value = _parse_int_list(raw)
+                    value = [int(tok) for tok in _parse_str_list(raw)]
                 else:
                     current = getattr(config, key)
                     value = _CASTERS[type(current)](raw)
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad value for {key!r}: {exc}") from exc
             setattr(config, key, value)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            config.seeds = [int(env_seed)]
-        except ValueError as exc:
-            raise ParseError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from exc
+    seed = env_seed()
+    if seed is not None:
+        config.seeds = [seed]
     _validate(config)
     return config
 
@@ -126,46 +140,67 @@ def parse_run_config(path) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.dataset not in (GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE):
         raise ParseError(f"unknown dataset {config.dataset!r}")
-    for strategy in config.strategies:
-        if strategy not in STRATEGIES:
-            raise ParseError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if not config.strategies:
         raise ParseError("strategies must be non-empty")
     if not config.seeds:
         raise ParseError("seeds must be non-empty")
-    if not 0 < config.test_fraction < 1:
-        raise ParseError("test_fraction must lie in (0, 1)")
-    if not 0 < config.init_fraction < 1:
-        raise ParseError("init_fraction must lie in (0, 1)")
-    if not 0 < config.budget_fraction < 1:
-        raise ParseError("budget_fraction must lie in (0, 1)")
-    if config.cycles < 0:
-        raise ParseError("cycles must be non-negative")
+    for key in ("init_fraction", "budget_fraction"):
+        if not 0 < getattr(config, key) < 1:
+            raise ParseError(f"{key} must lie in (0, 1)")
     try:
-        # The budget and initial label count are at least 1 for any pool
-        # size, so an empty pool checks every value before data exists.
-        engine_configs(config, 0)
+        n_rows = dataset_rows(config)
+        settings = run_settings(config, n_rows)
+        for strategy in config.strategies:
+            check_run(n_rows, config.dim, strategy, **settings)
     except ValueError as exc:
         raise ParseError(f"bad engine setting: {exc}") from exc
 
 
-def engine_configs(config: RunConfig, n_rows: int):
-    """(AcquisitionConfig, ModelConfig, initial labeled count) for a dataset of n_rows.
-
-    The engine's classes check their own values, so a config that parses
-    builds them without error.
-    """
-    n_train = n_rows - int(round(config.test_fraction * n_rows))
-    acq = AcquisitionConfig(
-        budget=max(1, int(round(config.budget_fraction * n_train))),
-        n_buckets=config.buckets,
-        n_breaks=config.breaks,
-        temperature=config.temperature,
-        expand_factor=config.expand_factor,
-        window=config.window,
-        reference=config.reference,
+def dataset_rows(config: RunConfig) -> int:
+    """Row count of dataset_from_config(config), checked as it checks it, without the data."""
+    rows = mixture_rows(
+        config.classes, config.per_class, config.dim, config.spread, config.separation
     )
-    model = ModelConfig(
+    if config.dataset == GENERATOR_NEAR_DUPLICATE:
+        return near_duplicate_rows(rows, config.replication, config.noise_sigma)
+    return rows
+
+
+def dataset_from_config(config: RunConfig):
+    """The synthetic dataset the config describes, drawn from its data_seed."""
+    data_rng = Rng(config.data_seed)
+    base = gen_gaussian_mixture(
+        config.classes, config.per_class, config.dim, config.spread, config.separation, data_rng
+    )
+    if config.dataset == GENERATOR_NEAR_DUPLICATE:
+        return gen_near_duplicate(base, config.replication, config.noise_sigma, data_rng)
+    return base
+
+
+def acquisition_config(settings, budget: int) -> AcquisitionConfig:
+    """AcquisitionConfig from a RunConfig or `dacs select` arguments; a refusal uses their names."""
+    try:
+        return AcquisitionConfig(
+            budget=budget,
+            n_buckets=settings.buckets,
+            n_breaks=settings.breaks,
+            temperature=settings.temperature,
+            expand_factor=settings.expand_factor,
+            window=settings.window,
+            reference=settings.reference,
+        )
+    except ValueError as exc:
+        message = str(exc)
+        for engine_name, name in _SETTING_NAMES.items():
+            message = message.replace(engine_name, name)
+        raise ParseError(message) from exc
+
+
+def run_settings(config: RunConfig, n_rows: int) -> dict:
+    """run_al's keyword arguments other than the dataset, strategy and rng, for n_rows rows."""
+    n_train = n_rows - int(round(config.test_fraction * n_rows))
+    budget = max(1, int(round(config.budget_fraction * n_train)))
+    model_config = ModelConfig(
         n_classes=config.classes,
         reduced_dim=config.reduced_dim,
         hidden=config.hidden if config.hidden > 0 else None,
@@ -176,4 +211,10 @@ def engine_configs(config: RunConfig, n_rows: int):
         learning_rate=config.learning_rate,
         lr_decay=config.lr_decay,
     )
-    return acq, model, max(1, int(round(config.init_fraction * n_train)))
+    return {
+        "acq_config": acquisition_config(config, budget),
+        "model_config": model_config,
+        "cycles": config.cycles,
+        "init_labeled": max(1, int(round(config.init_fraction * n_train))),
+        "test_fraction": config.test_fraction,
+    }

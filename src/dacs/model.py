@@ -78,13 +78,19 @@ class ModelOutputs:
         return FeatureMatrix(self.embeddings, unit_norm=True)
 
 
+def shared_width(config: ModelConfig, n_features: int) -> int:
+    """Width of the features both heads read; reduced_dim must be smaller."""
+    width = config.hidden if config.hidden is not None else n_features
+    if not config.reduced_dim < width:
+        raise ValueError(
+            f"reduced_dim {config.reduced_dim} must be smaller than the shared width {width}"
+        )
+    return width
+
+
 def init_model(config: ModelConfig, n_features: int, rng: Rng) -> ToyModel:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights from the "init" stream, zero biases."""
-    shared_dim = config.hidden if config.hidden is not None else n_features
-    if not config.reduced_dim < shared_dim:
-        raise ValueError(
-            f"reduced_dim {config.reduced_dim} must be smaller than the shared width {shared_dim}"
-        )
+    shared_dim = shared_width(config, n_features)
     gen = rng.derive("init").generator()
 
     def uniform(fan_in, shape):

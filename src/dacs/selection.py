@@ -184,6 +184,12 @@ def kcenter_greedy(
     return picked, trace
 
 
+def check_budget(budget: int, pool: PoolState) -> None:
+    """Refuse a budget above the unlabeled pool, which only dacs and the region strategies clamp."""
+    if budget > pool.unlabeled.size:
+        raise ValueError(f"budget {budget} exceeds unlabeled pool size {pool.unlabeled.size}")
+
+
 def _density_pipeline(pool: PoolState, features: FeatureMatrix, config: AcquisitionConfig, rng: Rng):
     """Shared front half: hash, window density, natural breaks over the unlabeled pool."""
     profile = pool_density(features, pool.unlabeled, config.n_buckets, rng, config.window)
@@ -253,10 +259,7 @@ def dacs_select(
 
 def coreset_select(pool: PoolState, features: FeatureMatrix, budget: int) -> AcquisitionResult:
     """Plain greedy k-center over the whole unlabeled pool."""
-    if budget > pool.unlabeled.size:
-        raise ValueError(
-            f"budget {budget} exceeds unlabeled pool size {pool.unlabeled.size}"
-        )
+    check_budget(budget, pool)
     picked, trace = kcenter_greedy(pool.unlabeled, pool.labeled, budget, features)
     return AcquisitionResult(
         selected=picked,
@@ -269,10 +272,7 @@ def random_select(pool: PoolState, budget: int, rng: Rng) -> AcquisitionResult:
     """Uniform sample without replacement from the unlabeled pool."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    if budget > pool.unlabeled.size:
-        raise ValueError(
-            f"budget {budget} exceeds unlabeled pool size {pool.unlabeled.size}"
-        )
+    check_budget(budget, pool)
     gen = rng.derive("random-select").generator()
     picked = [int(i) for i in gen.choice(pool.unlabeled, size=budget, replace=False)]
     return AcquisitionResult(
@@ -327,10 +327,7 @@ def entropy_top_b(pool: PoolState, scores: UncertaintyScores, budget: int) -> Ac
 
     Score ties keep index order.
     """
-    if budget > pool.unlabeled.size:
-        raise ValueError(
-            f"budget {budget} exceeds unlabeled pool size {pool.unlabeled.size}"
-        )
+    check_budget(budget, pool)
     if scores.scores.size < pool.n_total:
         raise ValueError(
             f"{scores.scores.size} uncertainty scores for a pool of {pool.n_total} samples"
@@ -358,10 +355,7 @@ def expand_and_squeeze(
     highest uncertainty scores. Score ties keep earlier-selected candidates.
     """
     b = config.budget
-    if b > pool.unlabeled.size:
-        raise ValueError(
-            f"budget {b} exceeds unlabeled pool size {pool.unlabeled.size}"
-        )
+    check_budget(b, pool)
     expanded = min(math.ceil(config.expand_factor * b), pool.unlabeled.size)
     inner = dacs_select(pool, features, replace(config, budget=expanded), rng)
     cand = np.asarray(inner.selected, np.int64)

@@ -26,11 +26,13 @@ from .core import (
     make_pool,
 )
 from .density import DensityProfile, pool_density
-from .model import ModelConfig, ModelOutputs, infer, init_model, train, uncertainty
+from .model import ModelConfig, ModelOutputs, infer, init_model, shared_width, train, uncertainty
 from .selection import STRATEGIES, select
 
 GENERATOR_MIXTURE = "gaussian-mixture"
 GENERATOR_NEAR_DUPLICATE = "near-duplicate"
+# Share of the dataset run_al holds out for testing unless told otherwise.
+TEST_FRACTION = 0.2
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +46,26 @@ class SyntheticDataset:
     @property
     def n(self) -> int:
         return self.features.n
+
+
+def mixture_rows(n_classes: int, per_class: int, dim: int, spread: float, separation: float) -> int:
+    """Row count of gen_gaussian_mixture with these arguments, which it checks."""
+    if n_classes < 2:
+        raise ValueError("need at least 2 classes")
+    if per_class < 1 or dim < 1:
+        raise ValueError("per_class and dim must be positive")
+    if spread < 0 or separation < 0:
+        raise ValueError("spread and separation must be non-negative")
+    return n_classes * per_class
+
+
+def near_duplicate_rows(base_rows: int, replication: int, noise_sigma: float) -> int:
+    """Row count of gen_near_duplicate with these arguments on base_rows rows, which it checks."""
+    if replication < 1:
+        raise ValueError("replication must be at least 1")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be non-negative")
+    return base_rows * (1 + replication)
 
 
 def gen_gaussian_mixture(
@@ -60,12 +82,7 @@ def gen_gaussian_mixture(
     n_classes > dim) scaled by separation; points add spread-scaled standard
     normal noise. Both draws come from the "data" stream.
     """
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1 or dim < 1:
-        raise ValueError("per_class and dim must be positive")
-    if spread < 0 or separation < 0:
-        raise ValueError("spread and separation must be non-negative")
+    mixture_rows(n_classes, per_class, dim, spread, separation)
     gen = rng.derive("data").generator()
     raw = gen.standard_normal((n_classes, dim))
     if n_classes <= dim:
@@ -102,10 +119,7 @@ def gen_near_duplicate(
     of std noise_sigma (labels copied), so the output has (1 + replication)
     times the base size. Copies of one point stay adjacent: original first.
     """
-    if replication < 1:
-        raise ValueError("replication must be at least 1")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    near_duplicate_rows(base.n, replication, noise_sigma)
     X = base.features.data
     sd = X.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
@@ -221,16 +235,7 @@ class ExperimentReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "config": self.config,
-            "records": [asdict(r) for r in self.records],
-            "rho_entropy": self.rho_entropy,
-            "rho_loss": self.rho_loss,
-            "error": self.error,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -238,6 +243,32 @@ class ExperimentReport:
     @property
     def final_accuracy(self) -> float:
         return self.records[-1].test_accuracy
+
+
+def check_run(
+    n_rows: int, n_features: int, strategy: str, acq_config: AcquisitionConfig,
+    model_config: ModelConfig, cycles: int, init_labeled: int, test_fraction: float,
+) -> int:
+    """Refuse what run_al would on an n_rows x n_features dataset; returns the test split's size.
+
+    It needs the dataset's shape only, so a config is checked before any data exists.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if cycles < 0:
+        raise ValueError("cycles must be non-negative")
+    if not 0 < test_fraction < 1:
+        raise ValueError("test_fraction must lie in (0, 1)")
+    n_test = int(round(test_fraction * n_rows))
+    n_train = n_rows - n_test
+    if n_test < 1 or n_train < 2:
+        raise ValueError("dataset too small for the requested test fraction")
+    if init_labeled < 1 or init_labeled >= n_train:
+        raise ValueError("init_labeled must be in [1, n_train)")
+    if init_labeled + cycles * acq_config.budget > n_train:
+        raise ValueError("initial labels plus per-cycle budgets exceed the training pool")
+    shared_width(model_config, n_features)
+    return n_test
 
 
 def run_al(
@@ -248,7 +279,7 @@ def run_al(
     cycles: int,
     init_labeled: int,
     rng: Rng,
-    test_fraction: float = 0.2,
+    test_fraction: float = TEST_FRACTION,
 ) -> ExperimentReport:
     """Pool-based acquisition loop with from-scratch retraining each cycle.
 
@@ -258,26 +289,14 @@ def run_al(
     record has no selection. Density-uncertainty correlations come from the
     cycle-0 model.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    if cycles < 0:
-        raise ValueError("cycles must be non-negative")
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    n = dataset.n
-    n_test = int(round(test_fraction * n))
-    if n_test < 1 or n - n_test < 2:
-        raise ValueError("dataset too small for the requested test fraction")
-    perm = rng.derive("split").generator().permutation(n)
+    n_test = check_run(
+        dataset.n, dataset.features.d, strategy, acq_config, model_config, cycles, init_labeled,
+        test_fraction,
+    )
+    perm = rng.derive("split").generator().permutation(dataset.n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
     n_train = train_idx.size
-    if init_labeled < 1 or init_labeled >= n_train:
-        raise ValueError("init_labeled must be in [1, n_train)")
-    if init_labeled + cycles * acq_config.budget > n_train:
-        raise ValueError(
-            "initial labels plus per-cycle budgets exceed the training pool"
-        )
     X_train = dataset.features.rows(train_idx)
     y_train = dataset.labels[train_idx]
     X_test = dataset.features.rows(test_idx)

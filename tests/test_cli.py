@@ -1,17 +1,35 @@
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dacs.cli
 import dacs.core
-from dacs.cli import COMPARE_MAX_ROWS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main, run_config_grid
-from dacs.config import RunConfig, parse_run_config
-from dacs.core import DegenerateInputError, DivergenceError, FeatureMatrix, Rng
+from dacs.cli import (
+    COMPARE_MAX_ROWS,
+    EXIT_DIVERGED,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+    run_config_grid,
+)
+from dacs.config import (
+    RunConfig,
+    acquisition_config,
+    dataset_from_config,
+    dataset_rows,
+    parse_run_config,
+    run_settings,
+)
+from dacs.core import AcquisitionConfig, DegenerateInputError, DivergenceError, FeatureMatrix, Rng
 from dacs.density import lsh_assign, lsh_density
 from dacs.formats import ParseError, read_embeddings, write_embeddings, write_embeddings_csv
+from dacs.model import ModelConfig
+from dacs.simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE
 
 
 def unit(a):
@@ -48,7 +66,7 @@ class TestParseRunConfig:
             "strategies = dacs, random\n"
             "seeds = 4, 5\n"
             "lr_decay = off\n"
-            "hidden = 8\n"
+            "hidden = 24\n"  # wider than the default reduced_dim 16
         )
         config = parse_run_config(path)
         assert config.classes == 3
@@ -56,7 +74,7 @@ class TestParseRunConfig:
         assert config.strategies == ["dacs", "random"]
         assert config.seeds == [4, 5]
         assert config.lr_decay is False
-        assert config.hidden == 8
+        assert config.hidden == 24
         assert config.dim == 32  # untouched default
 
     def test_unknown_key_names_the_line(self, tmp_path):
@@ -99,6 +117,26 @@ class TestParseRunConfig:
         path.write_text(line + "\n")
         with pytest.raises(ParseError):
             parse_run_config(path)
+
+    def test_defaults_are_the_engines(self, pool_file):
+        acq, model = AcquisitionConfig(budget=5), ModelConfig(n_classes=5)
+        settings = run_settings(RunConfig(), 6000)
+        assert settings["acq_config"] == replace(acq, budget=settings["acq_config"].budget)
+        assert settings["model_config"] == model
+        pool, _ = pool_file
+        args = build_parser().parse_args(
+            ["select", "--embeddings", str(pool), "--budget", "5", "--out", "o.json"]
+        )
+        assert acquisition_config(args, args.budget) == acq
+        args = build_parser().parse_args(
+            ["density", "--embeddings", str(pool), "--mode", "lsh", "--out", "o.csv"]
+        )
+        assert args.buckets == acq.n_buckets
+
+    @pytest.mark.parametrize("dataset", [GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE])
+    def test_row_count_is_the_generated_datasets(self, dataset):
+        config = RunConfig(dataset=dataset, classes=3, per_class=7, dim=4, replication=3)
+        assert dataset_rows(config) == dataset_from_config(config).n
 
     def test_env_seed_wins(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"
@@ -307,6 +345,23 @@ class TestDensityCommand:
         assert f"at most {COMPARE_MAX_ROWS} rows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_is_refused_in_exact_mode(self, pool_file, tmp_path, capsys):
+        pool, _ = pool_file
+        out = tmp_path / "density.csv"
+        code = main(
+            [
+                "density",
+                "--embeddings", str(pool),
+                "--mode", "exact",
+                "--knn", "2",
+                "--compare",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "--compare needs --mode lsh" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lsh_mode_with_rank_agreement(self, pool_file, tmp_path, capsys):
         pool, _ = pool_file
         out = tmp_path / "density.csv"
@@ -463,10 +518,17 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("buckets", 3, "n_buckets must be a positive even integer"),
+            # the key the user wrote, not the engine's field name
+            ("buckets", 3, "bad engine setting: buckets must be a positive even integer"),
+            ("breaks", 0, "bad engine setting: breaks must be at least 1"),
             ("temperature", -1, "temperature must be positive"),
             ("epochs", 0, "epochs must be positive"),
             ("stop_epoch", 5, "stop_epoch must lie in"),  # epochs = 4
+            # refused by run_al, init_model or the generator on the data
+            ("cycles", 60, "initial labels plus per-cycle budgets exceed the training pool"),
+            ("reduced_dim", 16, "reduced_dim 16 must be smaller than the shared width 8"),
+            ("test_fraction", 0.99, "dataset too small for the requested test fraction"),
+            ("spread", -1, "spread and separation must be non-negative"),
         ],
     )
     def test_engine_rejects_are_refused_before_any_output(
