@@ -56,7 +56,7 @@ from .selection import (
     check_budget,
     select,
 )
-from .simulate import SyntheticDataset, run_al
+from .simulate import SyntheticDataset, run_lockstep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,6 +96,11 @@ def _json_safe(value):
 
 
 def cmd_select(args) -> int:
+    if args.scores and args.strategy not in SCORED_STRATEGIES:
+        raise ParseError(
+            f"--scores is read by --strategy {' or '.join(SCORED_STRATEGIES)} only;"
+            f" {args.strategy} does not use it"
+        )
     embeddings = _load_embeddings(args, normalize=True)
     labeled = read_index_file(args.labeled) if args.labeled else []
     pool = make_pool(embeddings.n, labeled)
@@ -132,10 +137,15 @@ def cmd_select(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.compare and args.mode == "exact":
-        raise ParseError(
-            "--compare needs --mode lsh: it ranks the hashed density against exact k-NN"
-        )
+    given = getattr(args, "given", frozenset())
+    for flag, was_given, mode in (  # each flag that one mode reads, and that mode
+        ("--compare", args.compare, "lsh"),
+        ("--buckets", "buckets" in given, "lsh"),
+        ("--seed", args.seed is not None, "lsh"),
+        ("--metric", "metric" in given, "exact"),
+    ):
+        if was_given and mode != args.mode:
+            raise ParseError(f"{flag} needs --mode {mode}: --mode {args.mode} does not use it")
     embeddings = _load_embeddings(args, normalize=args.mode == "lsh")
     if args.compare and embeddings.n > COMPARE_MAX_ROWS:
         raise ParseError(
@@ -171,12 +181,36 @@ class _Grid:
     dataset: SyntheticDataset
     settings: dict  # run_al's keyword arguments, from run_settings
 
-    def run(self, strategy: str, seed: int):
-        """The run's ExperimentReport, or the message of its DivergenceError."""
-        try:
-            return run_al(self.dataset, strategy, rng=Rng(seed), **self.settings)
-        except DivergenceError as exc:
-            return str(exc)
+    def run_group(self, jobs) -> list:
+        """Run (strategy, seed) jobs in lockstep; returns (outcome, error, warnings) per job.
+
+        The outcome is the run's ExperimentReport or the message of its
+        DivergenceError; error is any other exception the run raised. The
+        warnings are every warning the run raised (one raised in a stacked
+        training step counts for the lowest job of the stack), recorded
+        whatever the filters say, so that _warn_again lets the caller's
+        filters judge them in job order.
+        """
+        caught = [[] for _ in jobs]
+
+        @contextlib.contextmanager
+        def recording(i):
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                yield
+            caught[i].extend((w.message, w.category, w.filename, w.lineno) for w in log)
+
+        runs = [(strategy, Rng(seed)) for strategy, seed in jobs]
+        outcomes = run_lockstep(self.dataset, runs, scope=recording, **self.settings)
+        results = []
+        for outcome, log in zip(outcomes, caught):
+            if isinstance(outcome, DivergenceError):
+                results.append((str(outcome), None, log))
+            elif isinstance(outcome, Exception):
+                results.append((None, outcome, log))
+            else:
+                results.append((outcome, None, log))
+        return results
 
 
 # The grid a worker process serves; set in the worker only, by _start_grid_worker.
@@ -189,22 +223,14 @@ def _start_grid_worker(grid: _Grid) -> None:
     _enter_worker_process()
 
 
-def _grid_job(job):
-    """Run one (strategy, seed) job of _worker_grid in a worker process.
-
-    Returns (outcome, error, warnings): the outcome of _Grid.run, or else
-    error = (exception, its formatted traceback); and every warning the run
-    raised, recorded whatever the filters say, so that the parent's filters
-    judge them.
-    """
-    outcome = error = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outcome = _worker_grid.run(*job)
-        except Exception as exc:  # re-raised by the parent, after the run's warnings
-            error = (exc, traceback.format_exc())
-    return outcome, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+def _grid_group(jobs) -> list:
+    """_Grid.run_group of _worker_grid, in a worker process; each error comes with its traceback."""
+    results = []
+    for outcome, error, caught in _worker_grid.run_group(jobs):
+        if error is not None:
+            error = (error, "".join(traceback.format_exception(error)))
+        results.append((outcome, error, caught))
+    return results
 
 
 class _WorkerTraceback(Exception):
@@ -215,11 +241,11 @@ class _WorkerTraceback(Exception):
 
 
 def _warn_again(message, category, filename: str, lineno: int) -> None:
-    """Issue a worker's warning under this process's filters, from its origin.
+    """Issue a run's recorded warning under this process's filters, from its origin.
 
     The origin's module name and registry are what warnings.warn would have
     used there, so module filters and once-per-location actions behave as
-    they do for a run on this process.
+    they do for a warning raised in place.
     """
     module = next(
         (name for name, m in list(sys.modules.items()) if getattr(m, "__file__", None) == filename),
@@ -230,15 +256,16 @@ def _warn_again(message, category, filename: str, lineno: int) -> None:
 
 
 def _grid_outcomes(grid: _Grid, jobs):
-    """Yield (strategy, seed, outcome of _Grid.run) for each job, in job order.
+    """Yield (strategy, seed, outcome) for each job, in job order; outcome as in _Grid.run_group.
 
-    The jobs are independent, so they run on min(_worker_count(), len(jobs))
-    worker processes forked from this one, which hands them the dataset
-    without pickling it; with one worker they run here, one after another.
-    _worker_count() is above 1 only when BLAS runs one thread, so no BLAS
-    threads are alive at the fork. A worker's warnings are issued here, and
-    its error raised here, when its job's turn comes, so the caller sees what
-    a run on this process would show, in the same order.
+    The jobs are dealt round-robin, in job order, into min(_worker_count(),
+    len(jobs)) groups, and each group trains its runs in lockstep. Each group
+    runs on its own worker process forked from this one, which hands it the
+    dataset without pickling it; one group runs here. _worker_count() is
+    above 1 only when BLAS runs one thread, so no BLAS threads are alive at
+    the fork. A run's warnings are issued here, and its error raised here,
+    when its job's turn comes, so the caller sees what running the jobs one
+    after another on this process would show, in the same order.
     """
     workers = min(_worker_count(), len(jobs))
     if workers > 1:
@@ -246,30 +273,33 @@ def _grid_outcomes(grid: _Grid, jobs):
 
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
-    if workers <= 1:
-        for strategy, seed in jobs:
-            yield strategy, seed, grid.run(strategy, seed)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_grid_worker,
-        initargs=(grid,),
-    )
+    pool = None
     try:
-        futures = [pool.submit(_grid_job, job) for job in jobs]
-        for (strategy, seed), future in zip(jobs, futures):
-            outcome, error, caught = future.result()
+        if workers <= 1:
+            results = grid.run_group(jobs)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_grid_worker,
+                initargs=(grid,),
+            )
+            futures = [pool.submit(_grid_group, jobs[g::workers]) for g in range(workers)]
+            results = (futures[j % workers].result()[j // workers] for j in range(len(jobs)))
+        for (strategy, seed), (outcome, error, caught) in zip(jobs, results):
             for warning in caught:
                 _warn_again(*warning)
-            if error is not None:
+            if isinstance(error, tuple):  # a worker's, with its formatted traceback
                 exc, tb = error
                 raise exc from _WorkerTraceback(tb)
+            if error is not None:
+                raise error
             yield strategy, seed, outcome
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_config_grid(config: RunConfig, out_dir: str):
@@ -320,6 +350,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _NoteGiven(argparse.Action):
+    """Store the value and add the flag's dest to args.given: a mode that ignores it refuses it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dacs", description="Density-aware core-set selection toolkit"
@@ -329,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     pool_flags = argparse.ArgumentParser(add_help=False)
     pool_flags.add_argument("--embeddings", required=True)
     pool_flags.add_argument("--format", choices=[FORMAT_BINARY, FORMAT_CSV], default=FORMAT_BINARY)
-    pool_flags.add_argument("--buckets", type=int, default=AcquisitionConfig.n_buckets)
+    pool_flags.add_argument(
+        "--buckets", type=int, default=AcquisitionConfig.n_buckets, action=_NoteGiven
+    )
     pool_flags.add_argument("--seed", type=int, default=None)
     pool_flags.add_argument("--out", required=True)
 
@@ -350,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_density = sub.add_parser("density", parents=[pool_flags], help="estimate per-sample density")
     p_density.add_argument("--mode", choices=["exact", "lsh"], required=True)
     p_density.add_argument("--knn", type=int, default=20)
-    p_density.add_argument("--metric", choices=[METRIC_EUCLIDEAN, METRIC_COSINE], default=METRIC_EUCLIDEAN)
+    p_density.add_argument(
+        "--metric", choices=[METRIC_EUCLIDEAN, METRIC_COSINE], default=METRIC_EUCLIDEAN,
+        action=_NoteGiven, help="--mode exact only",
+    )
     p_density.add_argument(
         "--compare", action="store_true",
         help="--mode lsh only (refused with --mode exact): also run the exact oracle and"

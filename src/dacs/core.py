@@ -264,11 +264,13 @@ def make_pool(n_total: int, initial_labeled) -> PoolState:
     lab = np.asarray(initial_labeled, dtype=np.int64).ravel()
     if lab.size and (lab.min() < 0 or lab.max() >= n_total):
         raise ValueError("labeled index out of range")
-    if np.unique(lab).size != lab.size:
+    labeled = np.zeros(n_total, bool)
+    labeled[lab] = True
+    if np.count_nonzero(labeled) != lab.size:
         raise ValueError("labeled indices contain duplicates")
-    lab = np.sort(lab)
-    unlab = np.setdiff1d(np.arange(n_total, dtype=np.int64), lab)
-    return PoolState(n_total=n_total, labeled=lab, unlabeled=unlab, cycle=0)
+    return PoolState(
+        n_total=n_total, labeled=np.flatnonzero(labeled), unlabeled=np.flatnonzero(~labeled)
+    )
 
 
 def commit_acquisition(pool: PoolState, selected) -> PoolState:
@@ -276,17 +278,34 @@ def commit_acquisition(pool: PoolState, selected) -> PoolState:
     sel = np.asarray(selected, dtype=np.int64).ravel()
     if sel.size == 0:
         raise ValueError("selection is empty")
-    if np.unique(sel).size != sel.size:
+    # Masks over range(n_total) replace sorted set operations. An index
+    # outside that range is in no mask (a negative one must not wrap), so it
+    # is checked for duplicates on its own and fails the pool check.
+    inside = (sel >= 0) & (sel < pool.n_total)
+    picked = np.zeros(pool.n_total, bool)
+    picked[sel[inside]] = True
+    if np.count_nonzero(picked) + np.unique(sel[~inside]).size != sel.size:
         raise ValueError("selection contains duplicates")
-    if not np.all(np.isin(sel, pool.unlabeled)):
-        bad = sel[~np.isin(sel, pool.unlabeled)][0]
-        raise ValueError(f"index {bad} is not in the unlabeled pool")
+    unlabeled = np.zeros(pool.n_total, bool)
+    unlabeled[pool.unlabeled] = True
+    in_pool = np.zeros(sel.size, bool)
+    in_pool[inside] = unlabeled[sel[inside]]
+    if not in_pool.all():
+        raise ValueError(f"index {sel[~in_pool][0]} is not in the unlabeled pool")
+    labeled = np.zeros(pool.n_total, bool)
+    labeled[pool.labeled] = True
     return PoolState(
         n_total=pool.n_total,
-        labeled=np.union1d(pool.labeled, sel),
-        unlabeled=np.setdiff1d(pool.unlabeled, sel),
+        labeled=np.flatnonzero(labeled | picked),
+        unlabeled=np.flatnonzero(unlabeled & ~picked),
         cycle=pool.cycle + 1,
     )
+
+
+def check_bucket_count(k: int) -> None:
+    """The one rule for a hash bucket count: a positive even integer."""
+    if k < 2 or k % 2 != 0:
+        raise ValueError(f"buckets must be a positive even integer, got {k}")
 
 
 # Window rule for hashed density: each chunk also looks at the preceding chunk.
@@ -320,8 +339,7 @@ class AcquisitionConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.n_buckets < 2 or self.n_buckets % 2 != 0:
-            raise ValueError("n_buckets must be a positive even integer")
+        check_bucket_count(self.n_buckets)
         if self.n_breaks < 1:
             raise ValueError("n_breaks must be at least 1")
         if not self.temperature > 0:

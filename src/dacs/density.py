@@ -24,6 +24,7 @@ from .core import (
     Rng,
     _parallel_ranges,
     _readonly,
+    check_bucket_count,
 )
 
 METRIC_EUCLIDEAN = "euclidean"
@@ -157,8 +158,7 @@ def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
     """
     if not x.unit_norm:
         raise ValueError("bucket hashing requires unit-norm features; normalize first")
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"bucket count must be a positive even integer, got {k}")
+    check_bucket_count(k)
     stream = rng.derive("rotation")
     rotation = stream.generator().standard_normal((x.d, k // 2))
     bucket_ids = _assign_buckets(x.data, rotation)

@@ -123,18 +123,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _unit_rows(U: np.ndarray):
     """Returns (U / |u| per row, divisor per row, bad-row mask or None).
 
-    A row without a usable direction (zero norm, or a norm that overflowed)
-    parks on the first axis so the embedding stays exactly unit-norm; its
-    divisor is 1. The norm is np.linalg.norm's, computed the same way.
+    Rows lie along the last axis, under any leading axes. A row without a
+    usable direction (zero norm, or a norm that overflowed) parks on the first
+    axis so the embedding stays exactly unit-norm; its divisor is 1. The norm
+    is np.linalg.norm's, computed the same way.
     """
-    norms = np.sqrt(np.add.reduce(U * U, axis=1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(U * U, axis=-1, keepdims=True))
     if np.minimum.reduce(norms, axis=None) > 0.0 and np.maximum.reduce(norms, axis=None) < np.inf:
         return U / norms, norms, None
     bad = ~np.isfinite(norms) | (norms == 0.0)
     safe = np.where(bad, 1.0, norms)
     Z = U / safe
-    bad_rows = bad.ravel()
-    Z[bad_rows, :] = 0.0
+    bad_rows = bad[..., 0]
+    Z[bad_rows] = 0.0
     Z[bad_rows, 0] = 1.0
     return Z, safe, bad_rows
 
@@ -161,7 +162,14 @@ def loss_and_grads(
     shared trunk (the gradient stop); the auxiliary head's own parameters
     always learn.
 
-    Both heads live in one (2, B, C) block, main logits first, so one
+    Any leading axes stack independent models: with K models every
+    parameter and gradient carries a leading K axis, X is (K, B, d), y is
+    (K, B), and the loss is one value per model. matmul calls BLAS once per
+    stacked slice with the strides of the one-model call, and every
+    elementwise op and reduction runs within one model, so each model's
+    results are bit for bit those of its own call.
+
+    Both heads live in one (2, ..., B, C) block, main logits first, so one
     log-softmax, one exp and one flat-index take serve both losses, while
     each head stays a contiguous (B, C) matrix: a strided head view can send
     a matrix-vector product down a different BLAS path and move last bits.
@@ -169,18 +177,23 @@ def loss_and_grads(
     (the auxiliary head scaled by lambda_aux, then both divided by B), so
     results are bit for bit those of computing the heads apart.
     """
-    B = X.shape[0]
-    T = np.tanh(X @ params["trunk_w"] + params["trunk_b"]) if hidden else X
-    n_classes = params["main_b"].size
-    logits = np.empty((2, B, n_classes))
+    B = X.shape[-2]
+    T = np.tanh(X @ params["trunk_w"] + params["trunk_b"][..., None, :]) if hidden else X
+    n_classes = params["main_b"].shape[-1]
+    logits = np.empty((2,) + y.shape + (n_classes,))
     np.matmul(T, params["main_w"], out=logits[0])
     Z, norms, bad_rows = _unit_rows(T @ params["proj_w"])
     np.matmul(Z, params["aux_w"], out=logits[1])
-    logits += np.array((params["main_b"], params["aux_b"]))[:, None]
+    logits += np.array((params["main_b"], params["aux_b"]))[..., None, :]
     log_p = _log_softmax(logits)
-    # flat index of each true-class entry, one row per head
-    pick = np.arange(0, B * n_classes, n_classes) + y + np.array([[0], [B * n_classes]])
-    sums = np.add.reduce(log_p.take(pick), axis=1)
+    # flat index of each true-class entry, one block per head
+    rows = y.size
+    pick = (
+        np.arange(0, rows * n_classes, n_classes).reshape(y.shape)
+        + y
+        + np.array([0, rows * n_classes]).reshape((2,) + (1,) * y.ndim)
+    )
+    sums = np.add.reduce(log_p.take(pick), axis=-1)
     loss = -(sums[0] / B) + lambda_aux * -(sums[1] / B)
 
     G = np.exp(log_p)
@@ -188,31 +201,31 @@ def loss_and_grads(
     G_main, G_aux = G
     G_aux *= lambda_aux
     G /= B
-    np.matmul(T.T, G_main, out=grads["main_w"])
-    np.add.reduce(G_main, axis=0, out=grads["main_b"])
-    np.matmul(Z.T, G_aux, out=grads["aux_w"])
-    np.add.reduce(G_aux, axis=0, out=grads["aux_b"])
-    G_z = G_aux @ params["aux_w"].T
+    np.matmul(T.swapaxes(-1, -2), G_main, out=grads["main_w"])
+    np.add.reduce(G_main, axis=-2, out=grads["main_b"])
+    np.matmul(Z.swapaxes(-1, -2), G_aux, out=grads["aux_w"])
+    np.add.reduce(G_aux, axis=-2, out=grads["aux_b"])
+    G_z = G_aux @ params["aux_w"].swapaxes(-1, -2)
     # d(u/|u|) pulls out the radial component: (g - z <g,z>) / |u|.
-    G_u = (G_z - Z * np.add.reduce(G_z * Z, axis=1, keepdims=True)) / norms
+    G_u = (G_z - Z * np.add.reduce(G_z * Z, axis=-1, keepdims=True)) / norms
     if bad_rows is not None:
-        G_u[bad_rows, :] = 0.0
-    np.matmul(T.T, G_u, out=grads["proj_w"])
+        G_u[bad_rows] = 0.0
+    np.matmul(T.swapaxes(-1, -2), G_u, out=grads["proj_w"])
     if hidden:
-        G_T = G_main @ params["main_w"].T
+        G_T = G_main @ params["main_w"].swapaxes(-1, -2)
         if aux_to_trunk:
-            G_T += G_u @ params["proj_w"].T
+            G_T += G_u @ params["proj_w"].swapaxes(-1, -2)
         G_pre = G_T * (1.0 - T * T)
-        np.matmul(X.T, G_pre, out=grads["trunk_w"])
-        np.add.reduce(G_pre, axis=0, out=grads["trunk_b"])
+        np.matmul(X.swapaxes(-1, -2), G_pre, out=grads["trunk_w"])
+        np.add.reduce(G_pre, axis=-2, out=grads["trunk_b"])
     return loss
 
 
 def _views(flat: np.ndarray, template: dict) -> dict:
-    """Per-name views into flat, laid out in template's order and shapes."""
+    """Per-name views into the last axis of flat, laid out in template's order and shapes."""
     views, at = {}, 0
     for k, v in template.items():
-        views[k] = flat[at : at + v.size].reshape(v.shape)
+        views[k] = flat[..., at : at + v.size].reshape(flat.shape[:-1] + v.shape)
         at += v.size
     return views
 
@@ -223,59 +236,106 @@ def train(
     labels: np.ndarray,
     labeled_indices,
 ) -> ToyModel:
-    """Mini-batch gradient descent on the labeled subset.
+    """Mini-batch gradient descent on the labeled subset: train_stacked for one model.
 
-    Shuffles per epoch from the "batch" stream, decays the learning rate by
-    10x at 80% of epochs when lr_decay is set, and applies the gradient stop
-    after effective_stop_epoch. Returns a new model; raises DivergenceError on
-    a non-finite loss.
+    Returns a new model; raises DivergenceError on a non-finite loss.
     """
-    cfg = model.config
-    lab = np.asarray(labeled_indices, np.int64)
-    if lab.size == 0:
+    (trained,) = train_stacked([model], [features], [labels], [labeled_indices])
+    if isinstance(trained, DivergenceError):
+        raise trained
+    return trained
+
+
+def train_stacked(models: list, features: list, labels: list, labeled: list) -> list:
+    """Train K models in lockstep, each on its own data; returns each trained model.
+
+    Model k trains on features[k] and labels[k] at the rows labeled[k]. Every
+    model has the same config and labeled count, so all K take each step as
+    one stacked step, bit for bit what each would compute alone. Each epoch
+    shuffles every model's rows from its own "batch" stream, decays the
+    learning rate by 10x at 80% of epochs when lr_decay is set, and applies
+    the gradient stop after effective_stop_epoch.
+
+    A model whose loss goes non-finite leaves the stack: its entry is the
+    DivergenceError it would raise alone, and the others go on unchanged.
+    """
+    cfg = models[0].config
+    labs = [np.asarray(lab, np.int64) for lab in labeled]
+    n = labs[0].size
+    if any(m.config != cfg for m in models) or any(lab.size != n for lab in labs):
+        raise ValueError("stacked models need one config and one labeled count")
+    if n == 0:
         raise ValueError("cannot train on an empty labeled set")
-    labels = np.asarray(labels, np.int64)
-    y = labels[lab]
-    if y.min() < 0 or y.max() >= cfg.n_classes:
-        raise ValueError("labels out of range for configured class count")
-    # Parameters and gradients each live in one flat vector, so one update
-    # moves every parameter; the step reads and writes per-name views.
-    flat = np.concatenate([v.ravel() for v in model.params.values()])
+    labels = [np.asarray(y, np.int64) for y in labels]
+    for y, lab in zip(labels, labs):
+        if y[lab].min() < 0 or y[lab].max() >= cfg.n_classes:
+            raise ValueError("labels out of range for configured class count")
+    data = [x.data for x in features]
+    template = models[0].params
+    # Parameters and gradients each live in one (K, P) block, a flat row per
+    # model, so one update moves every parameter of every model; the step
+    # reads and writes per-name (K, ...) views.
+    flat = np.stack([np.concatenate([v.ravel() for v in m.params.values()]) for m in models])
     gflat = np.empty_like(flat)
-    params, grads = _views(flat, model.params), _views(gflat, model.params)
+    params, grads = _views(flat, template), _views(gflat, template)
+    gens = [m.rng.derive("batch").generator() for m in models]
+    active = list(range(len(models)))  # model index of each stack row
+    results: list = [None] * len(models)
+    epoch_losses: list = [[] for _ in models]
     hidden = cfg.hidden is not None
-    gen = model.rng.derive("batch").generator()
     lr = cfg.learning_rate
     decay_at = int(np.floor(0.8 * cfg.epochs))
     stop = cfg.effective_stop_epoch
-    epoch_losses = []
     for epoch in range(cfg.epochs):
         if cfg.lr_decay and cfg.epochs > 1 and epoch == decay_at:
             lr *= 0.1
         # One gather per epoch makes every batch a contiguous slice.
-        order = lab[gen.permutation(lab.size)]
-        X_epoch = y_epoch = None  # free the last epoch's rows: one copy at a time
-        X_epoch, y_epoch = features.data[order], labels[order]
+        X_epoch = None  # free the last epoch's rows: one stack at a time
+        X_epoch = np.empty((len(active), n, data[0].shape[1]))
+        y_epoch = np.empty((len(active), n), np.int64)
+        for row, k in enumerate(active):
+            order = labs[k][gens[k].permutation(n)]
+            np.take(data[k], order, axis=0, out=X_epoch[row])
+            y_epoch[row] = labels[k][order]
         batch_losses = []
-        for start in range(0, lab.size, cfg.batch_size):
+        for start in range(0, n, cfg.batch_size):
             end = start + cfg.batch_size
             loss = loss_and_grads(
                 params,
                 grads,
-                X_epoch[start:end],
-                y_epoch[start:end],
+                X_epoch[:, start:end],
+                y_epoch[:, start:end],
                 cfg.lambda_aux,
                 hidden,
                 aux_to_trunk=epoch < stop,
             )
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} (lr={lr})", epoch=epoch, learning_rate=lr
-                )
+            finite = np.isfinite(loss)
+            if not finite.all():
+                for row in np.flatnonzero(~finite):
+                    results[active[row]] = DivergenceError(
+                        f"non-finite loss at epoch {epoch} (lr={lr})", epoch=epoch, learning_rate=lr
+                    )
+                active = [k for k, ok in zip(active, finite) if ok]
+                if not active:
+                    return results
+                flat, gflat = flat[finite], gflat[finite]
+                X_epoch, y_epoch, loss = X_epoch[finite], y_epoch[finite], loss[finite]
+                batch_losses = [losses[finite] for losses in batch_losses]
+                params, grads = _views(flat, template), _views(gflat, template)
             flat -= lr * gflat
             batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return ToyModel(config=cfg, rng=model.rng, params=params, epoch_losses=epoch_losses)
+        # one contiguous row of batch losses per model, as a lone model has
+        per_model = np.array(batch_losses).T.copy()
+        for row, k in enumerate(active):
+            epoch_losses[k].append(float(np.mean(per_model[row])))
+    for row, k in enumerate(active):
+        results[k] = ToyModel(
+            config=cfg,
+            rng=models[k].rng,
+            params=_views(flat[row], template),
+            epoch_losses=epoch_losses[k],
+        )
+    return results
 
 
 def infer(model: ToyModel, features: FeatureMatrix, labels=None) -> ModelOutputs:

@@ -148,7 +148,11 @@ def kcenter_greedy(
     """
     if not features.unit_norm:
         raise ValueError("greedy k-center requires unit-norm features")
-    cand = np.unique(np.asarray(candidates, np.int64))
+    cand = np.asarray(candidates, np.int64).ravel()
+    # Callers pass strictly increasing candidates, which np.unique (a hash or a
+    # sort) would return unchanged.
+    if np.any(cand[1:] <= cand[:-1]):
+        cand = np.unique(cand)
     ref = np.asarray(reference, np.int64)
     if n_pick < 0:
         raise ValueError("n_pick must be non-negative")

@@ -10,6 +10,7 @@ live in their own key so determinism checks can ignore them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 import warnings
@@ -26,7 +27,16 @@ from .core import (
     make_pool,
 )
 from .density import DensityProfile, pool_density
-from .model import ModelConfig, ModelOutputs, infer, init_model, shared_width, train, uncertainty
+from .model import (
+    ModelConfig,
+    ModelOutputs,
+    infer,
+    init_model,
+    shared_width,
+    train,
+    train_stacked,
+    uncertainty,
+)
 from .selection import STRATEGIES, select
 
 GENERATOR_MIXTURE = "gaussian-mixture"
@@ -245,6 +255,38 @@ class ExperimentReport:
         return self.records[-1].test_accuracy
 
 
+def _density_correlations(
+    pool, out_train: ModelOutputs, out_test: ModelOutputs, acq_config: AcquisitionConfig, rng: Rng
+):
+    """(rho_entropy, rho_loss) of one model, as density_uncertainty_correlation gives them.
+
+    rho_entropy correlates density with entropy over the unlabeled pool,
+    rho_loss with per-sample loss over the test split. Once one is
+    undefined (UndefinedCorrelationError), it and the rest stay None.
+    """
+    rho_entropy = rho_loss = None
+    try:
+        dens_unl = pool_density(
+            out_train.embedding_matrix(), pool.unlabeled, acq_config.n_buckets,
+            rng.derive("rho-unl"), acq_config.window,
+        )
+        out_unl = ModelOutputs(
+            probs=out_train.probs[pool.unlabeled],
+            embeddings=out_train.embeddings[pool.unlabeled],
+            entropy=out_train.entropy[pool.unlabeled],
+        )
+        rho_entropy, _ = density_uncertainty_correlation(out_unl, dens_unl)
+        emb_test = out_test.embedding_matrix()
+        dens_test = pool_density(
+            emb_test, np.arange(emb_test.n, dtype=np.int64), acq_config.n_buckets,
+            rng.derive("rho-test"), acq_config.window,
+        )
+        _, rho_loss = density_uncertainty_correlation(out_test, dens_test)
+    except UndefinedCorrelationError:
+        pass
+    return rho_entropy, rho_loss
+
+
 def check_run(
     n_rows: int, n_features: int, strategy: str, acq_config: AcquisitionConfig,
     model_config: ModelConfig, cycles: int, init_labeled: int, test_fraction: float,
@@ -281,7 +323,108 @@ def run_al(
     rng: Rng,
     test_fraction: float = TEST_FRACTION,
 ) -> ExperimentReport:
-    """Pool-based acquisition loop with from-scratch retraining each cycle.
+    """Pool-based acquisition loop with from-scratch retraining each cycle, for one run.
+
+    This is run_lockstep's one-run case; al_cycles holds the loop.
+
+    Raises what the run raised, a DivergenceError among others.
+    """
+    (outcome,) = run_lockstep(
+        dataset, [(strategy, rng)], acq_config, model_config, cycles, init_labeled, test_fraction
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_lockstep(
+    dataset: SyntheticDataset,
+    runs: list,
+    acq_config: AcquisitionConfig,
+    model_config: ModelConfig,
+    cycles: int,
+    init_labeled: int,
+    test_fraction: float = TEST_FRACTION,
+    scope=contextlib.nullcontext,
+) -> list:
+    """Run the (strategy, rng) runs on one dataset together, a cycle at a time.
+
+    Each run's al_cycles loop is advanced to its next training request; the
+    pending requests that share a model config and a labeled count are
+    trained as one stack by train_stacked, and each run gets its own model
+    back, bit for bit the one it would train alone. A run's timings.train
+    holds its share of the stacked steps.
+
+    Returns each run's ExperimentReport, or the exception it raised (a
+    DivergenceError among others), in run order; one run's failure does not
+    stop the others. Work done for run i runs inside scope(i); a stacked
+    step runs inside the scope of its lowest run.
+    """
+    outcomes: list = [None] * len(runs)
+    pending: dict = {}  # run index -> (its cycle loop, its training request)
+
+    def advance(i, cycle_loop, sent=None):
+        """Run i up to its next request; sent goes in, or is raised there if an exception."""
+        with scope(i):
+            try:
+                if cycle_loop is None:
+                    strategy, rng = runs[i]
+                    cycle_loop = al_cycles(
+                        dataset, strategy, acq_config, model_config, cycles, init_labeled, rng,
+                        test_fraction,
+                    )
+                    request = next(cycle_loop)
+                elif isinstance(sent, Exception):
+                    request = cycle_loop.throw(sent)
+                else:
+                    request = cycle_loop.send(sent)
+            except StopIteration as done:
+                outcomes[i] = done.value
+                return
+            except Exception as exc:  # the run's outcome; the other runs go on
+                outcomes[i] = exc
+                return
+        pending[i] = (cycle_loop, request)
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        stacks: dict = {}
+        for i in sorted(pending):
+            model, _, _, labeled = pending[i][1]
+            stacks.setdefault((model.config, len(labeled)), []).append(i)
+        for members in stacks.values():
+            loops, requests = zip(*(pending.pop(i) for i in members))
+            t0 = time.perf_counter()
+            with scope(members[0]):
+                try:
+                    if len(members) == 1:  # a lone run_al trains through model.train
+                        trained = [train(*requests[0])]
+                    else:
+                        trained = train_stacked(*(list(column) for column in zip(*requests)))
+                except Exception as exc:  # raised in every run of the stack
+                    trained = [exc] * len(members)
+            share = (time.perf_counter() - t0) / len(members)
+            for i, cycle_loop, model in zip(members, loops, trained):
+                advance(i, cycle_loop, model if isinstance(model, Exception) else (model, share))
+    return outcomes
+
+
+def al_cycles(
+    dataset: SyntheticDataset,
+    strategy: str,
+    acq_config: AcquisitionConfig,
+    model_config: ModelConfig,
+    cycles: int,
+    init_labeled: int,
+    rng: Rng,
+    test_fraction: float = TEST_FRACTION,
+):
+    """One run's acquisition loop, as a generator that leaves training to its driver.
+
+    Each cycle it yields (untrained model, training rows, their labels,
+    labeled indices) and receives (trained model, seconds of training to
+    charge the run). It returns the ExperimentReport.
 
     A held-out test split (never visible to acquisition) measures accuracy.
     The report carries one record per trained model: records[t] has the model
@@ -320,33 +463,18 @@ def run_al(
         crng = rng.derive(f"cycle-{t}")
         t0 = time.perf_counter()
         model = init_model(model_config, dataset.features.d, crng.derive("model"))
-        model = train(model, X_train, y_train, pool.labeled)
-        timings["train"] += time.perf_counter() - t0
+        init_s = time.perf_counter() - t0
+        model, train_s = yield model, X_train, y_train, pool.labeled
+        timings["train"] += init_s + train_s
         out_train = infer(model, X_train)
         out_test = infer(model, X_test, labels=y_test)
         accuracy = float((out_test.probs.argmax(axis=1) == y_test).mean())
         embeddings = out_train.embedding_matrix()
         if t == 0:
             t0 = time.perf_counter()
-            try:
-                dens_unl = pool_density(
-                    embeddings, pool.unlabeled, acq_config.n_buckets, crng.derive("rho-unl"),
-                    acq_config.window,
-                )
-                out_unl = ModelOutputs(
-                    probs=out_train.probs[pool.unlabeled],
-                    embeddings=out_train.embeddings[pool.unlabeled],
-                    entropy=out_train.entropy[pool.unlabeled],
-                )
-                rho_entropy, _ = density_uncertainty_correlation(out_unl, dens_unl)
-                emb_test = out_test.embedding_matrix()
-                dens_test = pool_density(
-                    emb_test, np.arange(n_test, dtype=np.int64), acq_config.n_buckets,
-                    crng.derive("rho-test"), acq_config.window,
-                )
-                _, rho_loss = density_uncertainty_correlation(out_test, dens_test)
-            except UndefinedCorrelationError:
-                pass
+            rho_entropy, rho_loss = _density_correlations(
+                pool, out_train, out_test, acq_config, crng
+            )
             timings["density"] += time.perf_counter() - t0
         frac = pool.labeled.size / n_train
         if t == cycles:
@@ -374,6 +502,9 @@ def run_al(
         )
         records.append(record)
         pool = commit_acquisition(pool, result.selected)
+        # The run waits for its next model beside the other runs of its
+        # driver: hold only its data and pool meanwhile, not this cycle's outputs.
+        del model, out_train, out_test, embeddings
     return ExperimentReport(
         strategy=strategy,
         seed=rng.seed,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 import dacs.cli
 import dacs.core
+import dacs.simulate
 from dacs.cli import (
     COMPARE_MAX_ROWS,
     EXIT_DIVERGED,
@@ -286,6 +288,17 @@ class TestSelectCommand:
         assert "requires --scores" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategy", ["coreset", "dacs", "random"])
+    def test_scores_are_refused_where_unused(self, pool_file, tmp_path, capsys, strategy):
+        code, out = self.run_select(
+            pool_file, tmp_path, "--strategy", strategy, "--scores", str(tmp_path / "absent.txt")
+        )
+        assert code == EXIT_USAGE
+        assert f"--scores is read by --strategy combined or entropy-top-b only; {strategy}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         code = main(
             [
@@ -361,6 +374,36 @@ class TestDensityCommand:
         assert code == EXIT_USAGE
         assert "--compare needs --mode lsh" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, flags, message",
+        [
+            ("exact", ["--buckets", "3"], "--buckets needs --mode lsh"),
+            ("exact", ["--buckets", "100"], "--buckets needs --mode lsh"),
+            ("exact", ["--seed", "1"], "--seed needs --mode lsh"),
+            ("lsh", ["--metric", "cosine-distance"], "--metric needs --mode exact"),
+            ("lsh", ["--metric", "euclidean"], "--metric needs --mode exact"),
+        ],
+    )
+    def test_flags_the_mode_ignores_are_refused(
+        self, pool_file, tmp_path, capsys, mode, flags, message
+    ):
+        pool, _ = pool_file
+        out = tmp_path / "density.csv"
+        argv = ["density", "--embeddings", str(pool), "--mode", mode, "--out", str(out)]
+        assert main(argv + flags) == EXIT_USAGE
+        assert f"error: {message}: --mode {mode} does not use it" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_select_and_density_state_one_bucket_rule(self, pool_file, tmp_path, capsys):
+        pool, _ = pool_file
+        common = ["--embeddings", str(pool), "--buckets", "3", "--out", str(tmp_path / "o")]
+        assert main(["select", "--budget", "2", *common]) == EXIT_USAGE
+        from_select = capsys.readouterr().err
+        assert main(["density", "--mode", "lsh", *common]) == EXIT_USAGE
+        from_density = capsys.readouterr().err
+        message = "error: buckets must be a positive even integer, got 3\n"
+        assert from_select == from_density == message
 
     def test_lsh_mode_with_rank_agreement(self, pool_file, tmp_path, capsys):
         pool, _ = pool_file
@@ -445,16 +488,16 @@ def write_sim_config(path, **overrides):
 def check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     write_sim_config(cfg, strategies="random, dacs")
-    real_run_al = dacs.cli.run_al
+    real_cycles = dacs.simulate.al_cycles
 
     def flaky_run_al(dataset, strategy, *args, **kwargs):
         if strategy == "dacs":
             raise DivergenceError(
                 "non-finite loss at epoch 3 (lr=1e+307)", epoch=3, learning_rate=1e307
             )
-        return real_run_al(dataset, strategy, *args, **kwargs)
+        return real_cycles(dataset, strategy, *args, **kwargs)
 
-    monkeypatch.setattr(dacs.cli, "run_al", flaky_run_al)
+    monkeypatch.setattr(dacs.simulate, "al_cycles", flaky_run_al)
     out_dir = tmp_path / "results"
     code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
     assert code == EXIT_DIVERGED
@@ -555,6 +598,20 @@ def grid_outputs(out_dir):
     return (out_dir / "aggregate.csv").read_bytes(), reports
 
 
+def grid_digest(outputs) -> str:
+    """sha256 of grid_outputs: aggregate.csv, then each report in file-name order."""
+    aggregate, reports = outputs
+    h = hashlib.sha256(aggregate)
+    for name in sorted(reports):
+        h.update(name.encode() + reports[name].encode())
+    return h.hexdigest()
+
+
+# grid_digest of the parting grid below, as written when each run trained
+# alone, one after another.
+PARTING_GRID_SHA256 = "0e66c51cecee3123c90fd5a0490b76ec4d0e289a018efed4fe43ac3431ea51de"
+
+
 def force_workers(monkeypatch, workers):
     """Run the next grids on this many processes (no more than they have runs)."""
     monkeypatch.setattr(dacs.cli, "_worker_count", lambda: workers)
@@ -576,6 +633,30 @@ class TestGridWorkers:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
+    def test_runs_whose_labeled_counts_part_ways(self, tmp_path, monkeypatch):
+        # dense-only seed 1 clamps its cycle-2 budget to its densest class (6
+        # rows, not 7), so its last model trains apart from the others' stack
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(
+            cfg, strategies="random, sparse-only, dense-only", seeds="0, 1", breaks=6, cycles=3,
+            budget_fraction=0.1,
+        )
+        outputs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            out_dir = tmp_path / f"workers{workers}"
+            with pytest.warns(UserWarning, match="budget 7 exceeds densest class size 6"):
+                assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+            outputs.append(grid_outputs(out_dir))
+        final = {
+            name: json.loads(report)["records"][-1]["labeled_fraction"]
+            for name, report in outputs[0][1].items()
+        }
+        assert final.pop("dense-only-seed1.json") < min(final.values())
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert grid_digest(outputs[0]) == PARTING_GRID_SHA256
+
     def test_divergence_on_two_workers(self, tmp_path, capsys, monkeypatch):
         force_workers(monkeypatch, 2)
         check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch)
@@ -591,7 +672,7 @@ class TestGridWorkers:
                 f"pid {os.getpid()} workers {dacs.core._worker_count()}", epoch=0, learning_rate=0.0
             )
 
-        monkeypatch.setattr(dacs.cli, "run_al", probe_run_al)
+        monkeypatch.setattr(dacs.simulate, "al_cycles", probe_run_al)
         cfg = tmp_path / "run.cfg"
         write_sim_config(cfg)  # 2 runs, so 2 workers
         _, diverged = run_config_grid(parse_run_config(cfg), str(tmp_path / "results"))
@@ -609,14 +690,14 @@ class TestGridWorkers:
     )
     def test_another_error_in_a_run_is_raised_with_its_type(self, tmp_path, monkeypatch, error):
         force_workers(monkeypatch, 2)
-        real_run_al = dacs.cli.run_al
+        real_cycles = dacs.simulate.al_cycles
 
         def failing_run_al(dataset, strategy, *args, **kwargs):
             if strategy == "dacs":
                 raise error
-            return real_run_al(dataset, strategy, *args, **kwargs)
+            return real_cycles(dataset, strategy, *args, **kwargs)
 
-        monkeypatch.setattr(dacs.cli, "run_al", failing_run_al)
+        monkeypatch.setattr(dacs.simulate, "al_cycles", failing_run_al)
         cfg = tmp_path / "run.cfg"
         write_sim_config(cfg)
         out_dir = tmp_path / "results"

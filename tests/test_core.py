@@ -185,6 +185,32 @@ class TestPool:
         with pytest.raises(ValueError, match="not in the unlabeled pool"):
             commit_acquisition(pool, [2])
 
+    @pytest.mark.parametrize("index", [-1, -10, 10, 11])
+    def test_commit_index_outside_the_pool_rejected(self, index):
+        # a negative index must not wrap around to the end of the pool
+        pool = make_pool(10, [1, 2])
+        with pytest.raises(ValueError, match=f"index {index} is not in the unlabeled pool"):
+            commit_acquisition(pool, [3, index, 2])
+
+    def test_commit_names_the_first_bad_index_in_selection_order(self):
+        pool = make_pool(10, [1, 2])
+        with pytest.raises(ValueError, match="index 12 is not in the unlabeled pool"):
+            commit_acquisition(pool, [3, 12, 2, -1])
+        with pytest.raises(ValueError, match="duplicates"):
+            commit_acquisition(pool, [3, -1, -1])
+
+    def test_commit_matches_sorted_set_operations(self):
+        gen = Rng(0, "pool").generator()
+        pool = make_pool(50, gen.choice(50, 7, replace=False))
+        assert np.array_equal(pool.unlabeled, np.setdiff1d(np.arange(50), pool.labeled))
+        for _ in range(4):
+            sel = gen.choice(pool.unlabeled, 5, replace=False)
+            after = commit_acquisition(pool, sel)
+            assert np.array_equal(after.labeled, np.union1d(pool.labeled, sel))
+            assert np.array_equal(after.unlabeled, np.setdiff1d(pool.unlabeled, sel))
+            assert after.labeled.dtype == after.unlabeled.dtype == np.int64
+            pool = after
+
     def test_commit_duplicate_rejected(self):
         pool = make_pool(10, [1])
         with pytest.raises(ValueError, match="duplicates"):

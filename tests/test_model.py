@@ -15,6 +15,7 @@ from dacs.model import (
     init_model,
     loss_and_grads,
     train,
+    train_stacked,
     uncertainty,
 )
 
@@ -434,6 +435,90 @@ class TestTrainMatchesReference:
         X, y = oracle_data(n=n + 5, d=d, n_classes=n_classes, seed=seed)
         lab = Rng(seed, "lab").generator().permutation(n + 5)[:n]
         assert_train_matches_reference(cfg, X, y, lab, seed=seed)
+
+
+def stack_inputs(cfg, K, n_labeled, d=6, zero_rows_in=None):
+    """K models with their own seeds, features, labels and labeled sets of one size."""
+    models, features, labels, labeled = [], [], [], []
+    for k in range(K):
+        zero_rows = 20 if k == zero_rows_in else 0
+        X, y = oracle_data(n=300, d=d, zero_rows=zero_rows, seed=k)
+        features.append(X)
+        labels.append(y)
+        lab = Rng(k, "lab").generator().permutation(X.n)[:n_labeled]
+        if zero_rows:
+            lab[:5] = np.arange(5)  # train on some of the zero rows
+        labeled.append(lab)
+        models.append(init_model(cfg, d, Rng(100 + k, "model")))
+    return models, features, labels, labeled
+
+
+def assert_same_model(got, want):
+    assert list(got.params) == list(want.params)
+    for key in want.params:
+        assert got.params[key].shape == want.params[key].shape, key
+        assert np.array_equal(got.params[key], want.params[key]), key
+    assert got.epoch_losses == want.epoch_losses
+
+
+class TestTrainStackedMatchesReference:
+    """Each model of a stack is bit-identical to the per-parameter oracle run alone."""
+
+    @pytest.mark.parametrize("K", [2, 3, 7])
+    @pytest.mark.parametrize("n_labeled", [1, 33, 64, 150])
+    @pytest.mark.parametrize("lambda_aux", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("hidden", [None, 8])
+    def test_every_model_matches_its_solo_oracle(self, hidden, lambda_aux, n_labeled, K):
+        cfg = ModelConfig(
+            n_classes=3, reduced_dim=2, hidden=hidden, lambda_aux=lambda_aux, epochs=3
+        )
+        models, features, labels, labeled = stack_inputs(cfg, K, n_labeled)
+        got = train_stacked(models, features, labels, labeled)
+        assert len(got) == K
+        for k in range(K):
+            want = reference_train(models[k], features[k], labels[k], labeled[k])
+            assert_same_model(got[k], want)
+
+    @pytest.mark.parametrize("hidden", [None, 8])
+    def test_zero_norm_projection_rows_in_one_model_only(self, hidden):
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, epochs=4)
+        models, features, labels, labeled = stack_inputs(cfg, 3, 65, zero_rows_in=1)
+        got = train_stacked(models, features, labels, labeled)
+        for k in range(3):
+            want = reference_train(models[k], features[k], labels[k], labeled[k])
+            assert_same_model(got[k], want)
+
+    def test_a_diverging_model_leaves_the_stack(self):
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=5, batch_size=16, lr_decay=False)
+        models, features, labels, labeled = stack_inputs(cfg, 4, 100)
+        # huge features blow up the second model's weights within its first epoch
+        features[1] = FeatureMatrix(features[1].data * 1e200)
+        with np.errstate(all="ignore"):
+            got = train_stacked(models, features, labels, labeled)
+            with pytest.raises(DivergenceError) as alone:
+                reference_train(models[1], features[1], labels[1], labeled[1])
+        assert isinstance(got[1], DivergenceError)
+        assert got[1].epoch == alone.value.epoch == 0
+        assert got[1].learning_rate == alone.value.learning_rate
+        assert str(got[1]) == str(alone.value)
+        for k in (0, 2, 3):
+            want = reference_train(models[k], features[k], labels[k], labeled[k])
+            assert_same_model(got[k], want)
+
+    def test_one_model_is_train(self):
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=8, epochs=3)
+        models, features, labels, labeled = stack_inputs(cfg, 1, 70)
+        (got,) = train_stacked(models, features, labels, labeled)
+        assert_same_model(got, train(models[0], features[0], labels[0], labeled[0]))
+
+    def test_a_stack_needs_one_config_and_one_labeled_count(self):
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=1)
+        models, features, labels, labeled = stack_inputs(cfg, 2, 40)
+        with pytest.raises(ValueError, match="one labeled count"):
+            train_stacked(models, features, labels, [labeled[0], labeled[1][:30]])
+        other = init_model(ModelConfig(n_classes=3, reduced_dim=2, epochs=2), 6, Rng(0, "m"))
+        with pytest.raises(ValueError, match="one config"):
+            train_stacked([models[0], other], features, labels, labeled)
 
 
 class TestConfig:

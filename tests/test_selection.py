@@ -207,6 +207,25 @@ class TestKcenterBruteForce:
         assert_matches_brute_force(np.arange(n_ref, 10), np.arange(n_ref), 10 - n_ref, X)
 
 
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_sorted_candidates_skip_the_unique_pass(self, monkeypatch, with_ref):
+        X = tied_sphere_rows(7, 40, 4, 9, lattice=False)
+        cand, ref = np.arange(5, 40, 2), (np.arange(5) if with_ref else [])
+        want = kcenter_greedy(cand[::-1].tolist() + [7, 9], ref, 12, X)  # takes np.unique
+        calls = []
+        real_unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        got = kcenter_greedy(cand, ref, 12, X)
+        monkeypatch.undo()
+        assert calls == []
+        assert got == want
+
+
 def force_threads(monkeypatch, workers):
     """Run every parallel kernel call on `workers` threads, however small."""
     monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)

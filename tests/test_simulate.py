@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+
+import dacs.simulate
 
 from dacs.core import (
     AcquisitionConfig,
@@ -22,6 +25,7 @@ from dacs.simulate import (
     gen_near_duplicate,
     near_duplicate_fraction,
     run_al,
+    run_lockstep,
     subset_metrics,
 )
 
@@ -214,11 +218,17 @@ class TestDensityUncertaintyCorrelation:
             density_uncertainty_correlation(out, self.profile([1.0, 2.0, 3.0]))
 
 
-def small_run(strategy, seed=0, cycles=2, budget=6, data_seed=0):
+def small_settings(cycles=2, budget=6, data_seed=0):
+    """The dataset and run_al settings of small_run."""
     ds = gen_gaussian_mixture(3, 40, 8, 1.0, 2.2, Rng(data_seed, "sim"))
     acq = AcquisitionConfig(budget=budget, n_buckets=4, n_breaks=2)
     model = ModelConfig(n_classes=3, reduced_dim=4, epochs=8, batch_size=32)
-    return run_al(ds, strategy, acq, model, cycles=cycles, init_labeled=6, rng=Rng(seed, "al"))
+    return ds, {"acq_config": acq, "model_config": model, "cycles": cycles, "init_labeled": 6}
+
+
+def small_run(strategy, seed=0, cycles=2, budget=6, data_seed=0):
+    ds, settings = small_settings(cycles, budget, data_seed)
+    return run_al(ds, strategy, rng=Rng(seed, "al"), **settings)
 
 
 def without_timings(report) -> str:
@@ -320,3 +330,55 @@ class TestRunAl:
             run_al(ds, "random", acq, model, 1, 0, Rng(0, "al"))
         with pytest.raises(ValueError, match="cycles"):
             run_al(ds, "random", acq, model, -1, 2, Rng(0, "al"))
+
+
+class TestRunLockstep:
+    """Runs advanced together give each run the report it gets alone."""
+
+    RUNS = [("dacs", 0), ("random", 1), ("coreset", 0), ("dacs", 2), ("entropy-top-b", 1)]
+
+    def test_every_run_reports_as_alone(self):
+        ds, settings = small_settings()
+        runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS]
+        outcomes = run_lockstep(ds, runs, **settings)
+        for (strategy, seed), report in zip(self.RUNS, outcomes):
+            assert without_timings(report) == without_timings(small_run(strategy, seed=seed))
+            assert report.timings["train"] > 0.0
+
+    def test_a_failing_run_leaves_the_others_alone(self, monkeypatch):
+        ds, settings = small_settings()
+        real_cycles = dacs.simulate.al_cycles
+
+        def failing_after_one_cycle(dataset, strategy, *args, **kwargs):
+            cycle_loop = real_cycles(dataset, strategy, *args, **kwargs)
+            request = next(cycle_loop)
+            for cycle in range(settings["cycles"] + 1):
+                if strategy == "random" and cycle == 1:
+                    raise ZeroDivisionError("boom")
+                try:
+                    request = cycle_loop.send((yield request))
+                except StopIteration as done:
+                    return done.value
+
+        monkeypatch.setattr(dacs.simulate, "al_cycles", failing_after_one_cycle)
+        runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS]
+        outcomes = run_lockstep(ds, runs, **settings)
+        monkeypatch.undo()
+        assert isinstance(outcomes[1], ZeroDivisionError)
+        for i in (0, 2, 3, 4):
+            strategy, seed = self.RUNS[i]
+            assert without_timings(outcomes[i]) == without_timings(small_run(strategy, seed=seed))
+
+    def test_work_runs_in_the_scope_of_its_run(self):
+        ds, settings = small_settings(cycles=1)
+        entered = []
+
+        def scope(i):
+            entered.append(i)
+            return contextlib.nullcontext()
+
+        runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS[:3]]
+        run_lockstep(ds, runs, scope=scope, **settings)
+        # start each run, one stacked step per cycle in the lowest run's
+        # scope, then each run to its next request or its end
+        assert entered == [0, 1, 2, 0, 0, 1, 2, 0, 0, 1, 2]
