@@ -51,7 +51,13 @@ from .formats import (
 from .selection import (
     SCORED_STRATEGIES,
     STRATEGIES,
+    STRATEGY_COMBINED,
+    STRATEGY_CORESET,
     STRATEGY_DACS,
+    STRATEGY_DENSE_ONLY,
+    STRATEGY_ENTROPY,
+    STRATEGY_RANDOM,
+    STRATEGY_SPARSE_ONLY,
     UncertaintyScores,
     check_budget,
     select,
@@ -65,6 +71,19 @@ EXIT_DIVERGED = 3
 # Largest pool `density --compare` accepts: its exact k-NN oracle is quadratic
 # in the row count.
 COMPARE_MAX_ROWS = 20_000
+# The select flags each strategy reads beyond the pool, budget and seed; a
+# strategy refuses any other of them. The region strategies split by
+# selection.REGION_BREAKS and spend their budget without temperature.
+_DACS_FLAGS = ("buckets", "breaks", "temperature", "window")
+_STRATEGY_FLAGS = {
+    STRATEGY_RANDOM: (),
+    STRATEGY_CORESET: (),
+    STRATEGY_DACS: _DACS_FLAGS,
+    STRATEGY_SPARSE_ONLY: ("buckets", "window"),
+    STRATEGY_DENSE_ONLY: ("buckets", "window"),
+    STRATEGY_COMBINED: _DACS_FLAGS + ("scores",),
+    STRATEGY_ENTROPY: ("scores",),
+}
 
 
 def _load_embeddings(args, normalize: bool) -> FeatureMatrix:
@@ -96,11 +115,14 @@ def _json_safe(value):
 
 
 def cmd_select(args) -> int:
-    if args.scores and args.strategy not in SCORED_STRATEGIES:
-        raise ParseError(
-            f"--scores is read by --strategy {' or '.join(SCORED_STRATEGIES)} only;"
-            f" {args.strategy} does not use it"
-        )
+    given = getattr(args, "given", frozenset())
+    for dest in ("scores", *_DACS_FLAGS):
+        if dest in given and dest not in _STRATEGY_FLAGS[args.strategy]:
+            readers = [s for s, flags in _STRATEGY_FLAGS.items() if dest in flags]
+            raise ParseError(
+                f"--{dest} is read by --strategy {' or '.join(readers)} only;"
+                f" {args.strategy} does not use it"
+            )
     embeddings = _load_embeddings(args, normalize=True)
     labeled = read_index_file(args.labeled) if args.labeled else []
     pool = make_pool(embeddings.n, labeled)
@@ -138,14 +160,16 @@ def cmd_select(args) -> int:
 
 def cmd_density(args) -> int:
     given = getattr(args, "given", frozenset())
-    for flag, was_given, mode in (  # each flag that one mode reads, and that mode
-        ("--compare", args.compare, "lsh"),
-        ("--buckets", "buckets" in given, "lsh"),
-        ("--seed", args.seed is not None, "lsh"),
-        ("--metric", "metric" in given, "exact"),
+    lsh, exact = args.mode == "lsh", args.mode == "exact"
+    for flag, was_given, read, needs in (  # each flag, whether this run reads it, and when it does
+        ("--compare", args.compare, lsh, "--mode lsh"),
+        ("--buckets", "buckets" in given, lsh, "--mode lsh"),
+        ("--seed", args.seed is not None, lsh, "--mode lsh"),
+        ("--metric", "metric" in given, exact, "--mode exact"),
+        ("--knn", "knn" in given, exact or args.compare, "--mode exact or --compare"),
     ):
-        if was_given and mode != args.mode:
-            raise ParseError(f"{flag} needs --mode {mode}: --mode {args.mode} does not use it")
+        if was_given and not read:
+            raise ParseError(f"{flag} needs {needs}: --mode {args.mode} does not use it")
     embeddings = _load_embeddings(args, normalize=args.mode == "lsh")
     if args.compare and embeddings.n > COMPARE_MAX_ROWS:
         raise ParseError(
@@ -351,7 +375,7 @@ def cmd_simulate(args) -> int:
 
 
 class _NoteGiven(argparse.Action):
-    """Store the value and add the flag's dest to args.given: a mode that ignores it refuses it."""
+    """Store the value and add the flag's dest to args.given: a run that ignores it refuses it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
@@ -379,17 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--labeled", help="file of labeled indices, one per line")
     p_select.add_argument("--budget", type=int, required=True)
     p_select.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_DACS)
-    p_select.add_argument("--scores", help="per-sample uncertainty file (combined, entropy-top-b)")
-    p_select.add_argument("--breaks", type=int, default=AcquisitionConfig.n_breaks)
-    p_select.add_argument("--temperature", type=float, default=AcquisitionConfig.temperature)
-    p_select.add_argument("--expand-factor", type=float, default=AcquisitionConfig.expand_factor)
-    p_select.add_argument("--window", default=AcquisitionConfig.window)
-    p_select.add_argument("--reference", default=AcquisitionConfig.reference)
+    p_select.add_argument(
+        "--scores", action=_NoteGiven, help="per-sample uncertainty file (combined, entropy-top-b)"
+    )
+    p_select.add_argument(
+        "--breaks", type=int, default=AcquisitionConfig.n_breaks, action=_NoteGiven
+    )
+    p_select.add_argument(
+        "--temperature", type=float, default=AcquisitionConfig.temperature, action=_NoteGiven
+    )
+    p_select.add_argument("--window", default=AcquisitionConfig.window, action=_NoteGiven)
     p_select.set_defaults(func=cmd_select)
 
     p_density = sub.add_parser("density", parents=[pool_flags], help="estimate per-sample density")
     p_density.add_argument("--mode", choices=["exact", "lsh"], required=True)
-    p_density.add_argument("--knn", type=int, default=20)
+    p_density.add_argument(
+        "--knn", type=int, default=20, action=_NoteGiven, help="--mode exact or --compare only"
+    )
     p_density.add_argument(
         "--metric", choices=[METRIC_EUCLIDEAN, METRIC_COSINE], default=METRIC_EUCLIDEAN,
         action=_NoteGiven, help="--mode exact only",

@@ -54,18 +54,12 @@ class RunConfig:
     buckets: int = AcquisitionConfig.n_buckets
     breaks: int = AcquisitionConfig.n_breaks
     temperature: float = AcquisitionConfig.temperature
-    expand_factor: float = AcquisitionConfig.expand_factor
     window: str = AcquisitionConfig.window
-    reference: str = AcquisitionConfig.reference
     # learner
     reduced_dim: int = ModelConfig.reduced_dim
-    hidden: int = 0  # 0 = no shared trunk
-    lambda_aux: float = ModelConfig.lambda_aux
     epochs: int = ModelConfig.epochs
-    stop_epoch: int = -1  # -1 = 60% of epochs
     batch_size: int = ModelConfig.batch_size
     learning_rate: float = ModelConfig.learning_rate
-    lr_decay: bool = ModelConfig.lr_decay
 
 
 def env_seed() -> int | None:
@@ -79,25 +73,8 @@ def env_seed() -> int | None:
         raise ParseError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"{raw!r} is not a boolean")
-
-
 def _parse_str_list(raw: str) -> list:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
-_CASTERS = {
-    int: int,
-    float: float,
-    str: str,
-    bool: _parse_bool,
-}
 
 
 def parse_run_config(path) -> RunConfig:
@@ -124,9 +101,8 @@ def parse_run_config(path) -> RunConfig:
                     value = _parse_str_list(raw)
                 elif key == "seeds":
                     value = [int(tok) for tok in _parse_str_list(raw)]
-                else:
-                    current = getattr(config, key)
-                    value = _CASTERS[type(current)](raw)
+                else:  # int, float or str, as the key's default
+                    value = type(getattr(config, key))(raw)
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad value for {key!r}: {exc}") from exc
             setattr(config, key, value)
@@ -185,9 +161,7 @@ def acquisition_config(settings, budget: int) -> AcquisitionConfig:
             n_buckets=settings.buckets,
             n_breaks=settings.breaks,
             temperature=settings.temperature,
-            expand_factor=settings.expand_factor,
             window=settings.window,
-            reference=settings.reference,
         )
     except ValueError as exc:
         message = str(exc)
@@ -203,13 +177,9 @@ def run_settings(config: RunConfig, n_rows: int) -> dict:
     model_config = ModelConfig(
         n_classes=config.classes,
         reduced_dim=config.reduced_dim,
-        hidden=config.hidden if config.hidden > 0 else None,
-        lambda_aux=config.lambda_aux,
         epochs=config.epochs,
-        stop_epoch=config.stop_epoch if config.stop_epoch >= 0 else None,
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
-        lr_decay=config.lr_decay,
     )
     return {
         "acq_config": acquisition_config(config, budget),

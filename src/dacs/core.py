@@ -311,10 +311,6 @@ def check_bucket_count(k: int) -> None:
 # Window rule for hashed density: each chunk also looks at the preceding chunk.
 WINDOW_WITH_PREVIOUS = "with-previous"
 WINDOW_OWN_CHUNK = "own-chunk-only"
-# Reference set for the per-cluster greedy: labeled plus everything selected so
-# far this acquisition, or labeled plus the current cluster's picks only.
-REFERENCE_GLOBAL = "global"
-REFERENCE_CLUSTER_LOCAL = "cluster-local"
 
 
 @dataclass(frozen=True)
@@ -325,16 +321,14 @@ class AcquisitionConfig:
     n_buckets: hash bucket count (even) for density estimation.
     n_breaks: number of density classes for the natural-breaks split.
     temperature: softmax temperature for inverse-size budget ratios.
-    expand_factor: candidate multiplier for the expand-then-squeeze combiner.
+    window: which chunks a row's hashed density sums over.
     """
 
     budget: int
     n_buckets: int = 100
     n_breaks: int = 4
     temperature: float = 0.25
-    expand_factor: float = 2.0
     window: str = WINDOW_WITH_PREVIOUS
-    reference: str = REFERENCE_GLOBAL
 
     def __post_init__(self):
         if self.budget < 1:
@@ -344,9 +338,5 @@ class AcquisitionConfig:
             raise ValueError("n_breaks must be at least 1")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.expand_factor < 1.0:
-            raise ValueError("expand_factor must be at least 1")
         if self.window not in (WINDOW_WITH_PREVIOUS, WINDOW_OWN_CHUNK):
             raise ValueError(f"unknown window rule {self.window!r}")
-        if self.reference not in (REFERENCE_GLOBAL, REFERENCE_CLUSTER_LOCAL):
-            raise ValueError(f"unknown reference rule {self.reference!r}")

@@ -1,18 +1,15 @@
 """Desk-scale learner: softmax classifier plus a normalized auxiliary projection head.
 
-The main head classifies shared features; the auxiliary head projects them to a
-narrow embedding, L2-normalizes each row, and classifies through that
-bottleneck, so training shapes a unit-sphere embedding the selection engine can
-hash. Total loss is main cross-entropy plus lambda_aux times the auxiliary
-cross-entropy. An optional one-hidden-layer tanh trunk makes the two heads
-share parameters; after stop_epoch the auxiliary gradient no longer flows into
-the shared trunk (the heads' own parameters keep learning).
+Both heads read the raw features. The main head classifies them; the
+auxiliary head projects them to a narrow embedding, L2-normalizes each row,
+and classifies through that bottleneck, so training shapes a unit-sphere
+embedding the selection engine can hash. Total loss is the sum of the two
+cross-entropies. The learning rate drops 10x at 80% of the epochs.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,35 +23,21 @@ UNCERTAINTY_ENTROPY = "entropy"
 class ModelConfig:
     n_classes: int
     reduced_dim: int = 16
-    hidden: int | None = None
-    lambda_aux: float = 1.0
     epochs: int = 24
-    stop_epoch: int | None = None  # None -> 60% of epochs
     batch_size: int = 64
     learning_rate: float = 0.32
-    lr_decay: bool = True
 
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.reduced_dim < 1:
             raise ValueError("reduced_dim must be positive")
-        if self.lambda_aux < 0:
-            raise ValueError("lambda_aux must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.stop_epoch is not None and not 0 <= self.stop_epoch <= self.epochs:
-            raise ValueError("stop_epoch must lie in [0, epochs]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-
-    @property
-    def effective_stop_epoch(self) -> int:
-        if self.stop_epoch is not None:
-            return self.stop_epoch
-        return int(round(0.6 * self.epochs))
 
 
 @dataclass
@@ -78,19 +61,18 @@ class ModelOutputs:
         return FeatureMatrix(self.embeddings, unit_norm=True)
 
 
-def shared_width(config: ModelConfig, n_features: int) -> int:
-    """Width of the features both heads read; reduced_dim must be smaller."""
-    width = config.hidden if config.hidden is not None else n_features
-    if not config.reduced_dim < width:
+def check_reduced_dim(config: ModelConfig, n_features: int) -> None:
+    """The embedding must be narrower than the features both heads read."""
+    if not config.reduced_dim < n_features:
         raise ValueError(
-            f"reduced_dim {config.reduced_dim} must be smaller than the shared width {width}"
+            f"reduced_dim {config.reduced_dim} must be smaller than the feature dimension"
+            f" {n_features}"
         )
-    return width
 
 
 def init_model(config: ModelConfig, n_features: int, rng: Rng) -> ToyModel:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights from the "init" stream, zero biases."""
-    shared_dim = shared_width(config, n_features)
+    check_reduced_dim(config, n_features)
     gen = rng.derive("init").generator()
 
     def uniform(fan_in, shape):
@@ -98,12 +80,9 @@ def init_model(config: ModelConfig, n_features: int, rng: Rng) -> ToyModel:
         return gen.uniform(-bound, bound, size=shape)
 
     params: dict[str, np.ndarray] = {}
-    if config.hidden is not None:
-        params["trunk_w"] = uniform(n_features, (n_features, config.hidden))
-        params["trunk_b"] = np.zeros(config.hidden)
-    params["main_w"] = uniform(shared_dim, (shared_dim, config.n_classes))
+    params["main_w"] = uniform(n_features, (n_features, config.n_classes))
     params["main_b"] = np.zeros(config.n_classes)
-    params["proj_w"] = uniform(shared_dim, (shared_dim, config.reduced_dim))
+    params["proj_w"] = uniform(n_features, (n_features, config.reduced_dim))
     params["aux_w"] = uniform(config.reduced_dim, (config.reduced_dim, config.n_classes))
     params["aux_b"] = np.zeros(config.n_classes)
     return ToyModel(config=config, rng=rng, params=params)
@@ -140,27 +119,16 @@ def _unit_rows(U: np.ndarray):
     return Z, safe, bad_rows
 
 
-def _forward(params: dict, X: np.ndarray, hidden: bool):
+def _forward(params: dict, X: np.ndarray):
     """Returns (main logits, unit embeddings)."""
-    T = np.tanh(X @ params["trunk_w"] + params["trunk_b"]) if hidden else X
-    return T @ params["main_w"] + params["main_b"], _unit_rows(T @ params["proj_w"])[0]
+    return X @ params["main_w"] + params["main_b"], _unit_rows(X @ params["proj_w"])[0]
 
 
-def loss_and_grads(
-    params: dict,
-    grads: dict,
-    X: np.ndarray,
-    y: np.ndarray,
-    lambda_aux: float,
-    hidden: bool,
-    aux_to_trunk: bool,
-):
+def loss_and_grads(params: dict, grads: dict, X: np.ndarray, y: np.ndarray):
     """Combined cross-entropy of one batch; writes its analytic gradients into grads.
 
     grads holds one array per parameter, shaped like it; every entry is
-    overwritten. aux_to_trunk=False cuts the auxiliary gradient path into the
-    shared trunk (the gradient stop); the auxiliary head's own parameters
-    always learn.
+    overwritten.
 
     Any leading axes stack independent models: with K models every
     parameter and gradient carries a leading K axis, X is (K, B, d), y is
@@ -174,15 +142,14 @@ def loss_and_grads(
     each head stays a contiguous (B, C) matrix: a strided head view can send
     a matrix-vector product down a different BLAS path and move last bits.
     Every element goes through the two-head arithmetic in the same order
-    (the auxiliary head scaled by lambda_aux, then both divided by B), so
-    results are bit for bit those of computing the heads apart.
+    (both heads divided by B), so results are bit for bit those of computing
+    the heads apart.
     """
     B = X.shape[-2]
-    T = np.tanh(X @ params["trunk_w"] + params["trunk_b"][..., None, :]) if hidden else X
     n_classes = params["main_b"].shape[-1]
     logits = np.empty((2,) + y.shape + (n_classes,))
-    np.matmul(T, params["main_w"], out=logits[0])
-    Z, norms, bad_rows = _unit_rows(T @ params["proj_w"])
+    np.matmul(X, params["main_w"], out=logits[0])
+    Z, norms, bad_rows = _unit_rows(X @ params["proj_w"])
     np.matmul(Z, params["aux_w"], out=logits[1])
     logits += np.array((params["main_b"], params["aux_b"]))[..., None, :]
     log_p = _log_softmax(logits)
@@ -194,14 +161,13 @@ def loss_and_grads(
         + np.array([0, rows * n_classes]).reshape((2,) + (1,) * y.ndim)
     )
     sums = np.add.reduce(log_p.take(pick), axis=-1)
-    loss = -(sums[0] / B) + lambda_aux * -(sums[1] / B)
+    loss = -(sums[0] / B) - sums[1] / B
 
     G = np.exp(log_p)
     G.reshape(-1)[pick] -= 1.0
     G_main, G_aux = G
-    G_aux *= lambda_aux
     G /= B
-    np.matmul(T.swapaxes(-1, -2), G_main, out=grads["main_w"])
+    np.matmul(X.swapaxes(-1, -2), G_main, out=grads["main_w"])
     np.add.reduce(G_main, axis=-2, out=grads["main_b"])
     np.matmul(Z.swapaxes(-1, -2), G_aux, out=grads["aux_w"])
     np.add.reduce(G_aux, axis=-2, out=grads["aux_b"])
@@ -210,14 +176,7 @@ def loss_and_grads(
     G_u = (G_z - Z * np.add.reduce(G_z * Z, axis=-1, keepdims=True)) / norms
     if bad_rows is not None:
         G_u[bad_rows] = 0.0
-    np.matmul(T.swapaxes(-1, -2), G_u, out=grads["proj_w"])
-    if hidden:
-        G_T = G_main @ params["main_w"].swapaxes(-1, -2)
-        if aux_to_trunk:
-            G_T += G_u @ params["proj_w"].swapaxes(-1, -2)
-        G_pre = G_T * (1.0 - T * T)
-        np.matmul(X.swapaxes(-1, -2), G_pre, out=grads["trunk_w"])
-        np.add.reduce(G_pre, axis=-2, out=grads["trunk_b"])
+    np.matmul(X.swapaxes(-1, -2), G_u, out=grads["proj_w"])
     return loss
 
 
@@ -252,9 +211,8 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
     Model k trains on features[k] and labels[k] at the rows labeled[k]. Every
     model has the same config and labeled count, so all K take each step as
     one stacked step, bit for bit what each would compute alone. Each epoch
-    shuffles every model's rows from its own "batch" stream, decays the
-    learning rate by 10x at 80% of epochs when lr_decay is set, and applies
-    the gradient stop after effective_stop_epoch.
+    shuffles every model's rows from its own "batch" stream; the learning
+    rate drops 10x at 80% of the epochs (never with a single epoch).
 
     A model whose loss goes non-finite leaves the stack: its entry is the
     DivergenceError it would raise alone, and the others go on unchanged.
@@ -282,12 +240,10 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
     active = list(range(len(models)))  # model index of each stack row
     results: list = [None] * len(models)
     epoch_losses: list = [[] for _ in models]
-    hidden = cfg.hidden is not None
     lr = cfg.learning_rate
     decay_at = int(np.floor(0.8 * cfg.epochs))
-    stop = cfg.effective_stop_epoch
     for epoch in range(cfg.epochs):
-        if cfg.lr_decay and cfg.epochs > 1 and epoch == decay_at:
+        if cfg.epochs > 1 and epoch == decay_at:
             lr *= 0.1
         # One gather per epoch makes every batch a contiguous slice.
         X_epoch = None  # free the last epoch's rows: one stack at a time
@@ -300,15 +256,7 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             end = start + cfg.batch_size
-            loss = loss_and_grads(
-                params,
-                grads,
-                X_epoch[:, start:end],
-                y_epoch[:, start:end],
-                cfg.lambda_aux,
-                hidden,
-                aux_to_trunk=epoch < stop,
-            )
+            loss = loss_and_grads(params, grads, X_epoch[:, start:end], y_epoch[:, start:end])
             finite = np.isfinite(loss)
             if not finite.all():
                 for row in np.flatnonzero(~finite):
@@ -340,8 +288,7 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
 
 def infer(model: ToyModel, features: FeatureMatrix, labels=None) -> ModelOutputs:
     """Forward pass over all rows; per-sample loss only when labels are given."""
-    cfg = model.config
-    logits_main, Z = _forward(model.params, features.data, cfg.hidden is not None)
+    logits_main, Z = _forward(model.params, features.data)
     log_p = _log_softmax(logits_main)
     probs = np.exp(log_p)
     entropy = -(probs * np.where(probs > 0.0, log_p, 0.0)).sum(axis=1)

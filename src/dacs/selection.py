@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    REFERENCE_CLUSTER_LOCAL,
     AcquisitionConfig,
     FeatureMatrix,
     PoolState,
@@ -39,6 +38,8 @@ STRATEGY_ENTROPY = "entropy-top-b"
 
 # Density classes used by the single-region ablation strategies.
 REGION_BREAKS = 3
+# Candidates the combined strategy pre-selects per pick it keeps.
+EXPAND_FACTOR = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,14 +220,12 @@ def dacs_select(
     Estimates windowed density on the unlabeled features, splits the density
     spectrum into config.n_breaks classes, allocates the budget inversely to
     class size, then runs greedy k-center within each class from sparsest to
-    densest. By default every class sees the running selected set as part of
-    its reference; config.reference="cluster-local" restricts each class to
-    its own picks. A budget larger than the unlabeled pool is clamped (with a
-    warning, by allocate_budget) so that sum(budgets) == min(budget, pool size).
+    densest. Each class's reference is the labeled set plus every pick of the
+    classes before it. A budget larger than the unlabeled pool is clamped (with
+    a warning, by allocate_budget) so that sum(budgets) == min(budget, pool size).
     """
     profile, partition, h_used = _density_pipeline(pool, features, config, rng)
     partition = allocate_budget(partition, config.budget, config.temperature, pool.unlabeled.size)
-    cluster_local = config.reference == REFERENCE_CLUSTER_LOCAL
     running: list[int] = []
     per_cluster: list[ClusterSelection] = []
     trace_all: list[float] = []
@@ -234,9 +233,7 @@ def dacs_select(
     for ci, members in enumerate(partition.clusters):
         cand = pool.unlabeled[members]
         n_i = int(partition.budgets[ci])
-        ref = pool.labeled if cluster_local else np.concatenate(
-            [pool.labeled, np.asarray(running, np.int64)]
-        )
+        ref = np.concatenate([pool.labeled, np.asarray(running, np.int64)])
         picked, trace = kcenter_greedy(cand, ref, n_i, features, density=profile)
         running.extend(picked)
         trace_all.extend(trace)
@@ -354,13 +351,13 @@ def expand_and_squeeze(
 ) -> AcquisitionResult:
     """Over-select with the density-aware pipeline, keep the most uncertain.
 
-    Runs dacs_select with an expanded budget ceil(expand_factor * budget),
+    Runs dacs_select with an expanded budget ceil(EXPAND_FACTOR * budget),
     capped at the pool size, then keeps the budget-many candidates with the
     highest uncertainty scores. Score ties keep earlier-selected candidates.
     """
     b = config.budget
     check_budget(b, pool)
-    expanded = min(math.ceil(config.expand_factor * b), pool.unlabeled.size)
+    expanded = min(math.ceil(EXPAND_FACTOR * b), pool.unlabeled.size)
     inner = dacs_select(pool, features, replace(config, budget=expanded), rng)
     cand = np.asarray(inner.selected, np.int64)
     s = scores.scores

@@ -30,9 +30,9 @@ from .density import DensityProfile, pool_density
 from .model import (
     ModelConfig,
     ModelOutputs,
+    check_reduced_dim,
     infer,
     init_model,
-    shared_width,
     train,
     train_stacked,
     uncertainty,
@@ -309,7 +309,7 @@ def check_run(
         raise ValueError("init_labeled must be in [1, n_train)")
     if init_labeled + cycles * acq_config.budget > n_train:
         raise ValueError("initial labels plus per-cycle budgets exceed the training pool")
-    shared_width(model_config, n_features)
+    check_reduced_dim(model_config, n_features)
     return n_test
 
 

@@ -415,23 +415,16 @@ def _gradients_match_finite_differences() -> list:
     gen = Rng(2, "grad").generator()
     X = gen.standard_normal((12, 5))
     y = np.array([0, 1, 2] * 4)
-    for hidden in (None, 6):
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, lambda_aux=0.7)
-        params = init_model(cfg, 5, Rng(4, "model")).params
-        use_hidden = hidden is not None
-        grads = {k: np.empty_like(v) for k, v in params.items()}
-        loss_and_grads(params, grads, X, y, 0.7, use_hidden, aux_to_trunk=True)
-        scratch = {k: np.empty_like(v) for k, v in params.items()}
-        for key in params:
-            want = _fd_grad(
-                lambda: loss_and_grads(params, scratch, X, y, 0.7, use_hidden, True),
-                params,
-                key,
-            )
-            # relative to max(|fd|, 1e-2) so near-zero entries compare absolutely
-            rel = np.max(np.abs(grads[key] - want) / np.maximum(np.abs(want), 1e-2))
-            if rel > 1e-5:
-                problems.append(f"hidden={hidden} {key}: relative error {rel:.2e}")
+    params = init_model(ModelConfig(n_classes=3, reduced_dim=2), 5, Rng(4, "model")).params
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    loss_and_grads(params, grads, X, y)
+    scratch = {k: np.empty_like(v) for k, v in params.items()}
+    for key in params:
+        want = _fd_grad(lambda: loss_and_grads(params, scratch, X, y), params, key)
+        # relative to max(|fd|, 1e-2) so near-zero entries compare absolutely
+        rel = np.max(np.abs(grads[key] - want) / np.maximum(np.abs(want), 1e-2))
+        if rel > 1e-5:
+            problems.append(f"{key}: relative error {rel:.2e}")
     return problems
 
 

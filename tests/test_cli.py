@@ -67,16 +67,16 @@ class TestParseRunConfig:
             "per_class = 40  # small pool\n"
             "strategies = dacs, random\n"
             "seeds = 4, 5\n"
-            "lr_decay = off\n"
-            "hidden = 24\n"  # wider than the default reduced_dim 16
+            "temperature = 0.5\n"
+            "window = own-chunk-only\n"
         )
         config = parse_run_config(path)
         assert config.classes == 3
         assert config.per_class == 40
         assert config.strategies == ["dacs", "random"]
         assert config.seeds == [4, 5]
-        assert config.lr_decay is False
-        assert config.hidden == 24
+        assert config.temperature == 0.5
+        assert config.window == "own-chunk-only"
         assert config.dim == 32  # untouched default
 
     def test_unknown_key_names_the_line(self, tmp_path):
@@ -109,7 +109,6 @@ class TestParseRunConfig:
             "dataset = parquet",
             "strategies = oracle",
             "window = sliding",
-            "reference = all",
             "test_fraction = 1.5",
             "cycles = -1",
         ],
@@ -151,7 +150,7 @@ class TestParseRunConfig:
 
 
 class TestSelectCommand:
-    def run_select(self, pool_file, tmp_path, *extra):
+    def run_select(self, pool_file, tmp_path, *extra, engine=("--buckets", "4", "--breaks", "2")):
         pool, labeled = pool_file
         out = tmp_path / "picks.json"
         code = main(
@@ -161,8 +160,7 @@ class TestSelectCommand:
                 "--labeled", str(labeled),
                 "--budget", "5",
                 "--out", str(out),
-                "--buckets", "4",
-                "--breaks", "2",
+                *engine,
                 *extra,
             ]
         )
@@ -179,8 +177,7 @@ class TestSelectCommand:
         assert all(0 <= i < 100 for i in picks)
         assert sum(c["budget"] for c in payload["per_cluster"]) == 5
         assert set(payload["config_echo"]) == {
-            "strategy", "budget", "n_buckets", "n_breaks", "temperature",
-            "expand_factor", "window", "reference", "seed",
+            "strategy", "budget", "n_buckets", "n_breaks", "temperature", "window", "seed",
         }
         assert payload["config_echo"]["strategy"] == "dacs"
         assert payload["config_echo"]["seed"] == 1
@@ -275,7 +272,7 @@ class TestSelectCommand:
         scores = tmp_path / "scores.txt"
         scores.write_text("\n".join(repr(v) for v in values) + "\n")
         code, out = self.run_select(
-            pool_file, tmp_path, "--strategy", "entropy-top-b", "--scores", str(scores)
+            pool_file, tmp_path, "--strategy", "entropy-top-b", "--scores", str(scores), engine=()
         )
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
@@ -283,7 +280,7 @@ class TestSelectCommand:
         assert payload["config_echo"]["strategy"] == "entropy-top-b"
 
     def test_entropy_top_b_requires_scores(self, pool_file, tmp_path, capsys):
-        code, out = self.run_select(pool_file, tmp_path, "--strategy", "entropy-top-b")
+        code, out = self.run_select(pool_file, tmp_path, "--strategy", "entropy-top-b", engine=())
         assert code == EXIT_USAGE
         assert "requires --scores" in capsys.readouterr().err
         assert not out.exists()
@@ -291,13 +288,58 @@ class TestSelectCommand:
     @pytest.mark.parametrize("strategy", ["coreset", "dacs", "random"])
     def test_scores_are_refused_where_unused(self, pool_file, tmp_path, capsys, strategy):
         code, out = self.run_select(
-            pool_file, tmp_path, "--strategy", strategy, "--scores", str(tmp_path / "absent.txt")
+            pool_file, tmp_path, "--strategy", strategy, "--scores", str(tmp_path / "absent.txt"),
+            engine=() if strategy != "dacs" else ("--buckets", "4"),
         )
         assert code == EXIT_USAGE
         assert f"--scores is read by --strategy combined or entropy-top-b only; {strategy}" in (
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategy, flags, readers",
+        [
+            ("coreset", ["--breaks", "7", "--temperature", "9"], "dacs or combined"),
+            ("random", ["--window", "own-chunk-only"], "dacs or sparse-only or dense-only or combined"),
+            ("sparse-only", ["--breaks", "7"], "dacs or combined"),
+            ("dense-only", ["--temperature", "0.25"], "dacs or combined"),  # the default, given
+            ("entropy-top-b", ["--buckets", "4"], "dacs or sparse-only or dense-only or combined"),
+        ],
+    )
+    def test_engine_flags_the_strategy_ignores_are_refused(
+        self, pool_file, tmp_path, capsys, strategy, flags, readers
+    ):
+        code, out = self.run_select(pool_file, tmp_path, "--strategy", strategy, *flags, engine=())
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {flags[0]} is read by --strategy {readers} only; {strategy} does not" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategy, flags",
+        [
+            ("dacs", ["--buckets", "4", "--breaks", "4", "--temperature", "0.5", "--window",
+                      "own-chunk-only"]),
+            ("sparse-only", ["--buckets", "4", "--window", "with-previous"]),
+            ("dense-only", ["--buckets", "4"]),
+            ("coreset", []),
+            ("random", ["--seed", "2"]),
+        ],
+    )
+    def test_engine_flags_the_strategy_reads_are_accepted(
+        self, pool_file, tmp_path, strategy, flags
+    ):
+        code, out = self.run_select(pool_file, tmp_path, "--strategy", strategy, *flags, engine=())
+        assert code == EXIT_OK
+        assert len(json.loads(out.read_text())["selected"]) == 5
+
+    @pytest.mark.parametrize("flag", ["--expand-factor", "--reference"])
+    def test_deleted_flags_are_unrecognised(self, pool_file, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            self.run_select(pool_file, tmp_path, flag, "1")
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         code = main(
@@ -383,6 +425,8 @@ class TestDensityCommand:
             ("exact", ["--seed", "1"], "--seed needs --mode lsh"),
             ("lsh", ["--metric", "cosine-distance"], "--metric needs --mode exact"),
             ("lsh", ["--metric", "euclidean"], "--metric needs --mode exact"),
+            ("lsh", ["--knn", "5"], "--knn needs --mode exact or --compare"),
+            ("lsh", ["--knn", "20"], "--knn needs --mode exact or --compare"),
         ],
     )
     def test_flags_the_mode_ignores_are_refused(
@@ -416,12 +460,13 @@ class TestDensityCommand:
                 "--buckets", "4",
                 "--seed", "0",
                 "--compare",
+                "--knn", "5",
                 "--out", str(out),
             ]
         )
         assert code == EXIT_OK
         err = capsys.readouterr().err
-        assert "spearman" in err
+        assert "negated exact 5-nn" in err
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 101
         assert lines[1].split(",")[2] == "similarity-based"
@@ -551,12 +596,27 @@ class TestSimulateCommand:
     def test_divergence_keeps_partial_results_and_exits_3(self, tmp_path, capsys, monkeypatch):
         check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch)
 
-    def test_bad_config_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mystery", 1),
+            # settings that no longer exist
+            ("hidden", 24),
+            ("stop_epoch", 2),
+            ("lambda_aux", 0.5),
+            ("lr_decay", "off"),
+            ("expand_factor", 3),
+            ("reference", "cluster-local"),
+        ],
+    )
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mystery = 1\n")
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        write_sim_config(cfg, **{key: value})
+        out_dir = tmp_path / "r"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
         assert code == EXIT_USAGE
-        assert "unknown key" in capsys.readouterr().err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -566,10 +626,9 @@ class TestSimulateCommand:
             ("breaks", 0, "bad engine setting: breaks must be at least 1"),
             ("temperature", -1, "temperature must be positive"),
             ("epochs", 0, "epochs must be positive"),
-            ("stop_epoch", 5, "stop_epoch must lie in"),  # epochs = 4
             # refused by run_al, init_model or the generator on the data
             ("cycles", 60, "initial labels plus per-cycle budgets exceed the training pool"),
-            ("reduced_dim", 16, "reduced_dim 16 must be smaller than the shared width 8"),
+            ("reduced_dim", 16, "reduced_dim 16 must be smaller than the feature dimension 8"),
             ("test_fraction", 0.99, "dataset too small for the requested test fraction"),
             ("spread", -1, "spread and separation must be non-negative"),
         ],
@@ -608,8 +667,9 @@ def grid_digest(outputs) -> str:
 
 
 # grid_digest of the parting grid below, as written when each run trained
-# alone, one after another.
-PARTING_GRID_SHA256 = "0e66c51cecee3123c90fd5a0490b76ec4d0e289a018efed4fe43ac3431ea51de"
+# alone, one after another (with the six since-deleted model and acquisition
+# keys stripped from each report's config).
+PARTING_GRID_SHA256 = "cc333a6812e59103920b5b7f9c31f2da5ea1851b9d69a99a79cebc1f5522a86b"
 
 
 def force_workers(monkeypatch, workers):

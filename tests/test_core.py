@@ -269,7 +269,7 @@ class TestAcquisitionConfig:
         assert cfg.n_buckets == 100
         assert cfg.n_breaks == 4
         assert cfg.temperature == 0.25
-        assert cfg.expand_factor == 2.0
+        assert cfg.window == "with-previous"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -279,9 +279,7 @@ class TestAcquisitionConfig:
             dict(budget=5, n_buckets=0),
             dict(budget=5, n_breaks=0),
             dict(budget=5, temperature=0.0),
-            dict(budget=5, expand_factor=0.5),
             dict(budget=5, window="sideways"),
-            dict(budget=5, reference="nowhere"),
             dict(budget=5, temperature=float("nan")),
         ],
     )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,14 +42,10 @@ def _reference_log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _reference_forward(params: dict, X: np.ndarray, hidden: bool):
-    """Returns (trunk output, main logits, pre-norm projection, unit embeddings, aux logits)."""
-    if hidden:
-        T = np.tanh(X @ params["trunk_w"] + params["trunk_b"])
-    else:
-        T = X
-    logits_main = T @ params["main_w"] + params["main_b"]
-    U = T @ params["proj_w"]
+def _reference_forward(params: dict, X: np.ndarray):
+    """Returns (main logits, pre-norm projection, unit embeddings, aux logits)."""
+    logits_main = X @ params["main_w"] + params["main_b"]
+    U = X @ params["proj_w"]
     norms = np.linalg.norm(U, axis=1, keepdims=True)
     # A projection without a usable direction (zero norm, or a norm that
     # overflowed) parks on the first axis so the embedding stays exactly
@@ -61,24 +58,13 @@ def _reference_forward(params: dict, X: np.ndarray, hidden: bool):
         Z[bad_rows, :] = 0.0
         Z[bad_rows, 0] = 1.0
     logits_aux = Z @ params["aux_w"] + params["aux_b"]
-    return T, logits_main, U, Z, logits_aux
+    return logits_main, U, Z, logits_aux
 
 
-def reference_loss_and_grads(
-    params: dict,
-    X: np.ndarray,
-    y: np.ndarray,
-    lambda_aux: float,
-    hidden: bool,
-    aux_to_trunk: bool,
-):
-    """Combined cross-entropy and its analytic gradients for one batch.
-
-    aux_to_trunk=False cuts the auxiliary gradient path into the shared trunk
-    (the gradient stop); the auxiliary head's own parameters always learn.
-    """
+def reference_loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray):
+    """Combined cross-entropy and its analytic gradients for one batch."""
     B = X.shape[0]
-    T, logits_main, U, Z, logits_aux = _reference_forward(params, X, hidden)
+    logits_main, U, Z, logits_aux = _reference_forward(params, X)
     n_classes = logits_main.shape[1]
     Y = np.zeros((B, n_classes))
     Y[np.arange(B), y] = 1.0
@@ -86,13 +72,13 @@ def reference_loss_and_grads(
     log_p_aux = _reference_log_softmax(logits_aux)
     loss_main = -log_p_main[np.arange(B), y].mean()
     loss_aux = -log_p_aux[np.arange(B), y].mean()
-    loss = loss_main + lambda_aux * loss_aux
+    loss = loss_main + loss_aux
 
     grads: dict[str, np.ndarray] = {}
     G_main = (np.exp(log_p_main) - Y) / B
-    grads["main_w"] = T.T @ G_main
+    grads["main_w"] = X.T @ G_main
     grads["main_b"] = G_main.sum(axis=0)
-    G_aux = lambda_aux * (np.exp(log_p_aux) - Y) / B
+    G_aux = (np.exp(log_p_aux) - Y) / B
     grads["aux_w"] = Z.T @ G_aux
     grads["aux_b"] = G_aux.sum(axis=0)
     G_z = G_aux @ params["aux_w"].T
@@ -102,14 +88,7 @@ def reference_loss_and_grads(
     # d(u/|u|) pulls out the radial component: (g - z <g,z>) / |u|.
     G_u = (G_z - Z * (G_z * Z).sum(axis=1, keepdims=True)) / safe
     G_u[bad.ravel(), :] = 0.0
-    grads["proj_w"] = T.T @ G_u
-    if hidden:
-        G_T = G_main @ params["main_w"].T
-        if aux_to_trunk:
-            G_T = G_T + G_u @ params["proj_w"].T
-        G_pre = G_T * (1.0 - T * T)
-        grads["trunk_w"] = X.T @ G_pre
-        grads["trunk_b"] = G_pre.sum(axis=0)
+    grads["proj_w"] = X.T @ G_u
     return loss, grads
 
 
@@ -123,10 +102,9 @@ def reference_train(
 
     Mini-batch gradient descent on the labeled subset.
 
-    Shuffles per epoch from the "batch" stream, decays the learning rate by
-    10x at 80% of epochs when lr_decay is set, and applies the gradient stop
-    after effective_stop_epoch. Returns a new model; raises DivergenceError on
-    a non-finite loss.
+    Shuffles per epoch from the "batch" stream and decays the learning rate
+    by 10x at 80% of epochs (never with a single epoch). Returns a new model;
+    raises DivergenceError on a non-finite loss.
     """
     cfg = model.config
     lab = np.asarray(labeled_indices, np.int64)
@@ -137,22 +115,18 @@ def reference_train(
         raise ValueError("labels out of range for configured class count")
     X = features.data[lab]
     params = {k: v.copy() for k, v in model.params.items()}
-    hidden = cfg.hidden is not None
     gen = model.rng.derive("batch").generator()
     lr = cfg.learning_rate
     decay_at = int(np.floor(0.8 * cfg.epochs))
-    stop = cfg.effective_stop_epoch
     epoch_losses = []
     for epoch in range(cfg.epochs):
-        if cfg.lr_decay and cfg.epochs > 1 and epoch == decay_at:
+        if cfg.epochs > 1 and epoch == decay_at:
             lr *= 0.1
         perm = gen.permutation(lab.size)
         batch_losses = []
         for start in range(0, lab.size, cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            loss, grads = reference_loss_and_grads(
-                params, X[sel], y[sel], cfg.lambda_aux, hidden, aux_to_trunk=epoch < stop
-            )
+            loss, grads = reference_loss_and_grads(params, X[sel], y[sel])
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch} (lr={lr})", epoch=epoch, learning_rate=lr
@@ -167,10 +141,10 @@ def reference_train(
 # ---------------------------------------------------------------- helpers
 
 
-def step(params, X, y, lambda_aux, hidden, aux_to_trunk):
+def step(params, X, y):
     """(loss, gradients) of one batch through the step train runs."""
     grads = {k: np.empty_like(v) for k, v in params.items()}
-    loss = loss_and_grads(params, grads, X, y, lambda_aux, hidden, aux_to_trunk)
+    loss = loss_and_grads(params, grads, X, y)
     return loss, grads
 
 
@@ -191,48 +165,18 @@ def fd_grad(loss_fn, params, key, eps=1e-6):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("hidden", [None, 6])
-    def test_analytic_matches_finite_differences(self, hidden):
+    def test_analytic_matches_finite_differences(self):
         X, y = blob_data(seed=1, n_per=4, d=5)
-        cfg = ModelConfig(
-            n_classes=3, reduced_dim=2, hidden=hidden, lambda_aux=0.7, epochs=1
-        )
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=1)
         model = init_model(cfg, 5, Rng(2, "model"))
         params = model.params
         Xb, yb = X.data[:12], y[:12]
-        use_hidden = hidden is not None
-        _, grads = step(params, Xb, yb, 0.7, use_hidden, aux_to_trunk=True)
+        _, grads = step(params, Xb, yb)
         for key in params:
-            want = fd_grad(
-                lambda: step(params, Xb, yb, 0.7, use_hidden, True)[0],
-                params,
-                key,
-            )
+            want = fd_grad(lambda: step(params, Xb, yb)[0], params, key)
             got = grads[key]
             denom = np.maximum(np.abs(want), 1e-2)
             assert np.max(np.abs(got - want) / denom) <= 1e-5, key
-
-    def test_stopped_trunk_gradient_is_the_main_only_gradient(self):
-        # with the stop active the trunk gradient must equal the finite
-        # difference of the main loss alone (lambda_aux = 0)
-        X, y = blob_data(seed=2, n_per=4, d=5)
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=6, lambda_aux=0.7, epochs=1)
-        model = init_model(cfg, 5, Rng(3, "model"))
-        params = model.params
-        Xb, yb = X.data[:12], y[:12]
-        _, grads = step(params, Xb, yb, 0.7, True, aux_to_trunk=False)
-        for key in ("trunk_w", "trunk_b"):
-            want = fd_grad(
-                lambda: step(params, Xb, yb, 0.0, True, True)[0],
-                params,
-                key,
-            )
-            denom = np.maximum(np.abs(want), 1e-2)
-            assert np.max(np.abs(grads[key] - want) / denom) <= 1e-5, key
-        # the auxiliary head itself still gets the full-loss gradient
-        want = fd_grad(lambda: step(params, Xb, yb, 0.7, True, True)[0], params, "aux_w")
-        denom = np.maximum(np.abs(want), 1e-2)
-        assert np.max(np.abs(grads["aux_w"] - want) / denom) <= 1e-5
 
 
 class TestTraining:
@@ -245,58 +189,29 @@ class TestTraining:
         assert losses[-1] < 0.25 * losses[0]
         assert all(b <= a + 1e-6 for a, b in zip(losses, losses[1:]))
 
-    def test_loss_decreases_with_trunk(self):
-        X, y = blob_data()
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=8, epochs=40)
-        model = train(init_model(cfg, 6, Rng(1, "model")), X, y, np.arange(60))
-        assert model.epoch_losses[-1] < 0.25 * model.epoch_losses[0]
-
     def test_deterministic(self):
         X, y = blob_data()
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=8, epochs=10)
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=10)
         a = train(init_model(cfg, 6, Rng(4, "model")), X, y, np.arange(60))
         b = train(init_model(cfg, 6, Rng(4, "model")), X, y, np.arange(60))
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key]), key
         assert a.epoch_losses == b.epoch_losses
 
-    def test_heads_are_disjoint_without_a_trunk(self):
-        # no shared trunk: the main head cannot feel lambda_aux, and with
-        # lambda_aux=0 the auxiliary side must not move at all
+    def test_heads_are_disjoint(self):
+        # both heads read the raw features, so the main head's trajectory
+        # cannot feel where the auxiliary head starts
         X, y = blob_data()
-        base = ModelConfig(n_classes=3, reduced_dim=2, epochs=12, lambda_aux=1.0)
-        off = ModelConfig(n_classes=3, reduced_dim=2, epochs=12, lambda_aux=0.0)
-        init = init_model(base, 6, Rng(5, "model"))
-        m_on = train(init, X, y, np.arange(60))
-        m_off = train(
-            init_model(off, 6, Rng(5, "model")), X, y, np.arange(60)
-        )
-        assert np.array_equal(m_on.params["main_w"], m_off.params["main_w"])
-        assert np.array_equal(m_on.params["main_b"], m_off.params["main_b"])
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=12)
+        init = init_model(cfg, 6, Rng(5, "model"))
+        moved = init_model(cfg, 6, Rng(5, "model"))
         for key in ("proj_w", "aux_w", "aux_b"):
-            assert np.array_equal(m_off.params[key], init.params[key]), key
-            assert not np.array_equal(m_on.params[key], init.params[key]), key
-
-    def test_gradient_stop_shields_the_trunk(self):
-        X, y = blob_data()
-        stopped = ModelConfig(
-            n_classes=3, reduced_dim=2, hidden=8, epochs=12, stop_epoch=0
-        )
-        silent = ModelConfig(
-            n_classes=3, reduced_dim=2, hidden=8, epochs=12, lambda_aux=0.0
-        )
-        flowing = ModelConfig(
-            n_classes=3, reduced_dim=2, hidden=8, epochs=12, stop_epoch=12
-        )
-        m_stop = train(init_model(stopped, 6, Rng(6, "model")), X, y, np.arange(60))
-        m_silent = train(init_model(silent, 6, Rng(6, "model")), X, y, np.arange(60))
-        m_flow = train(init_model(flowing, 6, Rng(6, "model")), X, y, np.arange(60))
-        # trunk and main trajectories see only the main loss in both runs
-        for key in ("trunk_w", "trunk_b", "main_w", "main_b"):
-            assert np.array_equal(m_stop.params[key], m_silent.params[key]), key
-            assert not np.array_equal(m_stop.params[key], m_flow.params[key]), key
-        # the auxiliary head keeps training under the stop
-        assert not np.array_equal(m_stop.params["proj_w"], m_silent.params["proj_w"])
+            moved.params[key] += 0.5
+        a = train(init, X, y, np.arange(60))
+        b = train(moved, X, y, np.arange(60))
+        assert np.array_equal(a.params["main_w"], b.params["main_w"])
+        assert np.array_equal(a.params["main_b"], b.params["main_b"])
+        assert not np.array_equal(a.params["proj_w"], b.params["proj_w"])
 
     def test_divergence_names_epoch_and_rate(self):
         X, y = blob_data()
@@ -306,7 +221,6 @@ class TestTraining:
             epochs=5,
             learning_rate=1e307,
             batch_size=128,
-            lr_decay=False,
         )
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
             train(init_model(cfg, 6, Rng(1, "model")), X, y, np.arange(60))
@@ -337,13 +251,14 @@ class TestTraining:
             assert np.array_equal(a.params[key], b.params[key])
 
     def test_single_epoch_never_decays(self):
+        # two epochs decay at the second, so their first runs at the full
+        # rate; over four batches a decayed first epoch would lose less
         X, y = blob_data()
-        on = ModelConfig(n_classes=3, reduced_dim=2, epochs=1, lr_decay=True)
-        off = ModelConfig(n_classes=3, reduced_dim=2, epochs=1, lr_decay=False)
-        a = train(init_model(on, 6, Rng(8, "model")), X, y, np.arange(60))
-        b = train(init_model(off, 6, Rng(8, "model")), X, y, np.arange(60))
-        for key in a.params:
-            assert np.array_equal(a.params[key], b.params[key])
+        one = ModelConfig(n_classes=3, reduced_dim=2, epochs=1, batch_size=16)
+        two = replace(one, epochs=2)
+        a = train(init_model(one, 6, Rng(8, "model")), X, y, np.arange(60))
+        b = train(init_model(two, 6, Rng(8, "model")), X, y, np.arange(60))
+        assert a.epoch_losses == b.epoch_losses[:1]
 
 
 def assert_train_matches_reference(cfg, X, y, lab, seed=0, prepare=None):
@@ -368,51 +283,56 @@ def oracle_data(n=900, d=6, n_classes=3, zero_rows=0, seed=0):
     return FeatureMatrix(data), y[:n]
 
 
+# (feature width, reduced_dim, batch size) of the oracle checks: a small
+# case, the committed grids' 32 -> 16 embedding, one-row batches, whose
+# products are matrix-vector products, the widest embedding the features
+# allow, a one-wide embedding, and a batch no labeled set fills.
+STEP_SHAPES = [
+    (6, 2, 64),
+    (32, 16, 64),
+    (6, 2, 1),
+    (6, 5, 17),
+    (16, 1, 64),
+    (32, 16, 1000),
+]
+
+
 class TestTrainMatchesReference:
     """train is bit-identical to the per-parameter two-head step it replaced."""
 
     @pytest.mark.parametrize("n_labeled", [1, 63, 64, 65, 864])
-    @pytest.mark.parametrize("lambda_aux", [0.0, 0.7, 1.0])
-    @pytest.mark.parametrize("hidden", [None, 8])
-    def test_batch_remainders(self, hidden, lambda_aux, n_labeled):
-        X, y = oracle_data()
+    @pytest.mark.parametrize("d, reduced_dim, batch_size", STEP_SHAPES)
+    def test_batch_remainders(self, d, reduced_dim, batch_size, n_labeled):
+        X, y = oracle_data(d=d)
         lab = Rng(n_labeled, "lab").generator().permutation(X.n)[:n_labeled]
         cfg = ModelConfig(
-            n_classes=3, reduced_dim=2, hidden=hidden, lambda_aux=lambda_aux, epochs=3
+            n_classes=3, reduced_dim=reduced_dim, epochs=3, batch_size=batch_size
         )
         assert_train_matches_reference(cfg, X, y, lab, seed=n_labeled)
 
-    @pytest.mark.parametrize("hidden", [None, 8])
-    def test_zero_norm_projection_rows(self, hidden):
-        # zero feature rows project to zero (the trunk starts with zero bias)
+    @pytest.mark.parametrize("reduced_dim", [2, 5])
+    def test_zero_norm_projection_rows(self, reduced_dim):
+        # zero feature rows project to zero
         X, y = oracle_data(n=150, zero_rows=20)
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, epochs=4)
+        cfg = ModelConfig(n_classes=3, reduced_dim=reduced_dim, epochs=4)
         assert_train_matches_reference(cfg, X, y, np.arange(150)[::-1])
 
-    @pytest.mark.parametrize("hidden", [None, 8])
-    def test_zero_projection_everywhere(self, hidden):
+    @pytest.mark.parametrize("reduced_dim", [2, 5])
+    def test_zero_projection_everywhere(self, reduced_dim):
         X, y = oracle_data(n=100)
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, epochs=3)
+        cfg = ModelConfig(n_classes=3, reduced_dim=reduced_dim, epochs=3)
 
         def zero_projection(params):
             params["proj_w"][...] = 0.0
 
         assert_train_matches_reference(cfg, X, y, np.arange(100), prepare=zero_projection)
 
-    @pytest.mark.parametrize(
-        "schedule",
-        [
-            {"stop_epoch": 2},
-            {"stop_epoch": 0},
-            {"lr_decay": False},
-            {"epochs": 1},
-            {"epochs": 1, "stop_epoch": 0, "lr_decay": False},
-        ],
-    )
-    def test_schedules(self, schedule):
+    # the rate drops at epoch floor(0.8 * epochs), counted from 0: epoch 1
+    # of 2, 4 of 5, 4 of 6 and 8 of 10; a single epoch never drops it
+    @pytest.mark.parametrize("epochs", [1, 2, 5, 6, 10])
+    def test_schedules(self, epochs):
         X, y = oracle_data(n=200)
-        kwargs = {"epochs": 6, **schedule}
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=8, lambda_aux=0.7, **kwargs)
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=epochs)
         assert_train_matches_reference(cfg, X, y, np.arange(0, 200, 2))
 
     @settings(max_examples=40, deadline=None)
@@ -420,14 +340,11 @@ class TestTrainMatchesReference:
     def test_random_shapes(self, data):
         n_classes = data.draw(st.integers(2, 12), label="n_classes")
         d = data.draw(st.integers(3, 9), label="d")
-        hidden = data.draw(st.sampled_from([None, d + 2]), label="hidden")
         reduced = data.draw(st.integers(1, d - 1), label="reduced_dim")
         n = data.draw(st.integers(1, 150), label="n_labeled")
         cfg = ModelConfig(
             n_classes=n_classes,
             reduced_dim=reduced,
-            hidden=hidden,
-            lambda_aux=data.draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]), label="lambda_aux"),
             epochs=data.draw(st.integers(1, 4), label="epochs"),
             batch_size=data.draw(st.integers(1, 70), label="batch_size"),
         )
@@ -466,22 +383,21 @@ class TestTrainStackedMatchesReference:
 
     @pytest.mark.parametrize("K", [2, 3, 7])
     @pytest.mark.parametrize("n_labeled", [1, 33, 64, 150])
-    @pytest.mark.parametrize("lambda_aux", [0.0, 0.7, 1.0])
-    @pytest.mark.parametrize("hidden", [None, 8])
-    def test_every_model_matches_its_solo_oracle(self, hidden, lambda_aux, n_labeled, K):
+    @pytest.mark.parametrize("d, reduced_dim, batch_size", STEP_SHAPES)
+    def test_every_model_matches_its_solo_oracle(self, d, reduced_dim, batch_size, n_labeled, K):
         cfg = ModelConfig(
-            n_classes=3, reduced_dim=2, hidden=hidden, lambda_aux=lambda_aux, epochs=3
+            n_classes=3, reduced_dim=reduced_dim, epochs=3, batch_size=batch_size
         )
-        models, features, labels, labeled = stack_inputs(cfg, K, n_labeled)
+        models, features, labels, labeled = stack_inputs(cfg, K, n_labeled, d=d)
         got = train_stacked(models, features, labels, labeled)
         assert len(got) == K
         for k in range(K):
             want = reference_train(models[k], features[k], labels[k], labeled[k])
             assert_same_model(got[k], want)
 
-    @pytest.mark.parametrize("hidden", [None, 8])
-    def test_zero_norm_projection_rows_in_one_model_only(self, hidden):
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=hidden, epochs=4)
+    @pytest.mark.parametrize("reduced_dim", [2, 5])
+    def test_zero_norm_projection_rows_in_one_model_only(self, reduced_dim):
+        cfg = ModelConfig(n_classes=3, reduced_dim=reduced_dim, epochs=4)
         models, features, labels, labeled = stack_inputs(cfg, 3, 65, zero_rows_in=1)
         got = train_stacked(models, features, labels, labeled)
         for k in range(3):
@@ -489,7 +405,7 @@ class TestTrainStackedMatchesReference:
             assert_same_model(got[k], want)
 
     def test_a_diverging_model_leaves_the_stack(self):
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=5, batch_size=16, lr_decay=False)
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=5, batch_size=16)
         models, features, labels, labeled = stack_inputs(cfg, 4, 100)
         # huge features blow up the second model's weights within its first epoch
         features[1] = FeatureMatrix(features[1].data * 1e200)
@@ -506,7 +422,7 @@ class TestTrainStackedMatchesReference:
             assert_same_model(got[k], want)
 
     def test_one_model_is_train(self):
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=8, epochs=3)
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=3)
         models, features, labels, labeled = stack_inputs(cfg, 1, 70)
         (got,) = train_stacked(models, features, labels, labeled)
         assert_same_model(got, train(models[0], features[0], labels[0], labeled[0]))
@@ -522,19 +438,12 @@ class TestTrainStackedMatchesReference:
 
 
 class TestConfig:
-    def test_stop_epoch_defaults_to_sixty_percent(self):
-        assert ModelConfig(n_classes=3, epochs=40).effective_stop_epoch == 24
-        assert ModelConfig(n_classes=3, epochs=5).effective_stop_epoch == 3
-        assert ModelConfig(n_classes=3, epochs=40, stop_epoch=7).effective_stop_epoch == 7
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_classes": 1},
             {"n_classes": 3, "reduced_dim": 0},
-            {"n_classes": 3, "lambda_aux": -0.1},
             {"n_classes": 3, "epochs": 0},
-            {"n_classes": 3, "epochs": 10, "stop_epoch": 11},
             {"n_classes": 3, "batch_size": 0},
             {"n_classes": 3, "learning_rate": 0.0},
         ],
@@ -543,12 +452,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
 
-    def test_reduced_dim_must_fit_under_shared_width(self):
-        cfg = ModelConfig(n_classes=3, reduced_dim=8, hidden=8)
-        with pytest.raises(ValueError, match="shared width"):
-            init_model(cfg, 16, Rng(0, "model"))
-        with pytest.raises(ValueError, match="shared width"):
-            init_model(ModelConfig(n_classes=3, reduced_dim=6), 6, Rng(0, "model"))
+    def test_reduced_dim_must_be_below_the_feature_dimension(self):
+        cfg = ModelConfig(n_classes=3, reduced_dim=6)
+        with pytest.raises(ValueError, match="smaller than the feature dimension 6"):
+            init_model(cfg, 6, Rng(0, "model"))
+        assert init_model(cfg, 7, Rng(0, "model")).params["proj_w"].shape == (7, 6)
 
 
 class TestInference:
@@ -578,7 +486,7 @@ class TestInference:
 
     def test_probabilities_and_embeddings_are_well_formed(self):
         X, y = blob_data()
-        cfg = ModelConfig(n_classes=3, reduced_dim=2, hidden=8, epochs=10)
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=10)
         model = train(init_model(cfg, 6, Rng(11, "model")), X, y, np.arange(60))
         out = infer(model, X, labels=y)
         assert np.allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)

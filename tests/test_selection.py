@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dacs.core import (
-    REFERENCE_CLUSTER_LOCAL,
-    REFERENCE_GLOBAL,
     AcquisitionConfig,
     FeatureMatrix,
     Rng,
@@ -432,24 +430,6 @@ class TestDacsSelect:
         b = coreset_select(pool, X, 9)
         assert a.selected == b.selected
 
-    def test_global_reference_differs_from_cluster_local(self):
-        gen = Rng(11, "probe").generator()
-        centers = unit(gen.normal(size=(2, 8)))
-        pts = np.concatenate(
-            [centers[i] + 0.25 * gen.normal(size=(30, 8)) for i in range(2)]
-        )
-        X = FeatureMatrix(unit(pts), unit_norm=True)
-        pool = make_pool(60, [0, 30])
-        cfg = AcquisitionConfig(budget=20, n_buckets=4, n_breaks=2)
-        g = dacs_select(pool, X, cfg, Rng(3, "sel"))
-        loc = dacs_select(
-            pool, X, replace(cfg, reference=REFERENCE_CLUSTER_LOCAL), Rng(3, "sel")
-        )
-        assert g.selected != loc.selected
-        assert set(len(c.selected) for c in loc.per_cluster) == set(
-            len(c.selected) for c in g.per_cluster
-        )
-
     def test_deterministic(self):
         X, pool = clustered_pool(3)
         cfg = AcquisitionConfig(budget=8, n_buckets=4, n_breaks=2)
@@ -491,22 +471,20 @@ class TestDacsSelect:
         assert sum(c.budget for c in out.per_cluster) == pool.unlabeled.size
 
     @pytest.mark.parametrize("labeled", [[], [0, 17, 40]])
-    @pytest.mark.parametrize("reference", [REFERENCE_GLOBAL, REFERENCE_CLUSTER_LOCAL])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_brute_force_per_class(self, seed, reference, labeled):
+    def test_matches_brute_force_per_class(self, seed, labeled):
         # duplicated rows give tied similarities and tied densities
         X0, _ = clustered_pool(seed, n_per=14, d=6, n_clusters=3)
         X = FeatureMatrix(np.repeat(X0.data, 2, axis=0)[:80], unit_norm=True)
         pool = make_pool(80, labeled)
-        cfg = AcquisitionConfig(budget=15, n_buckets=4, n_breaks=3, reference=reference)
+        cfg = AcquisitionConfig(budget=15, n_buckets=4, n_breaks=3)
         got = dacs_select(pool, X, cfg, Rng(seed, "sel"))
         profile, partition, _ = dacs.selection._density_pipeline(pool, X, cfg, Rng(seed, "sel"))
         partition = allocate_budget(partition, cfg.budget, cfg.temperature, pool.unlabeled.size)
         running, trace = [], []
         for ci, members in enumerate(partition.clusters):
-            ref = pool.labeled.tolist()
-            if reference == REFERENCE_GLOBAL:
-                ref += running
+            # every class sees the labeled rows and the earlier classes' picks
+            ref = pool.labeled.tolist() + running
             picked, t = brute_force_greedy(
                 pool.unlabeled[members], ref, int(partition.budgets[ci]), X, density=profile
             )
@@ -581,7 +559,7 @@ def expand_fixture():
     ang = np.array([0.5, 1.6, 2.7, 3.8, 5.0])
     X = FeatureMatrix(np.stack([np.cos(ang), np.sin(ang)], axis=1), unit_norm=True)
     pool = make_pool(5, [0])
-    cfg = AcquisitionConfig(budget=2, n_buckets=2, n_breaks=1, expand_factor=2.0)
+    cfg = AcquisitionConfig(budget=2, n_buckets=2, n_breaks=1)
     return X, pool, cfg
 
 
@@ -598,14 +576,6 @@ class TestExpandAndSqueeze:
         assert out.selected == [3, 1]
         assert out.diagnostics["expanded_budget"] == 4
         assert sum(c.budget for c in out.per_cluster) == 2
-
-    def test_unit_expand_factor_is_identity(self):
-        X, pool = clustered_pool(8)
-        cfg = AcquisitionConfig(budget=6, n_buckets=4, n_breaks=2, expand_factor=1.0)
-        scores = UncertaintyScores(scores=np.zeros(60), source="test")
-        plain = dacs_select(pool, X, cfg, Rng(8, "sel"))
-        out = expand_and_squeeze(pool, X, cfg, scores, Rng(8, "sel"))
-        assert out.selected == plain.selected
 
     def test_uniform_scores_keep_the_earliest_picks(self):
         X, pool, cfg = expand_fixture()
