@@ -51,13 +51,8 @@ from .formats import (
 from .selection import (
     SCORED_STRATEGIES,
     STRATEGIES,
-    STRATEGY_COMBINED,
-    STRATEGY_CORESET,
     STRATEGY_DACS,
-    STRATEGY_DENSE_ONLY,
-    STRATEGY_ENTROPY,
-    STRATEGY_RANDOM,
-    STRATEGY_SPARSE_ONLY,
+    STRATEGY_READS,
     UncertaintyScores,
     check_budget,
     select,
@@ -71,19 +66,6 @@ EXIT_DIVERGED = 3
 # Largest pool `density --compare` accepts: its exact k-NN oracle is quadratic
 # in the row count.
 COMPARE_MAX_ROWS = 20_000
-# The select flags each strategy reads beyond the pool, budget and seed; a
-# strategy refuses any other of them. The region strategies split by
-# selection.REGION_BREAKS and spend their budget without temperature.
-_DACS_FLAGS = ("buckets", "breaks", "temperature", "window")
-_STRATEGY_FLAGS = {
-    STRATEGY_RANDOM: (),
-    STRATEGY_CORESET: (),
-    STRATEGY_DACS: _DACS_FLAGS,
-    STRATEGY_SPARSE_ONLY: ("buckets", "window"),
-    STRATEGY_DENSE_ONLY: ("buckets", "window"),
-    STRATEGY_COMBINED: _DACS_FLAGS + ("scores",),
-    STRATEGY_ENTROPY: ("scores",),
-}
 
 
 def _load_embeddings(args, normalize: bool) -> FeatureMatrix:
@@ -116,9 +98,10 @@ def _json_safe(value):
 
 def cmd_select(args) -> int:
     given = getattr(args, "given", frozenset())
-    for dest in ("scores", *_DACS_FLAGS):
-        if dest in given and dest not in _STRATEGY_FLAGS[args.strategy]:
-            readers = [s for s, flags in _STRATEGY_FLAGS.items() if dest in flags]
+    # selection.STRATEGY_READS says who reads what; a fixed order picks the flag named.
+    for dest in ("scores", "buckets", "breaks", "temperature", "window", "seed"):
+        if dest in given and dest not in STRATEGY_READS[args.strategy]:
+            readers = [s for s, reads in STRATEGY_READS.items() if dest in reads]
             raise ParseError(
                 f"--{dest} is read by --strategy {' or '.join(readers)} only;"
                 f" {args.strategy} does not use it"
@@ -164,7 +147,7 @@ def cmd_density(args) -> int:
     for flag, was_given, read, needs in (  # each flag, whether this run reads it, and when it does
         ("--compare", args.compare, lsh, "--mode lsh"),
         ("--buckets", "buckets" in given, lsh, "--mode lsh"),
-        ("--seed", args.seed is not None, lsh, "--mode lsh"),
+        ("--seed", "seed" in given, lsh, "--mode lsh"),
         ("--metric", "metric" in given, exact, "--mode exact"),
         ("--knn", "knn" in given, exact or args.compare, "--mode exact or --compare"),
     ):
@@ -394,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool_flags.add_argument(
         "--buckets", type=int, default=AcquisitionConfig.n_buckets, action=_NoteGiven
     )
-    pool_flags.add_argument("--seed", type=int, default=None)
+    pool_flags.add_argument("--seed", type=int, default=None, action=_NoteGiven)
     pool_flags.add_argument("--out", required=True)
 
     p_select = sub.add_parser(

@@ -245,12 +245,11 @@ def normalize_rows(x: FeatureMatrix) -> FeatureMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PoolState:
-    """Disjoint labeled/unlabeled index sets covering range(n_total), plus a cycle counter."""
+    """Disjoint labeled/unlabeled index sets covering range(n_total)."""
 
     n_total: int
     labeled: np.ndarray
     unlabeled: np.ndarray
-    cycle: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "labeled", _readonly(np.asarray(self.labeled, np.int64)))
@@ -258,7 +257,7 @@ class PoolState:
 
 
 def make_pool(n_total: int, initial_labeled) -> PoolState:
-    """Fresh pool at cycle 0 with the given labeled indices."""
+    """Fresh pool with the given labeled indices."""
     if n_total < 1:
         raise ValueError("n_total must be positive")
     lab = np.asarray(initial_labeled, dtype=np.int64).ravel()
@@ -274,7 +273,7 @@ def make_pool(n_total: int, initial_labeled) -> PoolState:
 
 
 def commit_acquisition(pool: PoolState, selected) -> PoolState:
-    """Move selected indices from unlabeled to labeled and advance the cycle."""
+    """Move selected indices from unlabeled to labeled."""
     sel = np.asarray(selected, dtype=np.int64).ravel()
     if sel.size == 0:
         raise ValueError("selection is empty")
@@ -298,7 +297,6 @@ def commit_acquisition(pool: PoolState, selected) -> PoolState:
         n_total=pool.n_total,
         labeled=np.flatnonzero(labeled | picked),
         unlabeled=np.flatnonzero(unlabeled & ~picked),
-        cycle=pool.cycle + 1,
     )
 
 

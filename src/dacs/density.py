@@ -5,8 +5,10 @@ distance (quadratic, used as a reference), and a fast path that bucket-hashes
 unit-norm features with a random rotation, sorts buckets into equal-size
 chunks, and sums sigmoid-weighted cosine similarity inside a sliding window of
 adjacent chunks. The fast path never compares samples more than two chunks
-apart, which is what makes it near-linear. pool_density is its one front-end:
-selection, the simulator and the CLI all estimate density through it.
+apart, but a chunk holds n/k rows, so at a fixed bucket count k a pass scores
+about 2n^2/k pairs: quadratic in the pool, not linear (ROADMAP item 1 has the
+timings: 0.51 s at 100k rows, 21.0 s at 400k). pool_density is its one
+front-end: selection, the simulator and the CLI all estimate density through it.
 """
 
 from __future__ import annotations

@@ -63,9 +63,12 @@ def _weighted_jenks_dp(u: np.ndarray, w: np.ndarray, h: int) -> np.ndarray:
         raise ValueError("values are too far apart: squared deviations overflow float64")
 
     back = np.zeros((h + 1, p + 1), dtype=np.int64)
+    # Layer 1's only finite predecessor is edge 0 (so back[1] stays 0): its
+    # totals are the general pass's at i = 0, whose zero terms drop exactly.
+    j = np.arange(1, p - h + 2)
     prev = np.full(p + 1, np.inf)
-    prev[0] = 0.0
-    for c in range(1, h + 1):
+    prev[j] = c2[j] - c1[j] * c1[j] / cw[j]
+    for c in range(2, h + 1):
         cur = np.full(p + 1, np.inf)
         # Classes c..h each need one value, bounding this layer's edge range.
         j_hi = p - (h - c)
@@ -91,7 +94,8 @@ def _weighted_jenks_dp(u: np.ndarray, w: np.ndarray, h: int) -> np.ndarray:
             best_i = i[hits[np.searchsorted(hits, starts)]]
             cur[jm] = best_v
             back[c, jm] = best_i
-            left, right = jlo < jm, jm < jhi
+            # The last layer needs only cur[p], so only the ranges holding p.
+            left, right = (jlo < jm) & (c < h), jm < jhi
             jlo, jhi, ilo, ihi = (
                 np.concatenate([jlo[left], jm[right] + 1]),
                 np.concatenate([jm[left] - 1, jhi[right]]),

@@ -403,8 +403,21 @@ _STRATEGY_TABLE = {
     STRATEGY_ENTROPY: lambda pool, x, cfg, rng, s: entropy_top_b(pool, s, cfg.budget),
 }
 STRATEGIES = tuple(_STRATEGY_TABLE)
+# The one declaration of the settings each strategy reads, named as the
+# `dacs select` flags (seed is the Rng's, scores the UncertaintyScores); a run
+# refuses any other. The region strategies use REGION_BREAKS, no temperature.
+_DACS_READS = ("buckets", "breaks", "temperature", "window", "seed")
+STRATEGY_READS = {
+    STRATEGY_RANDOM: ("seed",),
+    STRATEGY_CORESET: (),
+    STRATEGY_DACS: _DACS_READS,
+    STRATEGY_SPARSE_ONLY: ("buckets", "window", "seed"),
+    STRATEGY_DENSE_ONLY: ("buckets", "window", "seed"),
+    STRATEGY_COMBINED: _DACS_READS + ("scores",),
+    STRATEGY_ENTROPY: ("scores",),
+}
 # Strategies that rank by per-sample uncertainty and so need scores.
-SCORED_STRATEGIES = (STRATEGY_COMBINED, STRATEGY_ENTROPY)
+SCORED_STRATEGIES = tuple(s for s, reads in STRATEGY_READS.items() if "scores" in reads)
 
 
 def select(

@@ -241,7 +241,6 @@ class ExperimentReport:
     records: list
     rho_entropy: float | None = None
     rho_loss: float | None = None
-    error: str | None = None
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

@@ -31,7 +31,16 @@ from dacs.core import AcquisitionConfig, DegenerateInputError, DivergenceError, 
 from dacs.density import lsh_assign, lsh_density
 from dacs.formats import ParseError, read_embeddings, write_embeddings, write_embeddings_csv
 from dacs.model import ModelConfig
+from dacs.selection import STRATEGIES, STRATEGY_READS
 from dacs.simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE
+
+# A value for each `dacs select` flag that some strategy reads, as the command
+# line gives it; a strategy that does not read the flag refuses it before any
+# file is opened, so the scores file need not exist.
+SETTING_VALUES = {
+    "buckets": "8", "breaks": "2", "temperature": "20", "window": "own-chunk-only", "seed": "1",
+    "scores": "s.txt",
+}
 
 
 def unit(a):
@@ -305,6 +314,9 @@ class TestSelectCommand:
             ("sparse-only", ["--breaks", "7"], "dacs or combined"),
             ("dense-only", ["--temperature", "0.25"], "dacs or combined"),  # the default, given
             ("entropy-top-b", ["--buckets", "4"], "dacs or sparse-only or dense-only or combined"),
+            ("coreset", ["--seed", "1"], "random or dacs or sparse-only or dense-only or combined"),
+            ("entropy-top-b", ["--seed", "1", "--scores", "s.txt"],
+             "random or dacs or sparse-only or dense-only or combined"),
         ],
     )
     def test_engine_flags_the_strategy_ignores_are_refused(
@@ -317,6 +329,27 @@ class TestSelectCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "strategy, dest",
+        [(s, d) for s in STRATEGIES for d in SETTING_VALUES if d not in STRATEGY_READS[s]],
+    )
+    def test_every_setting_the_registry_leaves_out_is_refused(
+        self, pool_file, tmp_path, capsys, strategy, dest
+    ):
+        assert set(SETTING_VALUES) == {d for reads in STRATEGY_READS.values() for d in reads}
+        code, out = self.run_select(
+            pool_file, tmp_path, "--strategy", strategy, f"--{dest}", SETTING_VALUES[dest], engine=()
+        )
+        assert code == EXIT_USAGE
+        assert f"error: --{dest} is read by --strategy " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_env_seed_stays_a_default_where_unread(self, pool_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("DACS_SEED", "7")
+        code, out = self.run_select(pool_file, tmp_path, "--strategy", "coreset", engine=())
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["config_echo"]["seed"] == 7
+
+    @pytest.mark.parametrize(
         "strategy, flags",
         [
             ("dacs", ["--buckets", "4", "--breaks", "4", "--temperature", "0.5", "--window",
@@ -325,6 +358,7 @@ class TestSelectCommand:
             ("dense-only", ["--buckets", "4"]),
             ("coreset", []),
             ("random", ["--seed", "2"]),
+            ("sparse-only", ["--buckets", "4", "--seed", "1"]),
         ],
     )
     def test_engine_flags_the_strategy_reads_are_accepted(
@@ -566,7 +600,7 @@ class TestSimulateCommand:
         report = json.loads((out_dir / "dacs-seed0.json").read_text())
         assert report["strategy"] == "dacs"
         assert len(report["records"]) == 2
-        assert report["error"] is None
+        assert "error" not in report  # only a diverged run's stub carries one
         assert (out_dir / "random-seed0.json").exists()
         csv_lines = (out_dir / "aggregate.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "cycle,frac,acc,info,div,strategy,seed"
@@ -668,8 +702,8 @@ def grid_digest(outputs) -> str:
 
 # grid_digest of the parting grid below, as written when each run trained
 # alone, one after another (with the six since-deleted model and acquisition
-# keys stripped from each report's config).
-PARTING_GRID_SHA256 = "cc333a6812e59103920b5b7f9c31f2da5ea1851b9d69a99a79cebc1f5522a86b"
+# keys stripped from each report's config, and its since-deleted error key).
+PARTING_GRID_SHA256 = "d7710446a5e07bda1ed30c20c1e657125058757cc0e28e23850ccfb466b397ed"
 
 
 def force_workers(monkeypatch, workers):

@@ -171,13 +171,11 @@ class TestPool:
         pool = make_pool(10, [1, 2])
         assert np.array_equal(pool.labeled, [1, 2])
         assert pool.unlabeled.size == 8
-        assert pool.cycle == 0
 
     def test_commit_example(self):
         pool = make_pool(10, [1, 2])
         after = commit_acquisition(pool, [3])
         assert np.array_equal(after.labeled, [1, 2, 3])
-        assert after.cycle == 1
         assert 3 not in after.unlabeled
 
     def test_commit_labeled_index_rejected(self):
@@ -254,9 +252,7 @@ class TestPool:
                     max_size=k,
                 )
             )
-            before_cycle = pool.cycle
             pool = commit_acquisition(pool, picks)
-            assert pool.cycle == before_cycle + 1
         # labeled and unlabeled always partition range(n)
         assert np.intersect1d(pool.labeled, pool.unlabeled).size == 0
         union = np.union1d(pool.labeled, pool.unlabeled)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dacs.core import (
+    WINDOW_OWN_CHUNK,
+    WINDOW_WITH_PREVIOUS,
     AcquisitionConfig,
     FeatureMatrix,
     Rng,
@@ -20,6 +22,7 @@ from dacs.selection import (
     SCORED_STRATEGIES,
     STRATEGY_DACS,
     STRATEGY_DENSE_ONLY,
+    STRATEGY_READS,
     STRATEGY_SPARSE_ONLY,
     _max_similarity,
     STRATEGIES,
@@ -664,3 +667,46 @@ class TestSelectDispatch:
         else:
             with pytest.raises(ValueError, match=over + "$"):
                 select(strategy, pool, X, cfg, Rng(8, "sel"), scores)
+
+
+class TestStrategyReads:
+    """STRATEGY_READS against select(): a setting moves a strategy's picks iff it is declared.
+
+    The pool is 40 rows on the 4-D sphere (points seed 0), two of them
+    labeled, with a budget of 6: under every setting below, its region
+    classes all hold more than 6 rows, so nothing clamps or warns. Each setting's
+    two values are far apart, so that a strategy that reads it cannot miss
+    the change: 4 and 8 buckets hash into different chunks; 3 classes and 2
+    split the spectrum differently; temperature 0.05 gives nearly the whole
+    budget to the smallest class and 20 splits it nearly evenly; the two
+    windows sum over different chunks; seeds 0 and 1 draw different
+    rotations and samples; and the two score vectors rank the pool in
+    opposite orders. Most 40-row pools of this generator show every declared
+    change too; this one is fixed so the test is deterministic. A wrong entry
+    in either direction, such as a seed the registry leaves out, fails here.
+    """
+
+    N = 40
+    BASE = {"buckets": 4, "breaks": 3, "temperature": 0.05, "window": WINDOW_WITH_PREVIOUS,
+            "seed": 0, "scores": np.linspace(0.0, 1.0, N)}
+    OTHER = {"buckets": 8, "breaks": 2, "temperature": 20.0, "window": WINDOW_OWN_CHUNK,
+             "seed": 1, "scores": np.linspace(1.0, 0.0, N)}
+
+    def picks(self, strategy, settings):
+        X, pool = sphere_points(self.N, 4, 0), make_pool(self.N, [0, 1])
+        cfg = AcquisitionConfig(
+            budget=6, n_buckets=settings["buckets"], n_breaks=settings["breaks"],
+            temperature=settings["temperature"], window=settings["window"],
+        )
+        rng = Rng(settings["seed"], "reads")
+        return select(strategy, pool, X, cfg, rng, UncertaintyScores(scores=settings["scores"])).selected
+
+    def test_every_strategy_declares_its_reads(self):
+        assert set(STRATEGY_READS) == set(STRATEGIES)
+        assert all(set(reads) <= set(self.BASE) for reads in STRATEGY_READS.values())
+
+    @pytest.mark.parametrize("setting", list(BASE))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_setting_moves_the_picks_iff_declared(self, strategy, setting):
+        moved = self.picks(strategy, {**self.BASE, setting: self.OTHER[setting]})
+        assert (moved != self.picks(strategy, self.BASE)) == (setting in STRATEGY_READS[strategy])
