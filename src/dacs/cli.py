@@ -14,7 +14,6 @@ import os
 import sys
 import time
 import traceback
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ from .selection import (
     check_budget,
     select,
 )
-from .simulate import SyntheticDataset, run_lockstep
+from .simulate import SyntheticDataset, _record_warnings, _warn_again, run_lockstep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,21 +193,16 @@ class _Grid:
         The outcome is the run's ExperimentReport or the message of its
         DivergenceError; error is any other exception the run raised. The
         warnings are every warning the run raised (one raised in a stacked
-        training step counts for the lowest job of the stack), recorded
+        training step counts for the lowest job of the stack, one raised in
+        a shared cycle 0 for every job sharing it), recorded
         whatever the filters say, so that _warn_again lets the caller's
         filters judge them in job order.
         """
         caught = [[] for _ in jobs]
-
-        @contextlib.contextmanager
-        def recording(i):
-            with warnings.catch_warnings(record=True) as log:
-                warnings.simplefilter("always")
-                yield
-            caught[i].extend((w.message, w.category, w.filename, w.lineno) for w in log)
-
         runs = [(strategy, Rng(seed)) for strategy, seed in jobs]
-        outcomes = run_lockstep(self.dataset, runs, scope=recording, **self.settings)
+        outcomes = run_lockstep(
+            self.dataset, runs, scope=lambda i: _record_warnings(caught[i]), **self.settings
+        )
         results = []
         for outcome, log in zip(outcomes, caught):
             if isinstance(outcome, DivergenceError):
@@ -247,32 +241,31 @@ class _WorkerTraceback(Exception):
         return "\n" + self.args[0]
 
 
-def _warn_again(message, category, filename: str, lineno: int) -> None:
-    """Issue a run's recorded warning under this process's filters, from its origin.
+def _seed_major_groups(jobs, workers: int) -> list:
+    """The indices of the (strategy, seed) jobs, dealt into `workers` groups.
 
-    The origin's module name and registry are what warnings.warn would have
-    used there, so module filters and once-per-location actions behave as
-    they do for a warning raised in place.
+    The jobs are taken seed-major, in the order their seeds first appear,
+    and cut into contiguous groups whose sizes differ by at most one, so the
+    runs of one seed, which share their cycle 0, mostly share a group.
     """
-    module = next(
-        (name for name, m in list(sys.modules.items()) if getattr(m, "__file__", None) == filename),
-        None,
-    )
-    registry = vars(sys.modules[module]).setdefault("__warningregistry__", {}) if module else None
-    warnings.warn_explicit(message, category, filename, lineno, module=module, registry=registry)
+    seeds = list(dict.fromkeys(seed for _, seed in jobs))
+    order = sorted(range(len(jobs)), key=lambda j: seeds.index(jobs[j][1]))
+    bounds = [len(jobs) * g // workers for g in range(workers + 1)]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _grid_outcomes(grid: _Grid, jobs):
     """Yield (strategy, seed, outcome) for each job, in job order; outcome as in _Grid.run_group.
 
-    The jobs are dealt round-robin, in job order, into min(_worker_count(),
-    len(jobs)) groups, and each group trains its runs in lockstep. Each group
-    runs on its own worker process forked from this one, which hands it the
-    dataset without pickling it; one group runs here. _worker_count() is
-    above 1 only when BLAS runs one thread, so no BLAS threads are alive at
-    the fork. A run's warnings are issued here, and its error raised here,
-    when its job's turn comes, so the caller sees what running the jobs one
-    after another on this process would show, in the same order.
+    The jobs are dealt into min(_worker_count(), len(jobs)) groups by
+    _seed_major_groups, and each group trains its runs in lockstep. Each
+    group runs on its own worker process forked from this one, which
+    hands it the dataset without pickling it; one group runs here.
+    _worker_count() is above 1 only when BLAS runs one thread, so no BLAS
+    threads are alive at the fork. A run's warnings are issued here, and its
+    error raised here, when its job's turn comes, so the caller sees what
+    running the jobs one after another on this process would show, in the
+    same order.
     """
     workers = min(_worker_count(), len(jobs))
     if workers > 1:
@@ -293,8 +286,10 @@ def _grid_outcomes(grid: _Grid, jobs):
                 initializer=_start_grid_worker,
                 initargs=(grid,),
             )
-            futures = [pool.submit(_grid_group, jobs[g::workers]) for g in range(workers)]
-            results = (futures[j % workers].result()[j // workers] for j in range(len(jobs)))
+            groups = _seed_major_groups(jobs, workers)
+            futures = [pool.submit(_grid_group, [jobs[j] for j in group]) for group in groups]
+            place = {j: (g, k) for g, group in enumerate(groups) for k, j in enumerate(group)}
+            results = (futures[place[j][0]].result()[place[j][1]] for j in range(len(jobs)))
         for (strategy, seed), (outcome, error, caught) in zip(jobs, results):
             for warning in caught:
                 _warn_again(*warning)

@@ -7,8 +7,10 @@ chunks, and sums sigmoid-weighted cosine similarity inside a sliding window of
 adjacent chunks. The fast path never compares samples more than two chunks
 apart, but a chunk holds n/k rows, so at a fixed bucket count k a pass scores
 about 2n^2/k pairs: quadratic in the pool, not linear (ROADMAP item 1 has the
-timings: 0.51 s at 100k rows, 21.0 s at 400k). pool_density is its one
-front-end: selection, the simulator and the CLI all estimate density through it.
+timings: 0.51 s at 100k rows, 21.0 s at 400k). Small chunks are multiplied
+in stacks, one BLAS call per chunk inside one np.matmul, with the bits of the
+one-chunk product (see lsh_density). pool_density is its one front-end:
+selection, the simulator and the CLI all estimate density through it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ METRIC_COSINE = "cosine-distance"
 # Rows of a chunk's similarity block that lsh_density weights and sums at once;
 # keeps its scratch buffer cache-sized whatever the chunk size.
 _ROW_TILE = 64
+# Float64 elements of the chunk products lsh_density stacks into one matmul
+# (a chunk's product larger than this is made alone).
+_STACK_SCRATCH = 1 << 16
 
 
 class DensityConvention(enum.Enum):
@@ -193,14 +198,24 @@ def lsh_density(
     drops the preceding chunk (ablation switch).
 
     Each chunk's similarities against its window come from one matrix product
-    into a reused buffer. The weighting then runs over row tiles of that block
-    inside a reused scratch buffer, and each tile's rows are summed straight
-    into the output, so no chunk-sized temporaries are allocated. Tiling never
-    splits a row, so every value is the same as weighting and summing the
-    whole block at once. A large pool splits its chunks into contiguous runs,
-    one per thread (see core._parallel_ranges for how many), each with its
-    own two buffers; a chunk's arithmetic does not depend on which thread
-    runs it, so neither does any value.
+    into a reused buffer. Small chunks cost more in per-call overhead than in
+    arithmetic, so consecutive full chunks with full windows are multiplied
+    as one stack: one np.matmul of their (g, m, d) rows against (g, d, w)
+    strided views of their overlapping windows, with g as large as
+    _STACK_SCRATCH elements of products allow. numpy hands BLAS each slice
+    of a stack with the shapes and strides of the one-chunk call (the fact
+    model.train_stacked relies on), so each slice is the same product, bit
+    for bit. A chunk whose product alone exceeds the bound (990-row chunks
+    on a 99k-row pool) is still multiplied alone, into the same buffer.
+    The weighting then runs over row tiles of the block (a whole stack, or
+    at least _ROW_TILE rows of a large chunk) inside a reused scratch
+    buffer, and each tile's rows are summed straight into the output, so no
+    chunk-sized temporaries are allocated. Tiling never splits a row, so
+    every value is the same as weighting and summing each chunk's block at
+    once. A large pool splits its chunks into contiguous runs, one per
+    thread (see core._parallel_ranges for how many), each with its own two
+    buffers; a chunk's arithmetic does not depend on which thread or stack
+    takes it, so neither does any value.
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
@@ -230,21 +245,40 @@ def lsh_density(
     n_chunks = -(-n // m)
     width = min(n, m if window == WINDOW_OWN_CHUNK else 2 * m)  # widest window
     product_size = min(m, n) * width
+    # Chunks whose products stack: full chunks with a full window. The first
+    # chunk has no previous one unless the window is its own chunk, and a
+    # remainder chunk is short.
+    stack_first = 0 if window == WINDOW_OWN_CHUNK else 1
+    stack_last = n // m  # one past the last full chunk
+    per_stack = max(1, _STACK_SCRATCH // product_size)
+    stack_size = per_stack * product_size
+    tile_rows = max(_ROW_TILE, _STACK_SCRATCH // width)  # holds a whole stack's rows
     vals_sorted = np.empty(n, dtype=np.float64)
 
     def chunks(first: int, last: int, mem: np.ndarray) -> None:
         # One product buffer and one scratch tile per thread, reused for
-        # every chunk it takes.
-        product, scratch = mem[:product_size], mem[product_size:]
-        for c in range(first, last):
+        # every stack of chunks it takes.
+        product, scratch = mem[:stack_size], mem[stack_size:]
+        c = first
+        while c < last:
             s, e = c * m, min(n, (c + 1) * m)
             lo = s if (window == WINDOW_OWN_CHUNK or c == 0) else (c - 1) * m
-            sims = product[: (e - s) * (e - lo)].reshape(e - s, e - lo)
-            np.matmul(Z[s:e], Z[lo:e].T, out=sims)
-            rows = np.arange(e - s)
-            sims[rows, rows + (s - lo)] = 0.0  # self term contributes nothing
-            for t in range(0, e - s, _ROW_TILE):
-                tile = sims[t : t + _ROW_TILE]
+            g = min(per_stack, min(last, stack_last) - c) if stack_first <= c < stack_last else 1
+            rows, w = e - s, e - lo
+            # Chunk c + j multiplies rows Z[s + j*m :][:rows] by its window
+            # Z[lo + j*m :][:w]; the windows overlap, so they are a strided view.
+            windows = np.lib.stride_tricks.as_strided(
+                Z[lo:], shape=(g, w, Z.shape[1]), strides=(m * Z.strides[0], *Z.strides),
+                writeable=False,
+            )
+            sims = product[: g * rows * w].reshape(g, rows, w)
+            stacked_rows = Z[s : s + g * rows].reshape(g, rows, -1)
+            np.matmul(stacked_rows, windows.transpose(0, 2, 1), out=sims)
+            diag = np.arange(rows)
+            sims[:, diag, diag + (s - lo)] = 0.0  # self term contributes nothing
+            block = sims.reshape(g * rows, w)
+            for t in range(0, g * rows, tile_rows):
+                tile = block[t : t + tile_rows]
                 buf = scratch[: tile.size].reshape(tile.shape)
                 # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
                 # Cosines lie in [-1, 1], so exp cannot overflow.
@@ -254,8 +288,9 @@ def lsh_density(
                 np.divide(1.0, buf, out=buf)
                 np.multiply(buf, tile, out=buf)
                 buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
+            c += g
 
-    _parallel_ranges(n_chunks, n * width, product_size + min(_ROW_TILE, m) * width, chunks)
+    _parallel_ranges(n_chunks, n * width, stack_size + tile_rows * width, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(

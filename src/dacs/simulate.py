@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -21,6 +22,7 @@ import numpy as np
 from .core import (
     AcquisitionConfig,
     FeatureMatrix,
+    PoolState,
     Rng,
     UndefinedCorrelationError,
     commit_acquisition,
@@ -244,7 +246,8 @@ class ExperimentReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, with each record as a dict; nested values are the report's own."""
+        return {**vars(self), "records": [dict(vars(record)) for record in self.records]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -255,18 +258,24 @@ class ExperimentReport:
 
 
 def _density_correlations(
-    pool, out_train: ModelOutputs, out_test: ModelOutputs, acq_config: AcquisitionConfig, rng: Rng
+    pool,
+    out_train: ModelOutputs,
+    embeddings: FeatureMatrix,
+    out_test: ModelOutputs,
+    acq_config: AcquisitionConfig,
+    rng: Rng,
 ):
     """(rho_entropy, rho_loss) of one model, as density_uncertainty_correlation gives them.
 
-    rho_entropy correlates density with entropy over the unlabeled pool,
-    rho_loss with per-sample loss over the test split. Once one is
-    undefined (UndefinedCorrelationError), it and the rest stay None.
+    embeddings is out_train's embedding matrix. rho_entropy correlates
+    density with entropy over the unlabeled pool, rho_loss with per-sample
+    loss over the test split. Once one is undefined
+    (UndefinedCorrelationError), it and the rest stay None.
     """
     rho_entropy = rho_loss = None
     try:
         dens_unl = pool_density(
-            out_train.embedding_matrix(), pool.unlabeled, acq_config.n_buckets,
+            embeddings, pool.unlabeled, acq_config.n_buckets,
             rng.derive("rho-unl"), acq_config.window,
         )
         out_unl = ModelOutputs(
@@ -286,6 +295,11 @@ def _density_correlations(
     return rho_entropy, rho_loss
 
 
+def _test_rows(n_rows: int, test_fraction: float) -> int:
+    """Size of the held-out test split of n_rows rows."""
+    return int(round(test_fraction * n_rows))
+
+
 def check_run(
     n_rows: int, n_features: int, strategy: str, acq_config: AcquisitionConfig,
     model_config: ModelConfig, cycles: int, init_labeled: int, test_fraction: float,
@@ -300,7 +314,7 @@ def check_run(
         raise ValueError("cycles must be non-negative")
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must lie in (0, 1)")
-    n_test = int(round(test_fraction * n_rows))
+    n_test = _test_rows(n_rows, test_fraction)
     n_train = n_rows - n_test
     if n_test < 1 or n_train < 2:
         raise ValueError("dataset too small for the requested test fraction")
@@ -348,65 +362,224 @@ def run_lockstep(
 ) -> list:
     """Run the (strategy, rng) runs on one dataset together, a cycle at a time.
 
-    Each run's al_cycles loop is advanced to its next training request; the
-    pending requests that share a model config and a labeled count are
+    Runs with one Rng share their cycle 0 up to its first selection: it is
+    computed once (first_cycle), and each of them gets the same objects.
+    Each run's al_cycles loop is then advanced to its next training request;
+    the pending requests that share a model config and a labeled count are
     trained as one stack by train_stacked, and each run gets its own model
-    back, bit for bit the one it would train alone. A run's timings.train
-    holds its share of the stacked steps.
+    back, bit for bit the one it would train alone. A run's timings hold its
+    share of the stacked steps and of its shared cycle 0.
 
     Returns each run's ExperimentReport, or the exception it raised (a
     DivergenceError among others), in run order; one run's failure does not
-    stop the others. Work done for run i runs inside scope(i); a stacked
-    step runs inside the scope of its lowest run.
+    stop the others, and an error in a shared cycle 0 is the outcome of
+    every run sharing it. Work done for run i runs inside scope(i); a
+    stacked step runs inside the scope of its lowest run. A shared cycle 0
+    runs in no run's scope: the warnings it raises are issued again inside
+    the scope of each run sharing it, when the run receives its cycle 0.
     """
     outcomes: list = [None] * len(runs)
-    pending: dict = {}  # run index -> (its cycle loop, its training request)
+    loops: list = [None] * len(runs)  # each run's al_cycles
+    waiting: dict = {}  # Rng -> the runs that asked for its cycle 0
+    pending: dict = {}  # lowest run index -> (training request, runs it serves, resume(trained))
 
-    def advance(i, cycle_loop, sent=None):
-        """Run i up to its next request; sent goes in, or is raised there if an exception."""
+    def advance(i, sent=None, log=()):
+        """Run i up to its next request: log's warnings are issued, then sent goes in."""
         with scope(i):
             try:
-                if cycle_loop is None:
+                for warning in log:
+                    _warn_again(*warning)
+                if loops[i] is None:
                     strategy, rng = runs[i]
-                    cycle_loop = al_cycles(
+                    loops[i] = al_cycles(
                         dataset, strategy, acq_config, model_config, cycles, init_labeled, rng,
                         test_fraction,
                     )
-                    request = next(cycle_loop)
-                elif isinstance(sent, Exception):
-                    request = cycle_loop.throw(sent)
-                else:
-                    request = cycle_loop.send(sent)
+                request = _resume(loops[i], sent)
             except StopIteration as done:
                 outcomes[i] = done.value
                 return
             except Exception as exc:  # the run's outcome; the other runs go on
                 outcomes[i] = exc
                 return
-        pending[i] = (cycle_loop, request)
+        if isinstance(request, Rng):  # the run asks for its cycle 0
+            waiting.setdefault(request, []).append(i)
+        else:
+            pending[i] = (request, 1, lambda trained: advance(i, trained))
+
+    def advance_shared(members, cycle_loop, sent=None, log=()):
+        """A cycle 0 up to its next request, once for all its runs; its warnings join log."""
+        log = list(log)
+        with _record_warnings(log):
+            try:
+                request = _resume(cycle_loop, sent)
+            except StopIteration as done:
+                ended = done.value
+            except Exception as exc:  # the outcome of every run sharing it
+                ended = exc
+            else:
+                ended = None
+        if ended is None:
+            pending[members[0]] = (
+                request, len(members),
+                lambda trained: advance_shared(members, cycle_loop, trained, log),
+            )
+        else:
+            for i in members:
+                advance(i, ended, log)
 
     for i in range(len(runs)):
-        advance(i, None)
+        advance(i)
+    for rng, members in waiting.items():
+        advance_shared(
+            members,
+            first_cycle(
+                dataset, acq_config, model_config, init_labeled, rng, test_fraction, len(members)
+            ),
+        )
     while pending:
         stacks: dict = {}
-        for i in sorted(pending):
-            model, _, _, labeled = pending[i][1]
-            stacks.setdefault((model.config, len(labeled)), []).append(i)
-        for members in stacks.values():
-            loops, requests = zip(*(pending.pop(i) for i in members))
+        for key in sorted(pending):
+            model, _, _, labeled = pending[key][0]
+            stacks.setdefault((model.config, len(labeled)), []).append(key)
+        for keys in stacks.values():
+            requests, served, resumes = zip(*(pending.pop(key) for key in keys))
             t0 = time.perf_counter()
-            with scope(members[0]):
+            with scope(keys[0]):
                 try:
-                    if len(members) == 1:  # a lone run_al trains through model.train
+                    if len(keys) == 1:  # a lone run_al trains through model.train
                         trained = [train(*requests[0])]
                     else:
                         trained = train_stacked(*(list(column) for column in zip(*requests)))
                 except Exception as exc:  # raised in every run of the stack
-                    trained = [exc] * len(members)
-            share = (time.perf_counter() - t0) / len(members)
-            for i, cycle_loop, model in zip(members, loops, trained):
-                advance(i, cycle_loop, model if isinstance(model, Exception) else (model, share))
+                    trained = [exc] * len(keys)
+            share = (time.perf_counter() - t0) / sum(served)  # per run served
+            for resume, n_runs, model in zip(resumes, served, trained):
+                resume(model if isinstance(model, Exception) else (model, share * n_runs))
     return outcomes
+
+
+def _resume(loop, sent):
+    """Run a generator to its next yield: sent goes in, or is raised there if an exception."""
+    return loop.throw(sent) if isinstance(sent, Exception) else loop.send(sent)
+
+
+@contextlib.contextmanager
+def _record_warnings(into: list):
+    """Record every warning raised inside, whatever the filters say, into `into`.
+
+    Each is kept as the (message, category, filename, lineno) that
+    _warn_again issues again.
+    """
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        yield
+    into.extend((w.message, w.category, w.filename, w.lineno) for w in log)
+
+
+def _warn_again(message, category, filename: str, lineno: int) -> None:
+    """Issue a recorded warning under the current filters, from its origin.
+
+    The origin's module name and registry are what warnings.warn would have
+    used there, so module filters and once-per-location actions behave as
+    they do for a warning raised in place.
+    """
+    module = next(
+        (name for name, m in list(sys.modules.items()) if getattr(m, "__file__", None) == filename),
+        None,
+    )
+    registry = vars(sys.modules[module]).setdefault("__warningregistry__", {}) if module else None
+    warnings.warn_explicit(message, category, filename, lineno, module=module, registry=registry)
+
+
+@dataclass(frozen=True, eq=False)
+class FirstCycle:
+    """A run's cycle 0 up to its first selection, which only the run's Rng decides.
+
+    The split, the initial pool, the cycle-0 model's outputs on the training
+    rows, its test accuracy and the density correlations; timings holds the
+    seconds charged to each run sharing it.
+    """
+
+    X_train: FeatureMatrix
+    y_train: np.ndarray
+    X_test: FeatureMatrix
+    y_test: np.ndarray
+    pool: PoolState
+    out_train: ModelOutputs
+    embeddings: FeatureMatrix
+    accuracy: float
+    rho_entropy: float | None
+    rho_loss: float | None
+    timings: dict
+
+
+def first_cycle(
+    dataset: SyntheticDataset,
+    acq_config: AcquisitionConfig,
+    model_config: ModelConfig,
+    init_labeled: int,
+    rng: Rng,
+    test_fraction: float = TEST_FRACTION,
+    sharers: int = 1,
+):
+    """A run's cycle 0 up to its first selection, as a generator; returns its FirstCycle.
+
+    It yields the cycle-0 training request and receives (trained model,
+    seconds of training to charge its runs together), as al_cycles does.
+    Each of the `sharers` runs it serves is charged an equal part of its
+    seconds.
+    """
+    n_test = _test_rows(dataset.n, test_fraction)
+    perm = rng.derive("split").generator().permutation(dataset.n)
+    test_idx = np.sort(perm[:n_test])
+    train_idx = np.sort(perm[n_test:])
+    X_train = dataset.features.rows(train_idx)
+    y_train = dataset.labels[train_idx]
+    X_test = dataset.features.rows(test_idx)
+    y_test = dataset.labels[test_idx]
+    draw = rng.derive("init-labeled").generator()
+    init_idx = np.sort(draw.choice(train_idx.size, size=init_labeled, replace=False))
+    pool = make_pool(train_idx.size, init_idx)
+    crng = rng.derive("cycle-0")
+    out_train, out_test, accuracy, train_s = yield from _cycle_model(
+        model_config, X_train, y_train, X_test, y_test, pool.labeled, crng
+    )
+    embeddings = out_train.embedding_matrix()
+    t0 = time.perf_counter()
+    rho_entropy, rho_loss = _density_correlations(
+        pool, out_train, embeddings, out_test, acq_config, crng
+    )
+    density_s = time.perf_counter() - t0
+    return FirstCycle(
+        X_train=X_train,
+        y_train=y_train,
+        X_test=X_test,
+        y_test=y_test,
+        pool=pool,
+        out_train=out_train,
+        embeddings=embeddings,
+        accuracy=accuracy,
+        rho_entropy=rho_entropy,
+        rho_loss=rho_loss,
+        timings={"train": train_s / sharers, "density": density_s / sharers},
+    )
+
+
+def _cycle_model(model_config, X_train, y_train, X_test, y_test, labeled, crng):
+    """One cycle's model, as a generator that yields its training request like al_cycles.
+
+    Returns (outputs on the training rows, outputs on the test rows, test
+    accuracy, seconds of initialising and training to charge).
+    """
+    t0 = time.perf_counter()
+    model = init_model(model_config, X_train.d, crng.derive("model"))
+    init_s = time.perf_counter() - t0
+    model, train_s = yield model, X_train, y_train, labeled
+    out_train = infer(model, X_train)
+    out_test = infer(model, X_test, labels=y_test)
+    accuracy = float((out_test.probs.argmax(axis=1) == y_test).mean())
+    return out_train, out_test, accuracy, init_s + train_s
 
 
 def al_cycles(
@@ -421,9 +594,11 @@ def al_cycles(
 ):
     """One run's acquisition loop, as a generator that leaves training to its driver.
 
-    Each cycle it yields (untrained model, training rows, their labels,
-    labeled indices) and receives (trained model, seconds of training to
-    charge the run). It returns the ExperimentReport.
+    It first yields its rng and receives its FirstCycle, which first_cycle
+    computes once for every run with that rng. Each later cycle it yields
+    (untrained model, training rows, their labels, labeled indices) and
+    receives (trained model, seconds of training to charge the run). It
+    returns the ExperimentReport.
 
     A held-out test split (never visible to acquisition) measures accuracy.
     The report carries one record per trained model: records[t] has the model
@@ -431,23 +606,18 @@ def al_cycles(
     record has no selection. Density-uncertainty correlations come from the
     cycle-0 model.
     """
-    n_test = check_run(
+    check_run(
         dataset.n, dataset.features.d, strategy, acq_config, model_config, cycles, init_labeled,
         test_fraction,
     )
-    perm = rng.derive("split").generator().permutation(dataset.n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    n_train = train_idx.size
-    X_train = dataset.features.rows(train_idx)
-    y_train = dataset.labels[train_idx]
-    X_test = dataset.features.rows(test_idx)
-    y_test = dataset.labels[test_idx]
-
-    init_idx = np.sort(
-        rng.derive("init-labeled").generator().choice(n_train, size=init_labeled, replace=False)
-    )
-    pool = make_pool(n_train, init_idx)
+    first = yield rng
+    X_train, y_train, X_test, y_test = first.X_train, first.y_train, first.X_test, first.y_test
+    pool, out_train, embeddings = first.pool, first.out_train, first.embeddings
+    accuracy = first.accuracy
+    timings = {"train": first.timings["train"], "select": 0.0, "density": first.timings["density"]}
+    rho_entropy, rho_loss = first.rho_entropy, first.rho_loss
+    del first  # its outputs go with this cycle's
+    n_train = X_train.n
     is_near_dup = dataset.generator == GENERATOR_NEAR_DUPLICATE
     dup_threshold = (
         duplicate_threshold(dataset.params["noise_sigma"], dataset.features.d)
@@ -456,25 +626,14 @@ def al_cycles(
     )
 
     records: list[CycleRecord] = []
-    timings: dict[str, float] = {"train": 0.0, "select": 0.0, "density": 0.0}
-    rho_entropy = rho_loss = None
     for t in range(cycles + 1):
         crng = rng.derive(f"cycle-{t}")
-        t0 = time.perf_counter()
-        model = init_model(model_config, dataset.features.d, crng.derive("model"))
-        init_s = time.perf_counter() - t0
-        model, train_s = yield model, X_train, y_train, pool.labeled
-        timings["train"] += init_s + train_s
-        out_train = infer(model, X_train)
-        out_test = infer(model, X_test, labels=y_test)
-        accuracy = float((out_test.probs.argmax(axis=1) == y_test).mean())
-        embeddings = out_train.embedding_matrix()
-        if t == 0:
-            t0 = time.perf_counter()
-            rho_entropy, rho_loss = _density_correlations(
-                pool, out_train, out_test, acq_config, crng
+        if t > 0:
+            out_train, _, accuracy, train_s = yield from _cycle_model(
+                model_config, X_train, y_train, X_test, y_test, pool.labeled, crng
             )
-            timings["density"] += time.perf_counter() - t0
+            timings["train"] += train_s
+            embeddings = out_train.embedding_matrix()
         frac = pool.labeled.size / n_train
         if t == cycles:
             records.append(CycleRecord(cycle=t, labeled_fraction=frac, test_accuracy=accuracy))
@@ -503,7 +662,7 @@ def al_cycles(
         pool = commit_acquisition(pool, result.selected)
         # The run waits for its next model beside the other runs of its
         # driver: hold only its data and pool meanwhile, not this cycle's outputs.
-        del model, out_train, out_test, embeddings
+        del out_train, embeddings
     return ExperimentReport(
         strategy=strategy,
         seed=rng.seed,

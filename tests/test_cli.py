@@ -3,6 +3,7 @@ import json
 import os
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dacs.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_USAGE,
+    _seed_major_groups,
     build_parser,
     main,
     run_config_grid,
@@ -32,7 +34,7 @@ from dacs.density import lsh_assign, lsh_density
 from dacs.formats import ParseError, read_embeddings, write_embeddings, write_embeddings_csv
 from dacs.model import ModelConfig
 from dacs.selection import STRATEGIES, STRATEGY_READS
-from dacs.simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE
+from dacs.simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE, run_al
 
 # A value for each `dacs select` flag that some strategy reads, as the command
 # line gives it; a strategy that does not read the flag refuses it before any
@@ -727,6 +729,67 @@ class TestGridWorkers:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
+    def test_jobs_are_dealt_seed_major_into_contiguous_groups(self):
+        root = Path(__file__).resolve().parents[1]
+        config = parse_run_config(root / "configs" / "near_duplicate.cfg")
+        jobs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
+        groups = [[jobs[j] for j in group] for group in _seed_major_groups(jobs, 2)]
+        strategies = ["random", "coreset", "dacs", "entropy-top-b"]
+        assert groups == [
+            [(s, 0) for s in strategies] + [("random", 1), ("coreset", 1)],
+            [("dacs", 1), ("entropy-top-b", 1)] + [(s, 2) for s in strategies],
+        ]
+        assert _seed_major_groups(jobs, 1) == [[j for s in (0, 1, 2) for j in range(s, 12, 3)]]
+
+    def test_one_seed_on_two_workers(self, tmp_path, monkeypatch):
+        # 9 runs on 2 workers: seed 1's runs land on both, and each computes
+        # their cycle 0; on 3 workers each seed has a worker of its own
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg, strategies="random, dacs, coreset", seeds="0, 1, 2")
+        outputs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            out_dir = tmp_path / f"workers{workers}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+            outputs.append(grid_outputs(out_dir))
+        assert len(outputs[0][1]) == 9
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_a_cycle_zero_divergence_reaches_every_run_of_its_seed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # seed 0's models train at a huge rate, so its shared cycle 0
+        # diverges; on 3 workers seed 0's two runs sit on two workers
+        real_init = dacs.simulate.init_model
+
+        def init_model(config, d, rng):
+            if rng.seed == 0:
+                config = replace(config, learning_rate=1e307)
+            return real_init(config, d, rng)
+
+        monkeypatch.setattr(dacs.simulate, "init_model", init_model)
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg, seeds="0, 1", init_fraction=0.3)
+        outputs = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            out_dir = tmp_path / f"workers{workers}"
+            with np.errstate(all="ignore"):
+                code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
+            assert code == EXIT_DIVERGED
+            err = capsys.readouterr().err
+            assert "diverged: random seed 0" in err and "diverged: dacs seed 0" in err
+            assert "seed 1:" not in err
+            outputs.append(grid_outputs(out_dir))
+        reports = {name: json.loads(report) for name, report in outputs[0][1].items()}
+        for strategy in ("random", "dacs"):
+            assert reports[f"{strategy}-seed0.json"]["records"] == []
+            assert "non-finite loss" in reports[f"{strategy}-seed0.json"]["error"]
+            assert len(reports[f"{strategy}-seed1.json"]["records"]) == 2
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
     def test_runs_whose_labeled_counts_part_ways(self, tmp_path, monkeypatch):
         # dense-only seed 1 clamps its cycle-2 budget to its densest class (6
         # rows, not 7), so its last model trains apart from the others' stack
@@ -834,3 +897,22 @@ class TestGridWorkers:
             seen.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
         assert seen[0], "the config should warn"
         assert seen[1] == seen[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_shared_cycle_zero_warns_for_every_job(self, tmp_path, monkeypatch, workers):
+        # both jobs of seed 0 share a cycle 0 whose densities warn
+        config = self.small_pool_config(tmp_path)
+        dataset = dataset_from_config(config)
+        settings = run_settings(config, dataset.n)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            for strategy in config.strategies:
+                for seed in config.seeds:
+                    run_al(dataset, strategy, rng=Rng(seed), **settings)
+        force_workers(monkeypatch, workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_config_grid(config, str(tmp_path / "results"))
+        seen = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        assert seen == [(str(w.message), w.category, w.filename, w.lineno) for w in alone]
+        assert sum("smaller than k=100 buckets" in w[0] for w in seen) >= 2

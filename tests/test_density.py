@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dacs.core
+import dacs.density
 from dacs.core import FeatureMatrix, Rng, normalize_rows
 from dacs.density import (
     DensityConvention,
@@ -335,6 +336,21 @@ class TestChunkWindow:
             assert pos in win
 
 
+# (rows, buckets, chunk size) of the bit-exact pools. 3070 = 8 * 383 + 6:
+# each 383-row chunk is multiplied alone over several row tiles, then a
+# 6-row remainder chunk. The 100-bucket pools stack their full chunks (14 to
+# a stack at 47 rows, all of them at 12 or fewer) and end in a remainder
+# chunk, except at chunk size 1, where no pool has one.
+CHUNK_POOLS = [(3070, 8, 383), (150, 100, 1), (201, 100, 2), (1207, 100, 12), (4731, 100, 47)]
+
+
+def chunk_pool(rows, buckets):
+    """A unit-norm 16-D pool of `rows` rows and its assignment to `buckets` buckets."""
+    gen = Rng(24, "dens").generator()
+    x = normalize_rows(FeatureMatrix(gen.standard_normal((rows, 16))))
+    return x, lsh_assign(x, buckets, Rng(6))
+
+
 class TestLshDensity:
     def test_two_identical_vectors_in_one_window(self):
         x = FeatureMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), unit_norm=True)
@@ -372,27 +388,27 @@ class TestLshDensity:
         expect = window_density_oracle(x, a, window=window)
         assert np.allclose(got.values, expect, atol=1e-10)
 
+    @pytest.mark.parametrize("rows, buckets, chunk", CHUNK_POOLS)
     @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
-    def test_bit_identical_to_one_shot_chunk_formula(self, window):
-        # chunk size 383 spans several row tiles and ends in a partial one;
-        # 3070 = 8 * 383 + 6 leaves a 6-row remainder chunk
-        gen = Rng(24, "dens").generator()
-        x = normalize_rows(FeatureMatrix(gen.standard_normal((3070, 16))))
-        a = lsh_assign(x, 8, Rng(6))
-        assert a.chunk_size == 383
+    def test_bit_identical_to_one_shot_chunk_formula(self, window, rows, buckets, chunk):
+        x, a = chunk_pool(rows, buckets)
+        assert a.chunk_size == chunk
+        # every pool but the 383-row chunks' stacks at least two chunks
+        assert (dacs.density._STACK_SCRATCH // (2 * chunk * chunk) >= 2) == (chunk < 383)
         got = lsh_density(x, a, window=window)
         assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
 
-    # The same 9 chunks as above (8 of 383 rows, then 6) split across threads:
-    # 2 and 3 threads get uneven runs, 16 threads more threads than chunks.
+    # The same pools split across threads: 2 and 3 threads get uneven runs
+    # (which split stacks), 16 threads more threads than 383-row chunks.
+    @pytest.mark.parametrize("rows, buckets, chunk", CHUNK_POOLS)
     @pytest.mark.parametrize("workers", [1, 2, 3, 16])
     @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
-    def test_bit_identical_on_any_number_of_threads(self, monkeypatch, workers, window):
+    def test_bit_identical_on_any_number_of_threads(
+        self, monkeypatch, workers, window, rows, buckets, chunk
+    ):
         monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
         monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
-        gen = Rng(24, "dens").generator()
-        x = normalize_rows(FeatureMatrix(gen.standard_normal((3070, 16))))
-        a = lsh_assign(x, 8, Rng(6))
+        x, a = chunk_pool(rows, buckets)
         got = lsh_density(x, a, window=window)
         assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
 

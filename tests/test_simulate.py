@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import dacs.simulate
 
 from dacs.core import (
     AcquisitionConfig,
+    DivergenceError,
     FeatureMatrix,
     Rng,
     UndefinedCorrelationError,
@@ -19,6 +21,7 @@ from dacs.model import ModelConfig, ModelOutputs
 from dacs.selection import STRATEGIES
 from dacs.simulate import (
     GENERATOR_NEAR_DUPLICATE,
+    _record_warnings,
     density_uncertainty_correlation,
     duplicate_threshold,
     gen_gaussian_mixture,
@@ -379,5 +382,48 @@ class TestRunLockstep:
         runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS[:3]]
         run_lockstep(ds, runs, scope=scope, **settings)
         # start each run, one stacked step per cycle in the lowest run's
-        # scope, then each run to its next request or its end
-        assert entered == [0, 1, 2, 0, 0, 1, 2, 0, 0, 1, 2]
+        # scope, then each run to its next request or its end; runs 0 and 2
+        # (seed 0) receive their shared cycle 0 before run 1 (seed 1) its own
+        assert entered == [0, 1, 2, 0, 0, 2, 1, 0, 0, 1, 2]
+
+    def test_a_shared_cycle_zero_warns_in_every_run_sharing_it(self):
+        # 32 buckets over the 24 test rows: the cycle-0 test density warns
+        ds, settings = small_settings()
+        settings["acq_config"] = dataclasses.replace(settings["acq_config"], n_buckets=32)
+        runs = [("random", Rng(0, "al")), ("coreset", Rng(1, "al")), ("coreset", Rng(0, "al"))]
+        logs = [[] for _ in runs]
+        run_lockstep(ds, runs, scope=lambda i: _record_warnings(logs[i]), **settings)
+        for (strategy, rng), log in zip(runs, logs):
+            alone = []
+            with _record_warnings(alone):
+                run_al(ds, strategy, rng=rng, **settings)
+            shown = [(str(message), *rest) for message, *rest in log]
+            assert shown == [(str(message), *rest) for message, *rest in alone]
+            assert sum("smaller than k=32 buckets" in w[0] for w in shown) == 1
+
+    def test_a_cycle_zero_divergence_reaches_every_run_sharing_it(self, monkeypatch):
+        # seed 0's models train at a huge rate, so the cycle 0 that runs 0
+        # and 2 share diverges; 20 initial labels give it 20 rows to blow up on
+        ds, settings = small_settings()
+        settings["init_labeled"] = 20
+        real_init = dacs.simulate.init_model
+
+        def init_model(config, d, rng):
+            if rng.seed == 0:
+                config = dataclasses.replace(config, learning_rate=1e307)
+            return real_init(config, d, rng)
+
+        monkeypatch.setattr(dacs.simulate, "init_model", init_model)
+        runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS]
+        with np.errstate(all="ignore"):
+            outcomes = run_lockstep(ds, runs, **settings)
+            with pytest.raises(DivergenceError) as alone:
+                run_al(ds, "dacs", rng=Rng(0, "al"), **settings)
+        assert isinstance(outcomes[0], DivergenceError)
+        assert outcomes[2] is outcomes[0]
+        assert str(outcomes[0]) == str(alone.value)
+        assert outcomes[0].epoch == alone.value.epoch
+        for i in (1, 3, 4):
+            strategy, seed = self.RUNS[i]
+            want = run_al(ds, strategy, rng=Rng(seed, "al"), **settings)
+            assert without_timings(outcomes[i]) == without_timings(want)
