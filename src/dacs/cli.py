@@ -56,7 +56,7 @@ from .selection import (
     check_budget,
     select,
 )
-from .simulate import SyntheticDataset, _record_warnings, _warn_again, run_lockstep
+from .simulate import SyntheticDataset, _warn_again, run_lockstep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -192,19 +192,12 @@ class _Grid:
 
         The outcome is the run's ExperimentReport or the message of its
         DivergenceError; error is any other exception the run raised. The
-        warnings are every warning the run raised (one raised in a stacked
-        training step counts for the lowest job of the stack, one raised in
-        a shared cycle 0 for every job sharing it), recorded
-        whatever the filters say, so that _warn_again lets the caller's
-        filters judge them in job order.
+        warnings are the run's log from run_lockstep, so that _warn_again
+        lets the caller's filters judge them in job order.
         """
-        caught = [[] for _ in jobs]
         runs = [(strategy, Rng(seed)) for strategy, seed in jobs]
-        outcomes = run_lockstep(
-            self.dataset, runs, scope=lambda i: _record_warnings(caught[i]), **self.settings
-        )
         results = []
-        for outcome, log in zip(outcomes, caught):
+        for outcome, log in run_lockstep(self.dataset, runs, **self.settings):
             if isinstance(outcome, DivergenceError):
                 results.append((str(outcome), None, log))
             elif isinstance(outcome, Exception):

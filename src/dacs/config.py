@@ -22,6 +22,7 @@ from .simulate import (
     check_run,
     gen_gaussian_mixture,
     gen_near_duplicate,
+    held_out_rows,
     mixture_rows,
     near_duplicate_rows,
 )
@@ -172,7 +173,7 @@ def acquisition_config(settings, budget: int) -> AcquisitionConfig:
 
 def run_settings(config: RunConfig, n_rows: int) -> dict:
     """run_al's keyword arguments other than the dataset, strategy and rng, for n_rows rows."""
-    n_train = n_rows - int(round(config.test_fraction * n_rows))
+    n_train = n_rows - held_out_rows(n_rows, config.test_fraction)
     budget = max(1, int(round(config.budget_fraction * n_train)))
     model_config = ModelConfig(
         n_classes=config.classes,

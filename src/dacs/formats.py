@@ -109,9 +109,16 @@ def read_index_file(path) -> list:
     return _read_values(path, int, "an integer")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def read_scores_file(path) -> np.ndarray:
-    """Newline-separated floats, one per sample."""
-    return np.asarray(_read_values(path, float, "a number"), dtype=np.float64)
+    """Newline-separated finite floats, one per sample."""
+    return np.asarray(_read_values(path, _finite_float, "a finite number"), dtype=np.float64)
 
 
 def atomic_write_text(path, text: str) -> None:

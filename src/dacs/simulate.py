@@ -11,6 +11,7 @@ live in their own key so determinism checks can ignore them.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import sys
 import time
@@ -35,7 +36,7 @@ from .model import (
     check_reduced_dim,
     infer,
     init_model,
-    train,
+    train,  # unused here; perfbench's tracer wraps simulate.train and checks it
     train_stacked,
     uncertainty,
 )
@@ -295,16 +296,16 @@ def _density_correlations(
     return rho_entropy, rho_loss
 
 
-def _test_rows(n_rows: int, test_fraction: float) -> int:
-    """Size of the held-out test split of n_rows rows."""
+def held_out_rows(n_rows: int, test_fraction: float) -> int:
+    """Size of the held-out test split of n_rows rows, as run_al draws it."""
     return int(round(test_fraction * n_rows))
 
 
 def check_run(
     n_rows: int, n_features: int, strategy: str, acq_config: AcquisitionConfig,
     model_config: ModelConfig, cycles: int, init_labeled: int, test_fraction: float,
-) -> int:
-    """Refuse what run_al would on an n_rows x n_features dataset; returns the test split's size.
+) -> None:
+    """Refuse what run_al would on an n_rows x n_features dataset.
 
     It needs the dataset's shape only, so a config is checked before any data exists.
     """
@@ -314,7 +315,7 @@ def check_run(
         raise ValueError("cycles must be non-negative")
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must lie in (0, 1)")
-    n_test = _test_rows(n_rows, test_fraction)
+    n_test = held_out_rows(n_rows, test_fraction)
     n_train = n_rows - n_test
     if n_test < 1 or n_train < 2:
         raise ValueError("dataset too small for the requested test fraction")
@@ -323,7 +324,6 @@ def check_run(
     if init_labeled + cycles * acq_config.budget > n_train:
         raise ValueError("initial labels plus per-cycle budgets exceed the training pool")
     check_reduced_dim(model_config, n_features)
-    return n_test
 
 
 def run_al(
@@ -338,16 +338,35 @@ def run_al(
 ) -> ExperimentReport:
     """Pool-based acquisition loop with from-scratch retraining each cycle, for one run.
 
-    This is run_lockstep's one-run case; al_cycles holds the loop.
+    A held-out test split (never visible to acquisition) measures accuracy.
+    The report carries one record per trained model: records[t] has the model
+    trained on the cycle-t labeled set plus the subset it selected; the final
+    record has no selection. Density-uncertainty correlations come from the
+    cycle-0 model.
 
-    Raises what the run raised, a DivergenceError among others.
+    This is run_lockstep's one-run case. The run's warnings are issued after
+    it, in order, from their origin; then it returns its report or raises
+    what it raised, a DivergenceError among others.
     """
-    (outcome,) = run_lockstep(
+    ((outcome, log),) = run_lockstep(
         dataset, [(strategy, rng)], acq_config, model_config, cycles, init_labeled, test_fraction
     )
+    for warning in log:
+        _warn_again(*warning)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+@dataclass(eq=False)
+class _Run:
+    """A run of run_lockstep: its report as the cycles fill it in, and what they read."""
+
+    rng: Rng
+    report: ExperimentReport
+    log: list = field(default_factory=list)  # its warnings, as _record_warnings keeps them
+    data: tuple = ()  # (X_train, y_train, X_test, y_test), shared by the runs of its Rng
+    pool: PoolState | None = None
 
 
 def run_lockstep(
@@ -358,110 +377,195 @@ def run_lockstep(
     cycles: int,
     init_labeled: int,
     test_fraction: float = TEST_FRACTION,
-    scope=contextlib.nullcontext,
 ) -> list:
-    """Run the (strategy, rng) runs on one dataset together, a cycle at a time.
+    """Run the (strategy, rng) runs on one dataset together, one cycle at a time.
 
-    Runs with one Rng share their cycle 0 up to its first selection: it is
-    computed once (first_cycle), and each of them gets the same objects.
-    Each run's al_cycles loop is then advanced to its next training request;
-    the pending requests that share a model config and a labeled count are
-    trained as one stack by train_stacked, and each run gets its own model
-    back, bit for bit the one it would train alone. A run's timings hold its
-    share of the stacked steps and of its shared cycle 0.
+    Each cycle trains one model per trainee: at cycle 0 one per distinct
+    Rng, because up to its first selection a run's cycle 0 depends on its
+    Rng alone, so its runs share the split, the model and the density
+    correlations; after that one per run. Trainees that share a model config
+    and a labeled count train as one stack in train_stacked, each bit for
+    bit the model it would train alone. A run's timings hold its share of
+    the stacked steps and of its shared cycle 0.
 
-    Returns each run's ExperimentReport, or the exception it raised (a
-    DivergenceError among others), in run order; one run's failure does not
-    stop the others, and an error in a shared cycle 0 is the outcome of
-    every run sharing it. Work done for run i runs inside scope(i); a
-    stacked step runs inside the scope of its lowest run. A shared cycle 0
-    runs in no run's scope: the warnings it raises are issued again inside
-    the scope of each run sharing it, when the run receives its cycle 0.
+    Returns (outcome, warnings) per run, in run order. The outcome is the
+    run's ExperimentReport or the exception it raised (a DivergenceError
+    among others); one run's failure does not stop the others, and an error
+    in a shared cycle 0 is the outcome of every run sharing it. The warnings
+    are every warning the run raised, whatever the filters say, in order, as
+    _warn_again issues them: one raised in a shared cycle 0 is in the log
+    of every run sharing it, one raised in a stacked step in the log of the
+    stack's lowest run.
     """
+    config = {
+        "dataset": {"generator": dataset.generator, **dataset.params, "data_seed": dataset.seed},
+        "acquisition": asdict(acq_config),
+        "model": asdict(model_config),
+        "cycles": cycles,
+        "init_labeled": init_labeled,
+        "test_fraction": test_fraction,
+    }
+    state = []
+    for strategy, rng in runs:
+        timings = {"train": 0.0, "select": 0.0, "density": 0.0}
+        report = ExperimentReport(strategy, rng.seed, copy.deepcopy(config), [], timings=timings)
+        state.append(_Run(rng, report))
     outcomes: list = [None] * len(runs)
-    loops: list = [None] * len(runs)  # each run's al_cycles
-    waiting: dict = {}  # Rng -> the runs that asked for its cycle 0
-    pending: dict = {}  # lowest run index -> (training request, runs it serves, resume(trained))
 
-    def advance(i, sent=None, log=()):
-        """Run i up to its next request: log's warnings are issued, then sent goes in."""
-        with scope(i):
+    def attempt(members, work, *args):
+        """work(*args) for the member runs; None if it raised.
+
+        Its warnings go into each member's log, and an exception it raises is
+        each member's outcome.
+        """
+        caught: list = []
+        with _record_warnings(caught):
             try:
-                for warning in log:
-                    _warn_again(*warning)
-                if loops[i] is None:
-                    strategy, rng = runs[i]
-                    loops[i] = al_cycles(
-                        dataset, strategy, acq_config, model_config, cycles, init_labeled, rng,
-                        test_fraction,
-                    )
-                request = _resume(loops[i], sent)
-            except StopIteration as done:
-                outcomes[i] = done.value
-                return
-            except Exception as exc:  # the run's outcome; the other runs go on
-                outcomes[i] = exc
-                return
-        if isinstance(request, Rng):  # the run asks for its cycle 0
-            waiting.setdefault(request, []).append(i)
-        else:
-            pending[i] = (request, 1, lambda trained: advance(i, trained))
+                result = work(*args)
+            except Exception as exc:
+                result = None
+                for i in members:
+                    outcomes[i] = exc
+        for i in members:
+            state[i].log.extend(caught)
+        return result
 
-    def advance_shared(members, cycle_loop, sent=None, log=()):
-        """A cycle 0 up to its next request, once for all its runs; its warnings join log."""
-        log = list(log)
-        with _record_warnings(log):
-            try:
-                request = _resume(cycle_loop, sent)
-            except StopIteration as done:
-                ended = done.value
-            except Exception as exc:  # the outcome of every run sharing it
-                ended = exc
-            else:
-                ended = None
-        if ended is None:
-            pending[members[0]] = (
-                request, len(members),
-                lambda trained: advance_shared(members, cycle_loop, trained, log),
-            )
-        else:
-            for i in members:
-                advance(i, ended, log)
-
-    for i in range(len(runs)):
-        advance(i)
-    for rng, members in waiting.items():
-        advance_shared(
-            members,
-            first_cycle(
-                dataset, acq_config, model_config, init_labeled, rng, test_fraction, len(members)
-            ),
+    for i, (strategy, _) in enumerate(runs):
+        attempt(
+            [i], check_run, dataset.n, dataset.features.d, strategy, acq_config, model_config,
+            cycles, init_labeled, test_fraction,
         )
-    while pending:
-        stacks: dict = {}
-        for key in sorted(pending):
-            model, _, _, labeled = pending[key][0]
-            stacks.setdefault((model.config, len(labeled)), []).append(key)
-        for keys in stacks.values():
-            requests, served, resumes = zip(*(pending.pop(key) for key in keys))
+    for t in range(cycles + 1):
+        # The live runs that share a model: at cycle 0 all of an Rng's, later each alone.
+        trainees: dict = {}
+        for i, run in enumerate(state):
+            if outcomes[i] is None:
+                trainees.setdefault(run.rng if t == 0 else i, []).append(i)
+        stacks: dict = {}  # (model config, labeled count) -> [(members, untrained model)]
+        for members in trainees.values():
+            lead = state[members[0]]
+            if t == 0:
+                split = attempt(members, _split, dataset, init_labeled, lead.rng, test_fraction)
+                if split is None:
+                    continue
+                for i in members:
+                    state[i].data, state[i].pool = split
             t0 = time.perf_counter()
-            with scope(keys[0]):
+            model = attempt(
+                members, init_model, model_config, lead.data[0].d,
+                lead.rng.derive(f"cycle-{t}").derive("model"),
+            )
+            share = (time.perf_counter() - t0) / len(members)
+            for i in members:
+                state[i].report.timings["train"] += share
+            if model is not None:
+                key = (model.config, lead.pool.labeled.size)
+                stacks.setdefault(key, []).append((members, model))
+        trained = []  # (members, trained model or the exception it raised) per trainee
+        for stack in stacks.values():
+            served = [i for members, _ in stack for i in members]
+            leads = [state[members[0]] for members, _ in stack]
+            t0 = time.perf_counter()
+            with _record_warnings(state[served[0]].log):  # the stack's lowest run
                 try:
-                    if len(keys) == 1:  # a lone run_al trains through model.train
-                        trained = [train(*requests[0])]
-                    else:
-                        trained = train_stacked(*(list(column) for column in zip(*requests)))
+                    models = train_stacked(
+                        [model for _, model in stack],
+                        [lead.data[0] for lead in leads],
+                        [lead.data[1] for lead in leads],
+                        [lead.pool.labeled for lead in leads],
+                    )
                 except Exception as exc:  # raised in every run of the stack
-                    trained = [exc] * len(keys)
-            share = (time.perf_counter() - t0) / sum(served)  # per run served
-            for resume, n_runs, model in zip(resumes, served, trained):
-                resume(model if isinstance(model, Exception) else (model, share * n_runs))
-    return outcomes
+                    models = [exc] * len(stack)
+            share = (time.perf_counter() - t0) / len(served)
+            for i in served:
+                state[i].report.timings["train"] += share
+            trained.extend(zip([members for members, _ in stack], models))
+        for members, model in trained:
+            if isinstance(model, Exception):  # the outcome of every run it serves
+                for i in members:
+                    outcomes[i] = model
+                continue
+            lead = state[members[0]]
+            evaluated = attempt(members, _evaluate, model, lead.data)
+            if evaluated is None:
+                continue
+            out_train, out_test, accuracy = evaluated
+            embeddings = out_train.embedding_matrix()
+            crng = lead.rng.derive(f"cycle-{t}")
+            if t == 0:
+                t0 = time.perf_counter()
+                rho = attempt(
+                    members, _density_correlations, lead.pool, out_train, embeddings, out_test,
+                    acq_config, crng,
+                )
+                if rho is None:
+                    continue
+                share = (time.perf_counter() - t0) / len(members)
+                for i in members:
+                    report = state[i].report
+                    report.rho_entropy, report.rho_loss = rho
+                    report.timings["density"] += share
+            for i in members:
+                attempt(
+                    [i], _acquire, state[i], t, cycles, out_train, embeddings, accuracy, acq_config,
+                    crng, dataset,
+                )
+    return [(run.report if o is None else o, run.log) for o, run in zip(outcomes, state)]
 
 
-def _resume(loop, sent):
-    """Run a generator to its next yield: sent goes in, or is raised there if an exception."""
-    return loop.throw(sent) if isinstance(sent, Exception) else loop.send(sent)
+def _split(dataset: SyntheticDataset, init_labeled: int, rng: Rng, test_fraction: float):
+    """((X_train, y_train, X_test, y_test), initial pool) of a run: its Rng alone decides them."""
+    n_test = held_out_rows(dataset.n, test_fraction)
+    perm = rng.derive("split").generator().permutation(dataset.n)
+    test_idx = np.sort(perm[:n_test])
+    train_idx = np.sort(perm[n_test:])
+    draw = rng.derive("init-labeled").generator()
+    init_idx = np.sort(draw.choice(train_idx.size, size=init_labeled, replace=False))
+    data = (
+        dataset.features.rows(train_idx),
+        dataset.labels[train_idx],
+        dataset.features.rows(test_idx),
+        dataset.labels[test_idx],
+    )
+    return data, make_pool(train_idx.size, init_idx)
+
+
+def _evaluate(model, data: tuple):
+    """(outputs on the training rows, outputs on the test rows, test accuracy) of a model."""
+    X_train, _, X_test, y_test = data
+    out_test = infer(model, X_test, labels=y_test)
+    accuracy = float((out_test.probs.argmax(axis=1) == y_test).mean())
+    return infer(model, X_train), out_test, accuracy
+
+
+def _acquire(
+    run: _Run, t: int, cycles: int, out_train: ModelOutputs, embeddings: FeatureMatrix,
+    accuracy: float, acq_config: AcquisitionConfig, crng: Rng, dataset: SyntheticDataset,
+) -> None:
+    """Record cycle t of a run whose model is trained; before the last cycle, select and commit."""
+    record = CycleRecord(
+        cycle=t, labeled_fraction=run.pool.labeled.size / run.pool.n_total, test_accuracy=accuracy
+    )
+    run.report.records.append(record)
+    if t == cycles:
+        return
+    t0 = time.perf_counter()
+    result = select(
+        run.report.strategy, run.pool, embeddings, acq_config, crng.derive("select"),
+        uncertainty(out_train),
+    )
+    run.report.timings["select"] += time.perf_counter() - t0
+    record.informativeness, record.diversity = subset_metrics(
+        result.selected, out_train, embeddings
+    )
+    record.per_cluster = result.diagnostics.get("clusters")
+    record.selected = [int(i) for i in result.selected]
+    if dataset.generator == GENERATOR_NEAR_DUPLICATE:
+        threshold = duplicate_threshold(dataset.params["noise_sigma"], dataset.features.d)
+        record.near_duplicate_fraction = near_duplicate_fraction(
+            run.data[0], result.selected, threshold
+        )
+    run.pool = commit_acquisition(run.pool, result.selected)
 
 
 @contextlib.contextmanager
@@ -490,192 +594,3 @@ def _warn_again(message, category, filename: str, lineno: int) -> None:
     )
     registry = vars(sys.modules[module]).setdefault("__warningregistry__", {}) if module else None
     warnings.warn_explicit(message, category, filename, lineno, module=module, registry=registry)
-
-
-@dataclass(frozen=True, eq=False)
-class FirstCycle:
-    """A run's cycle 0 up to its first selection, which only the run's Rng decides.
-
-    The split, the initial pool, the cycle-0 model's outputs on the training
-    rows, its test accuracy and the density correlations; timings holds the
-    seconds charged to each run sharing it.
-    """
-
-    X_train: FeatureMatrix
-    y_train: np.ndarray
-    X_test: FeatureMatrix
-    y_test: np.ndarray
-    pool: PoolState
-    out_train: ModelOutputs
-    embeddings: FeatureMatrix
-    accuracy: float
-    rho_entropy: float | None
-    rho_loss: float | None
-    timings: dict
-
-
-def first_cycle(
-    dataset: SyntheticDataset,
-    acq_config: AcquisitionConfig,
-    model_config: ModelConfig,
-    init_labeled: int,
-    rng: Rng,
-    test_fraction: float = TEST_FRACTION,
-    sharers: int = 1,
-):
-    """A run's cycle 0 up to its first selection, as a generator; returns its FirstCycle.
-
-    It yields the cycle-0 training request and receives (trained model,
-    seconds of training to charge its runs together), as al_cycles does.
-    Each of the `sharers` runs it serves is charged an equal part of its
-    seconds.
-    """
-    n_test = _test_rows(dataset.n, test_fraction)
-    perm = rng.derive("split").generator().permutation(dataset.n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    X_train = dataset.features.rows(train_idx)
-    y_train = dataset.labels[train_idx]
-    X_test = dataset.features.rows(test_idx)
-    y_test = dataset.labels[test_idx]
-    draw = rng.derive("init-labeled").generator()
-    init_idx = np.sort(draw.choice(train_idx.size, size=init_labeled, replace=False))
-    pool = make_pool(train_idx.size, init_idx)
-    crng = rng.derive("cycle-0")
-    out_train, out_test, accuracy, train_s = yield from _cycle_model(
-        model_config, X_train, y_train, X_test, y_test, pool.labeled, crng
-    )
-    embeddings = out_train.embedding_matrix()
-    t0 = time.perf_counter()
-    rho_entropy, rho_loss = _density_correlations(
-        pool, out_train, embeddings, out_test, acq_config, crng
-    )
-    density_s = time.perf_counter() - t0
-    return FirstCycle(
-        X_train=X_train,
-        y_train=y_train,
-        X_test=X_test,
-        y_test=y_test,
-        pool=pool,
-        out_train=out_train,
-        embeddings=embeddings,
-        accuracy=accuracy,
-        rho_entropy=rho_entropy,
-        rho_loss=rho_loss,
-        timings={"train": train_s / sharers, "density": density_s / sharers},
-    )
-
-
-def _cycle_model(model_config, X_train, y_train, X_test, y_test, labeled, crng):
-    """One cycle's model, as a generator that yields its training request like al_cycles.
-
-    Returns (outputs on the training rows, outputs on the test rows, test
-    accuracy, seconds of initialising and training to charge).
-    """
-    t0 = time.perf_counter()
-    model = init_model(model_config, X_train.d, crng.derive("model"))
-    init_s = time.perf_counter() - t0
-    model, train_s = yield model, X_train, y_train, labeled
-    out_train = infer(model, X_train)
-    out_test = infer(model, X_test, labels=y_test)
-    accuracy = float((out_test.probs.argmax(axis=1) == y_test).mean())
-    return out_train, out_test, accuracy, init_s + train_s
-
-
-def al_cycles(
-    dataset: SyntheticDataset,
-    strategy: str,
-    acq_config: AcquisitionConfig,
-    model_config: ModelConfig,
-    cycles: int,
-    init_labeled: int,
-    rng: Rng,
-    test_fraction: float = TEST_FRACTION,
-):
-    """One run's acquisition loop, as a generator that leaves training to its driver.
-
-    It first yields its rng and receives its FirstCycle, which first_cycle
-    computes once for every run with that rng. Each later cycle it yields
-    (untrained model, training rows, their labels, labeled indices) and
-    receives (trained model, seconds of training to charge the run). It
-    returns the ExperimentReport.
-
-    A held-out test split (never visible to acquisition) measures accuracy.
-    The report carries one record per trained model: records[t] has the model
-    trained on the cycle-t labeled set plus the subset it selected; the final
-    record has no selection. Density-uncertainty correlations come from the
-    cycle-0 model.
-    """
-    check_run(
-        dataset.n, dataset.features.d, strategy, acq_config, model_config, cycles, init_labeled,
-        test_fraction,
-    )
-    first = yield rng
-    X_train, y_train, X_test, y_test = first.X_train, first.y_train, first.X_test, first.y_test
-    pool, out_train, embeddings = first.pool, first.out_train, first.embeddings
-    accuracy = first.accuracy
-    timings = {"train": first.timings["train"], "select": 0.0, "density": first.timings["density"]}
-    rho_entropy, rho_loss = first.rho_entropy, first.rho_loss
-    del first  # its outputs go with this cycle's
-    n_train = X_train.n
-    is_near_dup = dataset.generator == GENERATOR_NEAR_DUPLICATE
-    dup_threshold = (
-        duplicate_threshold(dataset.params["noise_sigma"], dataset.features.d)
-        if is_near_dup
-        else None
-    )
-
-    records: list[CycleRecord] = []
-    for t in range(cycles + 1):
-        crng = rng.derive(f"cycle-{t}")
-        if t > 0:
-            out_train, _, accuracy, train_s = yield from _cycle_model(
-                model_config, X_train, y_train, X_test, y_test, pool.labeled, crng
-            )
-            timings["train"] += train_s
-            embeddings = out_train.embedding_matrix()
-        frac = pool.labeled.size / n_train
-        if t == cycles:
-            records.append(CycleRecord(cycle=t, labeled_fraction=frac, test_accuracy=accuracy))
-            break
-        t0 = time.perf_counter()
-        result = select(
-            strategy, pool, embeddings, acq_config, crng.derive("select"), uncertainty(out_train)
-        )
-        timings["select"] += time.perf_counter() - t0
-        info, diversity = subset_metrics(result.selected, out_train, embeddings)
-        record = CycleRecord(
-            cycle=t,
-            labeled_fraction=frac,
-            test_accuracy=accuracy,
-            informativeness=info,
-            diversity=diversity,
-            per_cluster=result.diagnostics.get("clusters"),
-            selected=[int(i) for i in result.selected],
-            near_duplicate_fraction=(
-                near_duplicate_fraction(X_train, result.selected, dup_threshold)
-                if is_near_dup
-                else None
-            ),
-        )
-        records.append(record)
-        pool = commit_acquisition(pool, result.selected)
-        # The run waits for its next model beside the other runs of its
-        # driver: hold only its data and pool meanwhile, not this cycle's outputs.
-        del out_train, embeddings
-    return ExperimentReport(
-        strategy=strategy,
-        seed=rng.seed,
-        config={
-            "dataset": {"generator": dataset.generator, **dataset.params, "data_seed": dataset.seed},
-            "acquisition": asdict(acq_config),
-            "model": asdict(model_config),
-            "cycles": cycles,
-            "init_labeled": init_labeled,
-            "test_fraction": test_fraction,
-        },
-        records=records,
-        rho_entropy=rho_entropy,
-        rho_loss=rho_loss,
-        timings=timings,
-    )

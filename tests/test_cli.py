@@ -290,6 +290,23 @@ class TestSelectCommand:
         assert payload["selected"] == [9, 19, 29, 39, 49]
         assert payload["config_echo"]["strategy"] == "entropy-top-b"
 
+    @pytest.mark.parametrize("strategy", ["entropy-top-b", "combined"])
+    def test_non_finite_scores_are_refused(self, tmp_path, capsys, strategy):
+        pool = tmp_path / "pool.csv"
+        pool.write_text("f0,f1,f2\n1,0,0\n0,1,0\n0,0,1\n1,1,0\n0,1,1\n1,0,1\n")
+        scores = tmp_path / "s.txt"
+        scores.write_text("0.1\nnan\n0.9\n0.8\n0.2\n0.3\n")
+        out = tmp_path / "picks.json"
+        code = main(
+            [
+                "select", "--embeddings", str(pool), "--format", "csv", "--budget", "2",
+                "--strategy", strategy, "--scores", str(scores), "--out", str(out),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "line 2: 'nan' is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_entropy_top_b_requires_scores(self, pool_file, tmp_path, capsys):
         code, out = self.run_select(pool_file, tmp_path, "--strategy", "entropy-top-b", engine=())
         assert code == EXIT_USAGE
@@ -569,16 +586,16 @@ def write_sim_config(path, **overrides):
 def check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     write_sim_config(cfg, strategies="random, dacs")
-    real_cycles = dacs.simulate.al_cycles
+    real_check_run = dacs.simulate.check_run
 
-    def flaky_run_al(dataset, strategy, *args, **kwargs):
+    def flaky_check_run(n_rows, n_features, strategy, *args):
         if strategy == "dacs":
             raise DivergenceError(
                 "non-finite loss at epoch 3 (lr=1e+307)", epoch=3, learning_rate=1e307
             )
-        return real_cycles(dataset, strategy, *args, **kwargs)
+        return real_check_run(n_rows, n_features, strategy, *args)
 
-    monkeypatch.setattr(dacs.simulate, "al_cycles", flaky_run_al)
+    monkeypatch.setattr(dacs.simulate, "check_run", flaky_check_run)
     out_dir = tmp_path / "results"
     code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
     assert code == EXIT_DIVERGED
@@ -824,12 +841,12 @@ class TestGridWorkers:
         monkeypatch.setattr(dacs.core, "_CGROUP_CPU_MAX", str(tmp_path / "absent"))
         assert dacs.core._worker_count() == 4
 
-        def probe_run_al(dataset, strategy, *args, **kwargs):
+        def probe_check_run(*args):
             raise DivergenceError(
                 f"pid {os.getpid()} workers {dacs.core._worker_count()}", epoch=0, learning_rate=0.0
             )
 
-        monkeypatch.setattr(dacs.simulate, "al_cycles", probe_run_al)
+        monkeypatch.setattr(dacs.simulate, "check_run", probe_check_run)
         cfg = tmp_path / "run.cfg"
         write_sim_config(cfg)  # 2 runs, so 2 workers
         _, diverged = run_config_grid(parse_run_config(cfg), str(tmp_path / "results"))
@@ -847,21 +864,21 @@ class TestGridWorkers:
     )
     def test_another_error_in_a_run_is_raised_with_its_type(self, tmp_path, monkeypatch, error):
         force_workers(monkeypatch, 2)
-        real_cycles = dacs.simulate.al_cycles
+        real_check_run = dacs.simulate.check_run
 
-        def failing_run_al(dataset, strategy, *args, **kwargs):
+        def failing_check_run(n_rows, n_features, strategy, *args):
             if strategy == "dacs":
                 raise error
-            return real_cycles(dataset, strategy, *args, **kwargs)
+            return real_check_run(n_rows, n_features, strategy, *args)
 
-        monkeypatch.setattr(dacs.simulate, "al_cycles", failing_run_al)
+        monkeypatch.setattr(dacs.simulate, "check_run", failing_check_run)
         cfg = tmp_path / "run.cfg"
         write_sim_config(cfg)
         out_dir = tmp_path / "results"
         with pytest.raises(type(error), match=str(error)) as caught:
             run_config_grid(parse_run_config(cfg), str(out_dir))
         assert vars(caught.value) == vars(error)
-        assert "failing_run_al" in str(caught.value.__cause__)  # the worker's traceback
+        assert "failing_check_run" in str(caught.value.__cause__)  # the worker's traceback
         # runs before the failed one are written, as on one process
         assert sorted(p.name for p in out_dir.iterdir()) == ["random-seed0.json"]
 

@@ -133,9 +133,10 @@ class TestLineFiles:
 
     def test_scores_file_names_the_bad_line(self, tmp_path):
         path = tmp_path / "scores.txt"
-        path.write_text("0.5\nnope\n")
-        with pytest.raises(ParseError, match="line 2"):
-            read_scores_file(path)
+        for bad in ("nope", "nan", "inf", "-inf"):
+            path.write_text(f"0.5\n{bad}\n")
+            with pytest.raises(ParseError, match=f"line 2: '{bad}' is not a finite number"):
+                read_scores_file(path)
 
 
 class TestAtomicWrite:

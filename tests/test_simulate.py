@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -340,60 +339,49 @@ class TestRunLockstep:
     RUNS = [("dacs", 0), ("random", 1), ("coreset", 0), ("dacs", 2), ("entropy-top-b", 1)]
 
     def test_every_run_reports_as_alone(self):
-        ds, settings = small_settings()
-        runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS]
-        outcomes = run_lockstep(ds, runs, **settings)
-        for (strategy, seed), report in zip(self.RUNS, outcomes):
-            assert without_timings(report) == without_timings(small_run(strategy, seed=seed))
-            assert report.timings["train"] > 0.0
+        # at budget 12, dense-only seed 2 clamps one cycle's budget to its
+        # densest class (9 rows), so its later models train in a stack of their own
+        for budget, runs in ((6, self.RUNS), (12, self.RUNS + [("dense-only", 2)])):
+            ds, settings = small_settings(budget=budget)
+            outcomes = run_lockstep(ds, [(s, Rng(seed, "al")) for s, seed in runs], **settings)
+            for (strategy, seed), (report, log) in zip(runs, outcomes):
+                alone = []
+                with _record_warnings(alone):
+                    want = small_run(strategy, seed=seed, budget=budget)
+                assert without_timings(report) == without_timings(want)
+                assert [(str(m), *w) for m, *w in log] == [(str(m), *w) for m, *w in alone]
+                assert report.timings["train"] > 0.0
+        clamped, log = outcomes[-1]
+        assert [str(m) for m, *_ in log] == ["budget 12 exceeds densest class size 9; clamping"]
+        assert clamped.records[-1].labeled_fraction < min(
+            report.records[-1].labeled_fraction for report, _ in outcomes[:-1]
+        )
 
     def test_a_failing_run_leaves_the_others_alone(self, monkeypatch):
         ds, settings = small_settings()
-        real_cycles = dacs.simulate.al_cycles
+        real_select = dacs.simulate.select
 
-        def failing_after_one_cycle(dataset, strategy, *args, **kwargs):
-            cycle_loop = real_cycles(dataset, strategy, *args, **kwargs)
-            request = next(cycle_loop)
-            for cycle in range(settings["cycles"] + 1):
-                if strategy == "random" and cycle == 1:
-                    raise ZeroDivisionError("boom")
-                try:
-                    request = cycle_loop.send((yield request))
-                except StopIteration as done:
-                    return done.value
+        def select(strategy, pool, embeddings, acq_config, rng, scores):
+            if strategy == "random" and rng.stream.endswith("cycle-1/select"):
+                raise ZeroDivisionError("boom")
+            return real_select(strategy, pool, embeddings, acq_config, rng, scores)
 
-        monkeypatch.setattr(dacs.simulate, "al_cycles", failing_after_one_cycle)
+        monkeypatch.setattr(dacs.simulate, "select", select)
         runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS]
         outcomes = run_lockstep(ds, runs, **settings)
         monkeypatch.undo()
-        assert isinstance(outcomes[1], ZeroDivisionError)
+        assert isinstance(outcomes[1][0], ZeroDivisionError)
         for i in (0, 2, 3, 4):
             strategy, seed = self.RUNS[i]
-            assert without_timings(outcomes[i]) == without_timings(small_run(strategy, seed=seed))
-
-    def test_work_runs_in_the_scope_of_its_run(self):
-        ds, settings = small_settings(cycles=1)
-        entered = []
-
-        def scope(i):
-            entered.append(i)
-            return contextlib.nullcontext()
-
-        runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS[:3]]
-        run_lockstep(ds, runs, scope=scope, **settings)
-        # start each run, one stacked step per cycle in the lowest run's
-        # scope, then each run to its next request or its end; runs 0 and 2
-        # (seed 0) receive their shared cycle 0 before run 1 (seed 1) its own
-        assert entered == [0, 1, 2, 0, 0, 2, 1, 0, 0, 1, 2]
+            want = small_run(strategy, seed=seed)
+            assert without_timings(outcomes[i][0]) == without_timings(want)
 
     def test_a_shared_cycle_zero_warns_in_every_run_sharing_it(self):
         # 32 buckets over the 24 test rows: the cycle-0 test density warns
         ds, settings = small_settings()
         settings["acq_config"] = dataclasses.replace(settings["acq_config"], n_buckets=32)
         runs = [("random", Rng(0, "al")), ("coreset", Rng(1, "al")), ("coreset", Rng(0, "al"))]
-        logs = [[] for _ in runs]
-        run_lockstep(ds, runs, scope=lambda i: _record_warnings(logs[i]), **settings)
-        for (strategy, rng), log in zip(runs, logs):
+        for (strategy, rng), (_, log) in zip(runs, run_lockstep(ds, runs, **settings)):
             alone = []
             with _record_warnings(alone):
                 run_al(ds, strategy, rng=rng, **settings)
@@ -416,7 +404,7 @@ class TestRunLockstep:
         monkeypatch.setattr(dacs.simulate, "init_model", init_model)
         runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.RUNS]
         with np.errstate(all="ignore"):
-            outcomes = run_lockstep(ds, runs, **settings)
+            outcomes = [outcome for outcome, _ in run_lockstep(ds, runs, **settings)]
             with pytest.raises(DivergenceError) as alone:
                 run_al(ds, "dacs", rng=Rng(0, "al"), **settings)
         assert isinstance(outcomes[0], DivergenceError)
