@@ -7,14 +7,13 @@ Exit codes: 0 success, 2 usage/parse errors (bad files, budget over pool),
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from .selection import (
     check_budget,
     select,
 )
-from .simulate import SyntheticDataset, _warn_again, run_lockstep
+from .simulate import _warn_again, run_lockstep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -180,51 +179,34 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """What every run of a grid shares. A worker process gets it through fork."""
-
-    dataset: SyntheticDataset
-    settings: dict  # run_al's keyword arguments, from run_settings
-
-    def run_group(self, jobs) -> list:
-        """Run (strategy, seed) jobs in lockstep; returns (outcome, error, warnings) per job.
-
-        The outcome is the run's ExperimentReport or the message of its
-        DivergenceError; error is any other exception the run raised. The
-        warnings are the run's log from run_lockstep, so that _warn_again
-        lets the caller's filters judge them in job order.
-        """
-        runs = [(strategy, Rng(seed)) for strategy, seed in jobs]
-        results = []
-        for outcome, log in run_lockstep(self.dataset, runs, **self.settings):
-            if isinstance(outcome, DivergenceError):
-                results.append((str(outcome), None, log))
-            elif isinstance(outcome, Exception):
-                results.append((None, outcome, log))
-            else:
-                results.append((outcome, None, log))
-        return results
+# (dataset, run_settings, jobs) of the grid a worker process serves; set in the worker only.
+_worker_grid: tuple = ()
 
 
-# The grid a worker process serves; set in the worker only, by _start_grid_worker.
-_worker_grid: _Grid | None = None
-
-
-def _start_grid_worker(grid: _Grid) -> None:
+def _start_grid_worker(*grid) -> None:
     global _worker_grid
     _worker_grid = grid
     _enter_worker_process()
 
 
-def _grid_group(jobs) -> list:
-    """_Grid.run_group of _worker_grid, in a worker process; each error comes with its traceback."""
-    results = []
-    for outcome, error, caught in _worker_grid.run_group(jobs):
-        if error is not None:
-            error = (error, "".join(traceback.format_exception(error)))
-        results.append((outcome, error, caught))
-    return results
+def _lockstep(dataset, settings, jobs) -> list:
+    """run_lockstep's (outcome, warnings) for each (strategy, seed) job, in job order."""
+    return run_lockstep(dataset, [(strategy, Rng(seed)) for strategy, seed in jobs], **settings)
+
+
+def _worker_group(group) -> list:
+    """_lockstep on the jobs of _worker_grid at these indices, in a worker process.
+
+    An error other than a DivergenceError travels as (error, its formatted
+    traceback), which pickling would lose.
+    """
+    dataset, settings, jobs = _worker_grid
+    return [
+        ((o, "".join(traceback.format_exception(o))), log)
+        if isinstance(o, Exception) and not isinstance(o, DivergenceError)
+        else (o, log)
+        for o, log in _lockstep(dataset, settings, [jobs[j] for j in group])
+    ]
 
 
 class _WorkerTraceback(Exception):
@@ -247,18 +229,14 @@ def _seed_major_groups(jobs, workers: int) -> list:
     return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _grid_outcomes(grid: _Grid, jobs):
-    """Yield (strategy, seed, outcome) for each job, in job order; outcome as in _Grid.run_group.
+def _run_jobs(dataset, settings, jobs) -> list:
+    """_lockstep on the jobs, on min(_worker_count(), len(jobs)) processes.
 
-    The jobs are dealt into min(_worker_count(), len(jobs)) groups by
-    _seed_major_groups, and each group trains its runs in lockstep. Each
-    group runs on its own worker process forked from this one, which
-    hands it the dataset without pickling it; one group runs here.
-    _worker_count() is above 1 only when BLAS runs one thread, so no BLAS
-    threads are alive at the fork. A run's warnings are issued here, and its
-    error raised here, when its job's turn comes, so the caller sees what
-    running the jobs one after another on this process would show, in the
-    same order.
+    On more than one, the jobs are dealt by _seed_major_groups, and each
+    group runs in lockstep on a worker process forked from this one, which
+    hands it the dataset without pickling it. _worker_count() is above 1
+    only when BLAS runs one thread, so no BLAS threads are alive at the fork.
+    A worker's error other than a DivergenceError comes as in _worker_group.
     """
     workers = min(_worker_count(), len(jobs))
     if workers > 1:
@@ -266,68 +244,59 @@ def _grid_outcomes(grid: _Grid, jobs):
 
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
-    pool = None
-    try:
-        if workers <= 1:
-            results = grid.run_group(jobs)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        return _lockstep(dataset, settings, jobs)
+    from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_grid_worker,
-                initargs=(grid,),
-            )
-            groups = _seed_major_groups(jobs, workers)
-            futures = [pool.submit(_grid_group, [jobs[j] for j in group]) for group in groups]
-            place = {j: (g, k) for g, group in enumerate(groups) for k, j in enumerate(group)}
-            results = (futures[place[j][0]].result()[place[j][1]] for j in range(len(jobs)))
-        for (strategy, seed), (outcome, error, caught) in zip(jobs, results):
-            for warning in caught:
-                _warn_again(*warning)
-            if isinstance(error, tuple):  # a worker's, with its formatted traceback
-                exc, tb = error
-                raise exc from _WorkerTraceback(tb)
-            if error is not None:
-                raise error
-            yield strategy, seed, outcome
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    groups = _seed_major_groups(jobs, workers)
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_grid_worker,
+        initargs=(dataset, settings, jobs),
+    ) as pool:
+        placed = dict(zip(sum(groups, []), sum(pool.map(_worker_group, groups), [])))
+    return [placed[j] for j in range(len(jobs))]
 
 
 def run_config_grid(config: RunConfig, out_dir: str):
     """Run the strategy x seed grid; returns (reports, diverged strategy/seed pairs).
 
-    Runs may go to worker processes (see _grid_outcomes); the output files
-    are written here, in strategy x seed order, and are the same on any
-    number of workers.
+    Runs may go to worker processes (see _run_jobs). Each job's warnings are
+    issued again here, and its error raised here, in strategy x seed order,
+    so the caller sees what running the jobs one after another on this
+    process would show; the output files are the same on any number of
+    workers.
     """
     os.makedirs(out_dir, exist_ok=True)
     dataset = dataset_from_config(config)
-    grid = _Grid(dataset, run_settings(config, dataset.n))
     jobs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
+    outcomes = _run_jobs(dataset, run_settings(config, dataset.n), jobs)
     reports = []
     diverged = []
     csv_rows = ["cycle,frac,acc,info,div,strategy,seed"]
-    with contextlib.closing(_grid_outcomes(grid, jobs)) as outcomes:
-        for strategy, seed, outcome in outcomes:
-            path = os.path.join(out_dir, f"{strategy}-seed{seed}.json")
-            if isinstance(outcome, str):
-                diverged.append((strategy, seed, outcome))
-                stub = {"strategy": strategy, "seed": seed, "error": outcome, "records": []}
-                atomic_write_text(path, json.dumps(stub, sort_keys=True, indent=2) + "\n")
-                continue
-            reports.append(outcome)
-            atomic_write_text(path, outcome.to_json() + "\n")
-            for rec in outcome.records:
-                info = "" if rec.informativeness is None else repr(rec.informativeness)
-                div = "" if rec.diversity is None else repr(rec.diversity)
-                csv_rows.append(
-                    f"{rec.cycle},{rec.labeled_fraction!r},{rec.test_accuracy!r},"
-                    f"{info},{div},{strategy},{seed}"
-                )
+    for (strategy, seed), (outcome, caught) in zip(jobs, outcomes):
+        for warning in caught:
+            _warn_again(*warning)
+        path = os.path.join(out_dir, f"{strategy}-seed{seed}.json")
+        if isinstance(outcome, DivergenceError):
+            diverged.append((strategy, seed, str(outcome)))
+            stub = {"strategy": strategy, "seed": seed, "error": str(outcome), "records": []}
+            atomic_write_text(path, json.dumps(stub, sort_keys=True, indent=2) + "\n")
+            continue
+        if isinstance(outcome, tuple):  # a worker's error, with its formatted traceback
+            raise outcome[0] from _WorkerTraceback(outcome[1])
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.append(outcome)
+        atomic_write_text(path, outcome.to_json() + "\n")
+        for rec in outcome.records:
+            info = "" if rec.informativeness is None else repr(rec.informativeness)
+            div = "" if rec.diversity is None else repr(rec.diversity)
+            csv_rows.append(
+                f"{rec.cycle},{rec.labeled_fraction!r},{rec.test_accuracy!r},"
+                f"{info},{div},{strategy},{seed}"
+            )
     atomic_write_text(os.path.join(out_dir, "aggregate.csv"), "\n".join(csv_rows) + "\n")
     return reports, diverged
 

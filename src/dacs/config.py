@@ -106,6 +106,9 @@ def parse_run_config(path) -> RunConfig:
                     value = type(getattr(config, key))(raw)
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad value for {key!r}: {exc}") from exc
+            if isinstance(value, list) and len(set(value)) < len(value):
+                twice = next(v for i, v in enumerate(value) if v in value[:i])
+                raise ParseError(f"line {ln}: {key} lists {twice!r} twice")
             setattr(config, key, value)
     seed = env_seed()
     if seed is not None:

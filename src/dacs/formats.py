@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import warnings
 
 import numpy as np
@@ -122,9 +121,13 @@ def read_scores_file(path) -> np.ndarray:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+    """Write via a sibling temp file and rename, so readers never see partial output.
+
+    The file gets mode 0o666 less the umask, as open(path, "w") would give it.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

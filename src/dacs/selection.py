@@ -271,8 +271,6 @@ def coreset_select(pool: PoolState, features: FeatureMatrix, budget: int) -> Acq
 
 def random_select(pool: PoolState, budget: int, rng: Rng) -> AcquisitionResult:
     """Uniform sample without replacement from the unlabeled pool."""
-    if budget < 1:
-        raise ValueError("budget must be positive")
     check_budget(budget, pool)
     gen = rng.derive("random-select").generator()
     picked = [int(i) for i in gen.choice(pool.unlabeled, size=budget, replace=False)]

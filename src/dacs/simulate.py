@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
+import math
 import sys
 import time
 import warnings
@@ -67,6 +68,8 @@ def mixture_rows(n_classes: int, per_class: int, dim: int, spread: float, separa
         raise ValueError("need at least 2 classes")
     if per_class < 1 or dim < 1:
         raise ValueError("per_class and dim must be positive")
+    if not (math.isfinite(spread) and math.isfinite(separation)):
+        raise ValueError("spread and separation must be finite")
     if spread < 0 or separation < 0:
         raise ValueError("spread and separation must be non-negative")
     return n_classes * per_class
@@ -76,6 +79,8 @@ def near_duplicate_rows(base_rows: int, replication: int, noise_sigma: float) ->
     """Row count of gen_near_duplicate with these arguments on base_rows rows, which it checks."""
     if replication < 1:
         raise ValueError("replication must be at least 1")
+    if not math.isfinite(noise_sigma):
+        raise ValueError("noise_sigma must be finite")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
     return base_rows * (1 + replication)

@@ -115,6 +115,24 @@ class TestParseRunConfig:
             parse_run_config(path)
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("strategies = random, dacs, random", "line 2: strategies lists 'random' twice"),
+            ("seeds = 1, 0, 01", "line 2: seeds lists 1 twice"),
+        ],
+    )
+    def test_a_strategy_or_seed_listed_twice_is_refused(self, tmp_path, capsys, line, message):
+        # each copy would write the same report file, and aggregate.csv both
+        path = tmp_path / "run.cfg"
+        path.write_text(f"classes = 3\n{line}\n")
+        with pytest.raises(ParseError, match=message):
+            parse_run_config(path)
+        out_dir = tmp_path / "results"
+        assert main(["simulate", "--config", str(path), "--out", str(out_dir)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "line",
         [
             "dataset = parquet",
@@ -158,6 +176,14 @@ class TestParseRunConfig:
         monkeypatch.setenv("DACS_SEED", "many")
         with pytest.raises(ParseError, match="DACS_SEED"):
             parse_run_config(path)
+
+
+# sha256 of the `dacs select` JSON (sorted, timings removed) of each strategy
+# in TestSelectCommand.test_a_large_selection_is_pinned, as first written.
+LARGE_SELECTION_SHA256 = {
+    "dacs": "d58b2bc0166f1dab99cabebdfed64146a7495da65de4767f871075fba8678c40",
+    "coreset": "49de419b81ad6c9bf6778affd9d33f0c5b09424520304fe5a047a1b31ed6fcb7",
+}
 
 
 class TestSelectCommand:
@@ -410,6 +436,23 @@ class TestSelectCommand:
         with pytest.raises(SystemExit) as exc:
             self.run_select(pool_file, tmp_path, "--strategy", "psychic")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("strategy, extra", [("dacs", ("--seed", "0")), ("coreset", ())])
+    def test_a_large_selection_is_pinned(self, tmp_path, strategy, extra):
+        # 4,950 candidates meet the 50 labeled rows in 13 tiles of 384 rows,
+        # and every pick scores its candidates again; one ulp of drift in any
+        # similarity moves the max_similarity trace, whose floats the JSON keeps
+        gen = Rng(7, "golden-select").generator()
+        pool, labeled, out = tmp_path / "pool.bin", tmp_path / "labeled.txt", tmp_path / "p.json"
+        write_embeddings(pool, FeatureMatrix(unit(gen.normal(size=(5000, 16))), unit_norm=True))
+        labeled.write_text("".join(f"{i}\n" for i in np.sort(gen.choice(5000, 50, replace=False))))
+        argv = ["select", "--embeddings", str(pool), "--labeled", str(labeled), "--budget", "100"]
+        assert main([*argv, "--strategy", strategy, "--out", str(out), *extra]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        del payload["timings"]
+        assert len(payload["diagnostics"]["max_similarity"]) == 100
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == LARGE_SELECTION_SHA256[strategy]
 
 
 class TestDensityCommand:
@@ -684,13 +727,20 @@ class TestSimulateCommand:
             ("reduced_dim", 16, "reduced_dim 16 must be smaller than the feature dimension 8"),
             ("test_fraction", 0.99, "dataset too small for the requested test fraction"),
             ("spread", -1, "spread and separation must be non-negative"),
+            # a non-finite value would reach the data as a non-finite feature
+            ("spread", "nan", "bad engine setting: spread and separation must be finite"),
+            ("separation", "inf", "bad engine setting: spread and separation must be finite"),
+            ("noise_sigma", "inf", "bad engine setting: noise_sigma must be finite"),
         ],
     )
     def test_engine_rejects_are_refused_before_any_output(
         self, tmp_path, capsys, key, value, message
     ):
         cfg = tmp_path / "run.cfg"
-        write_sim_config(cfg, **{key: value})
+        overrides = {key: value}
+        if key == "noise_sigma":  # read by the near-duplicate generator only
+            overrides["dataset"] = GENERATOR_NEAR_DUPLICATE
+        write_sim_config(cfg, **overrides)
         with pytest.raises(ParseError, match=message):
             parse_run_config(cfg)
         out_dir = tmp_path / "results"

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -149,4 +150,19 @@ class TestAtomicWrite:
     def test_leaves_no_temp_files(self, tmp_path):
         atomic_write_text(tmp_path / "out.json", "payload")
         assert os.listdir(tmp_path) == ["out.json"]
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+    )
+    def test_the_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # the mode open(path, "w") gives a new file, on every write
+        path = tmp_path / "out.json"
+        old = os.umask(umask)
+        try:
+            atomic_write_text(path, "first")
+            first = stat.S_IMODE(path.stat().st_mode)
+            atomic_write_text(path, "second")
+        finally:
+            os.umask(old)
+        assert first == stat.S_IMODE(path.stat().st_mode) == mode
 
