@@ -54,6 +54,12 @@ def _cgroup_cpu_limit() -> int | None:
         return None
 
 
+def _blas_single_threaded() -> bool:
+    """Whether BLAS runs one thread: the first of _BLAS_THREAD_VARS set to a positive count is 1."""
+    values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
+    return next((int(v) for v in values if v.isdigit() and int(v) > 0), 0) == 1
+
+
 def _worker_count() -> int:
     """Threads a large kernel call, or processes a simulation grid, may run on.
 
@@ -64,11 +70,7 @@ def _worker_count() -> int:
     not faster. One as well inside a grid's worker process, so that a grid
     does not start workers x CPUs kernel threads.
     """
-    if _in_worker_process:
-        return 1
-    values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
-    blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), 0)
-    if blas_threads != 1:  # 0: none set, one BLAS thread per CPU
+    if _in_worker_process or not _blas_single_threaded():
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -7,10 +7,12 @@ chunks, and sums sigmoid-weighted cosine similarity inside a sliding window of
 adjacent chunks. The fast path never compares samples more than two chunks
 apart, but a chunk holds n/k rows, so at a fixed bucket count k a pass scores
 about 2n^2/k pairs: quadratic in the pool, not linear (ROADMAP item 1 has the
-timings: 0.51 s at 100k rows, 21.0 s at 400k). Small chunks are multiplied
-in stacks, one BLAS call per chunk inside one np.matmul, with the bits of the
-one-chunk product (see lsh_density). pool_density is its one front-end:
-selection, the simulator and the CLI all estimate density through it.
+timings). Small chunks are multiplied in stacks, one BLAS call per chunk
+inside one np.matmul, and with BLAS on one thread large chunks in row tiles
+and the hash in row blocks, so scratch does not grow with the chunk; each
+keeps the bits of the whole product (see lsh_density). pool_density is its
+one front-end: selection, the simulator and the CLI all estimate density
+through it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .core import (
     WINDOW_WITH_PREVIOUS,
     FeatureMatrix,
     Rng,
+    _blas_single_threaded,
     _parallel_ranges,
     _readonly,
     check_bucket_count,
@@ -34,12 +37,16 @@ from .core import (
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_COSINE = "cosine-distance"
 
-# Rows of a chunk's similarity block that lsh_density weights and sums at once;
-# keeps its scratch buffer cache-sized whatever the chunk size.
-_ROW_TILE = 64
+# Rows of a chunk's similarity block that lsh_density weighs, and with BLAS
+# on one thread multiplies, at once; keeps its buffers cache-sized. A multiple
+# of 12: on x86-64 OpenBLAS 0.3.31 (Haswell), 12- to 360-row tiles gave the
+# untiled product's bits, and 16-, 32-, 40-, 64- and 128-row tiles did not.
+_ROW_TILE = 48
 # Float64 elements of the chunk products lsh_density stacks into one matmul
 # (a chunk's product larger than this is made alone).
 _STACK_SCRATCH = 1 << 16
+# Rows _assign_buckets projects at once with BLAS on one thread; a multiple of 12, as _ROW_TILE.
+_HASH_BLOCK = 4092
 
 
 class DensityConvention(enum.Enum):
@@ -145,13 +152,20 @@ def _assign_buckets(z: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     The concatenation is never built. Its argmax is the first argmax of
     R^T z, or, shifted by k/2, the first argmin; negation is exact, and a tie
     between the two goes to the first half, as argmax over the concatenation
-    sends it.
+    sends it. With BLAS on one thread the rows are projected in blocks of
+    _HASH_BLOCK, with the whole projection's bits; a multithreaded BLAS
+    splits a product by its shape, so there it stays whole.
     """
-    proj = z @ rotation
-    rows = np.arange(proj.shape[0])
-    hi = proj.argmax(axis=1)
-    lo = proj.argmin(axis=1)
-    return np.where(proj[rows, hi] >= -proj[rows, lo], hi, lo + proj.shape[1]).astype(np.int64)
+    n = z.shape[0]
+    block = _HASH_BLOCK if _blas_single_threaded() else max(n, 1)
+    ids = np.empty(n, dtype=np.int64)
+    for a in range(0, n, block):
+        proj = z[a : a + block] @ rotation
+        rows = np.arange(proj.shape[0])
+        hi = proj.argmax(axis=1)
+        lo = proj.argmin(axis=1)
+        ids[a : a + block] = np.where(proj[rows, hi] >= -proj[rows, lo], hi, lo + proj.shape[1])
+    return ids
 
 
 def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
@@ -206,16 +220,21 @@ def lsh_density(
     of a stack with the shapes and strides of the one-chunk call (the fact
     model.train_stacked relies on), so each slice is the same product, bit
     for bit. A chunk whose product alone exceeds the bound (990-row chunks
-    on a 99k-row pool) is still multiplied alone, into the same buffer.
-    The weighting then runs over row tiles of the block (a whole stack, or
-    at least _ROW_TILE rows of a large chunk) inside a reused scratch
-    buffer, and each tile's rows are summed straight into the output, so no
-    chunk-sized temporaries are allocated. Tiling never splits a row, so
-    every value is the same as weighting and summing each chunk's block at
-    once. A large pool splits its chunks into contiguous runs, one per
-    thread (see core._parallel_ranges for how many), each with its own two
-    buffers; a chunk's arithmetic does not depend on which thread or stack
-    takes it, so neither does any value.
+    on a 99k-row pool) is multiplied alone: whole under a multithreaded
+    BLAS, which splits a product over its threads by its shape, and in
+    _ROW_TILE-row tiles when BLAS runs one thread, each with the bits of the
+    whole product's rows. An own-chunk product Z[s:e] @ Z[s:e].T stays
+    whole, since numpy hands it to BLAS syrk, not gemm, and tiles of it
+    moved 2 of 990 values by an ulp: every chunk under own-chunk-only, and
+    chunk 0, which the calling thread multiplies before the others when
+    they are tiled, so one m x m buffer exists at most. The weighting runs
+    over row tiles of the block inside a reused scratch buffer, and each
+    tile's rows are summed straight into the output, so no chunk-sized
+    temporaries are allocated; a tile never splits a row. A large pool
+    splits its chunks into contiguous runs, one per thread (see
+    core._parallel_ranges for how many), each with its own two buffers; a
+    chunk's arithmetic does not depend on which thread or stack takes it,
+    so neither does any value.
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
@@ -251,46 +270,56 @@ def lsh_density(
     stack_first = 0 if window == WINDOW_OWN_CHUNK else 1
     stack_last = n // m  # one past the last full chunk
     per_stack = max(1, _STACK_SCRATCH // product_size)
-    stack_size = per_stack * product_size
-    tile_rows = max(_ROW_TILE, _STACK_SCRATCH // width)  # holds a whole stack's rows
+    big = product_size > _STACK_SCRATCH and window == WINDOW_WITH_PREVIOUS
+    tiled = big and _blas_single_threaded()
+    # Rows a thread multiplies (when tiled) and weighs at once; otherwise at
+    # least a whole stack's rows.
+    tile_rows = _ROW_TILE if tiled else max(_ROW_TILE, _STACK_SCRATCH // width)
+    product_cap = tile_rows * width if tiled else per_stack * product_size
     vals_sorted = np.empty(n, dtype=np.float64)
+
+    def score_rows(s, rows, lo, w, g, product, scratch) -> None:
+        # Row block j < g multiplies rows Z[s + j*m :][:rows] by its window
+        # Z[lo + j*m :][:w]; the windows overlap, so they are a strided view.
+        windows = np.lib.stride_tricks.as_strided(
+            Z[lo:], shape=(g, w, Z.shape[1]), strides=(m * Z.strides[0], *Z.strides),
+            writeable=False,
+        )
+        sims = product[: g * rows * w].reshape(g, rows, w)
+        np.matmul(Z[s : s + g * rows].reshape(g, rows, -1), windows.transpose(0, 2, 1), out=sims)
+        diag = np.arange(rows)
+        sims[:, diag, diag + (s - lo)] = 0.0  # self term contributes nothing
+        block = sims.reshape(g * rows, w)
+        for t in range(0, g * rows, tile_rows):
+            tile = block[t : t + tile_rows]
+            buf = scratch[: tile.size].reshape(tile.shape)
+            # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
+            # Cosines lie in [-1, 1], so exp cannot overflow.
+            np.negative(tile, out=buf)
+            np.exp(buf, out=buf)
+            np.add(buf, 1.0, out=buf)
+            np.divide(1.0, buf, out=buf)
+            np.multiply(buf, tile, out=buf)
+            buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
 
     def chunks(first: int, last: int, mem: np.ndarray) -> None:
         # One product buffer and one scratch tile per thread, reused for
-        # every stack of chunks it takes.
-        product, scratch = mem[:stack_size], mem[stack_size:]
-        c = first
+        # every stack of chunks, or tile of a chunk, it takes.
+        product, scratch = mem[:product_cap], mem[product_cap:]
+        c = max(first, 1) if tiled else first  # a tiled pass did chunk 0 first
         while c < last:
             s, e = c * m, min(n, (c + 1) * m)
             lo = s if (window == WINDOW_OWN_CHUNK or c == 0) else (c - 1) * m
             g = min(per_stack, min(last, stack_last) - c) if stack_first <= c < stack_last else 1
-            rows, w = e - s, e - lo
-            # Chunk c + j multiplies rows Z[s + j*m :][:rows] by its window
-            # Z[lo + j*m :][:w]; the windows overlap, so they are a strided view.
-            windows = np.lib.stride_tricks.as_strided(
-                Z[lo:], shape=(g, w, Z.shape[1]), strides=(m * Z.strides[0], *Z.strides),
-                writeable=False,
-            )
-            sims = product[: g * rows * w].reshape(g, rows, w)
-            stacked_rows = Z[s : s + g * rows].reshape(g, rows, -1)
-            np.matmul(stacked_rows, windows.transpose(0, 2, 1), out=sims)
-            diag = np.arange(rows)
-            sims[:, diag, diag + (s - lo)] = 0.0  # self term contributes nothing
-            block = sims.reshape(g * rows, w)
-            for t in range(0, g * rows, tile_rows):
-                tile = block[t : t + tile_rows]
-                buf = scratch[: tile.size].reshape(tile.shape)
-                # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
-                # Cosines lie in [-1, 1], so exp cannot overflow.
-                np.negative(tile, out=buf)
-                np.exp(buf, out=buf)
-                np.add(buf, 1.0, out=buf)
-                np.divide(1.0, buf, out=buf)
-                np.multiply(buf, tile, out=buf)
-                buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
+            step = tile_rows if tiled else e - s
+            for t in range(s, e, step):
+                score_rows(t, min(step, e - t), lo, e - lo, g, product, scratch)
             c += g
 
-    _parallel_ranges(n_chunks, n * width, stack_size + tile_rows * width, chunks)
+    if tiled:  # chunk 0's own-chunk product stays whole, on this thread
+        own = min(n, m)
+        score_rows(0, own, 0, own, 1, np.empty(own * own), np.empty(tile_rows * own))
+    _parallel_ranges(n_chunks, n * width, product_cap + tile_rows * width, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(

@@ -36,8 +36,8 @@ class ModelConfig:
             raise ValueError("epochs must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass

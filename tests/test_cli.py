@@ -722,6 +722,8 @@ class TestSimulateCommand:
             ("breaks", 0, "bad engine setting: breaks must be at least 1"),
             ("temperature", -1, "temperature must be positive"),
             ("epochs", 0, "epochs must be positive"),
+            # an infinite rate would diverge every run at its first epoch
+            ("learning_rate", "inf", "bad engine setting: learning_rate must be positive and finite"),
             # refused by run_al, init_model or the generator on the data
             ("cycles", 60, "initial labels plus per-cycle budgets exceed the training pool"),
             ("reduced_dim", 16, "reduced_dim 16 must be smaller than the feature dimension 8"),

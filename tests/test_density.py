@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dacs
 import dacs.core
 import dacs.density
 from dacs.core import FeatureMatrix, Rng, normalize_rows
@@ -351,6 +355,38 @@ def chunk_pool(rows, buckets):
     return x, lsh_assign(x, buckets, Rng(6))
 
 
+SRC_DIR = os.path.dirname(os.path.dirname(dacs.__file__))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+# Run with BLAS on one thread: the 3,070-row pool's density on 1, 2 and 3
+# threads in both windows, and a hash over three projection blocks, each
+# against its oracle. Prints one "ok" per check.
+ONE_BLAS_THREAD_CHECK = """
+import numpy as np
+import dacs.core
+import dacs.density
+from dacs.core import FeatureMatrix, Rng, normalize_rows
+from test_density import chunk_formula_oracle, chunk_pool, reference_assign_buckets
+
+assert dacs.core._blas_single_threaded()
+dacs.core._PARALLEL_MIN_WORK = 0
+x, a = chunk_pool(3070, 8)
+assert a.chunk_size == 383
+for window in ("with-previous", "own-chunk-only"):
+    expect = chunk_formula_oracle(x, a, window=window)
+    for workers in (1, 2, 3):
+        dacs.core._worker_count = lambda: workers
+        got = dacs.density.lsh_density(x, a, window=window).values
+        assert np.array_equal(got, expect), (window, workers)
+        print("ok")
+gen = Rng(16, "lsh").generator()
+z = normalize_rows(FeatureMatrix(gen.standard_normal((10_000, 16)))).data
+rotation = gen.standard_normal((16, 50))
+assert z.shape[0] > 2 * dacs.density._HASH_BLOCK
+assert np.array_equal(dacs.density._assign_buckets(z, rotation), reference_assign_buckets(z, rotation))
+print("ok")
+"""
+
+
 class TestLshDensity:
     def test_two_identical_vectors_in_one_window(self):
         x = FeatureMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), unit_norm=True)
@@ -411,6 +447,27 @@ class TestLshDensity:
         x, a = chunk_pool(rows, buckets)
         got = lsh_density(x, a, window=window)
         assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
+
+    def test_tiled_paths_are_bit_identical_under_one_blas_thread(self):
+        # lsh_density tiles large chunks' products, and _assign_buckets
+        # projects in blocks, only when BLAS runs one thread, which OpenBLAS
+        # reads when it loads: a fresh interpreter with it set checks both
+        # whatever BLAS this process has. The 383-row chunks are multiplied
+        # in 8 tiles each; 40- or 64-row tiles move values there.
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join([SRC_DIR, TESTS_DIR]),
+        }
+        result = subprocess.run(
+            [sys.executable, "-c", ONE_BLAS_THREAD_CHECK],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["ok"] * 7
 
     def test_magnitude_bounded_by_window_size(self):
         gen = Rng(21, "dens").generator()

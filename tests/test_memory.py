@@ -73,6 +73,28 @@ def test_window_density_holds_one_product_per_thread(monkeypatch, workers):
     assert peak < pool_sized + workers * per_thread + 2**20
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_blas_thread_tiles_the_window_products_and_the_hash(monkeypatch, workers):
+    # With BLAS on one thread, lsh_density multiplies a chunk too large to
+    # stack in _ROW_TILE-row tiles, and lsh_assign projects in row blocks.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
+    n, d, k = 50_000, 16, 100
+    x = unit_rows(n, d, 2)
+    a = lsh_assign(x, k, Rng(0))
+    m = a.chunk_size
+    peak = traced_peak(lambda: lsh_density(x, a))
+    # The pool-sized arrays as above, chunk 0's m x m own-chunk product,
+    # then per thread a tile of the product and a scratch tile, plus 1 MB.
+    # One m x 2m chunk product (8 MB here) would break the bound.
+    pool_sized = (n * d + 3 * n) * FLOAT
+    per_thread = 2 * _ROW_TILE * 2 * m * FLOAT
+    assert peak < pool_sized + m * m * FLOAT + workers * per_thread + 2**20
+    # The whole hash held the n x k/2 projection.
+    peak = traced_peak(lambda: lsh_assign(x, k, Rng(0)))
+    assert peak < n * (k // 2) * FLOAT / 2
+
+
 def force_64_threads(monkeypatch):
     monkeypatch.setattr(dacs.core, "_worker_count", lambda: 64)
 
