@@ -28,8 +28,6 @@ from .simulate import (
 )
 
 SEED_ENV_VAR = "DACS_SEED"
-# Engine fields that a config key and a `dacs select` flag name differently.
-_SETTING_NAMES = {"n_buckets": "buckets", "n_breaks": "breaks"}
 
 
 @dataclass
@@ -158,20 +156,14 @@ def dataset_from_config(config: RunConfig):
 
 
 def acquisition_config(settings, budget: int) -> AcquisitionConfig:
-    """AcquisitionConfig from a RunConfig or `dacs select` arguments; a refusal uses their names."""
-    try:
-        return AcquisitionConfig(
-            budget=budget,
-            n_buckets=settings.buckets,
-            n_breaks=settings.breaks,
-            temperature=settings.temperature,
-            window=settings.window,
-        )
-    except ValueError as exc:
-        message = str(exc)
-        for engine_name, name in _SETTING_NAMES.items():
-            message = message.replace(engine_name, name)
-        raise ParseError(message) from exc
+    """AcquisitionConfig from a RunConfig or `dacs select` arguments."""
+    return AcquisitionConfig(
+        budget=budget,
+        n_buckets=settings.buckets,
+        n_breaks=settings.breaks,
+        temperature=settings.temperature,
+        window=settings.window,
+    )
 
 
 def run_settings(config: RunConfig, n_rows: int) -> dict:

@@ -335,7 +335,7 @@ class AcquisitionConfig:
             raise ValueError("budget must be positive")
         check_bucket_count(self.n_buckets)
         if self.n_breaks < 1:
-            raise ValueError("n_breaks must be at least 1")
+            raise ValueError("breaks must be at least 1")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         if self.window not in (WINDOW_WITH_PREVIOUS, WINDOW_OWN_CHUNK):

@@ -8,11 +8,11 @@ adjacent chunks. The fast path never compares samples more than two chunks
 apart, but a chunk holds n/k rows, so at a fixed bucket count k a pass scores
 about 2n^2/k pairs: quadratic in the pool, not linear (ROADMAP item 1 has the
 timings). Small chunks are multiplied in stacks, one BLAS call per chunk
-inside one np.matmul, and with BLAS on one thread large chunks in row tiles
-and the hash in row blocks, so scratch does not grow with the chunk; each
-keeps the bits of the whole product (see lsh_density). pool_density is its
-one front-end: selection, the simulator and the CLI all estimate density
-through it.
+inside one np.matmul, and the hash in row blocks. Only the rows of a large
+chunk one product multiplies depend on BLAS's thread count: row tiles with
+BLAS on one thread, the whole chunk otherwise (see lsh_density). pool_density
+is its one front-end: selection, the simulator and the CLI all estimate
+density through it.
 """
 
 from __future__ import annotations
@@ -37,15 +37,15 @@ from .core import (
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_COSINE = "cosine-distance"
 
-# Rows of a chunk's similarity block that lsh_density weighs, and with BLAS
-# on one thread multiplies, at once; keeps its buffers cache-sized. A multiple
-# of 12: on x86-64 OpenBLAS 0.3.31 (Haswell), 12- to 360-row tiles gave the
-# untiled product's bits, and 16-, 32-, 40-, 64- and 128-row tiles did not.
+# Rows of a chunk's similarity block that lsh_density weighs (at least), and
+# with BLAS on one thread multiplies, at once; keeps buffers cache-sized. A
+# multiple of 12: on x86-64 OpenBLAS 0.3.31 (Haswell), 12- to 360-row tiles
+# gave the untiled product's bits, and 16-, 32-, 40-, 64- and 128-row did not.
 _ROW_TILE = 48
 # Float64 elements of the chunk products lsh_density stacks into one matmul
 # (a chunk's product larger than this is made alone).
 _STACK_SCRATCH = 1 << 16
-# Rows _assign_buckets projects at once with BLAS on one thread; a multiple of 12, as _ROW_TILE.
+# Rows _assign_buckets projects at once; a multiple of 12, as _ROW_TILE.
 _HASH_BLOCK = 4092
 
 
@@ -152,19 +152,19 @@ def _assign_buckets(z: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     The concatenation is never built. Its argmax is the first argmax of
     R^T z, or, shifted by k/2, the first argmin; negation is exact, and a tie
     between the two goes to the first half, as argmax over the concatenation
-    sends it. With BLAS on one thread the rows are projected in blocks of
-    _HASH_BLOCK, with the whole projection's bits; a multithreaded BLAS
-    splits a product by its shape, so there it stays whole.
+    sends it. The rows are projected in blocks of _HASH_BLOCK, so scratch
+    does not grow with the pool. A block's projection can differ from the
+    whole one in a last bit; the ids are the contract, and the tests check
+    them against reference_assign_buckets, which projects whole.
     """
     n = z.shape[0]
-    block = _HASH_BLOCK if _blas_single_threaded() else max(n, 1)
     ids = np.empty(n, dtype=np.int64)
-    for a in range(0, n, block):
-        proj = z[a : a + block] @ rotation
+    for a in range(0, n, _HASH_BLOCK):
+        proj = z[a : a + _HASH_BLOCK] @ rotation
         rows = np.arange(proj.shape[0])
         hi = proj.argmax(axis=1)
         lo = proj.argmin(axis=1)
-        ids[a : a + block] = np.where(proj[rows, hi] >= -proj[rows, lo], hi, lo + proj.shape[1])
+        ids[a : a + _HASH_BLOCK] = np.where(proj[rows, hi] >= -proj[rows, lo], hi, lo + proj.shape[1])
     return ids
 
 
@@ -220,16 +220,17 @@ def lsh_density(
     of a stack with the shapes and strides of the one-chunk call (the fact
     model.train_stacked relies on), so each slice is the same product, bit
     for bit. A chunk whose product alone exceeds the bound (990-row chunks
-    on a 99k-row pool) is multiplied alone: whole under a multithreaded
-    BLAS, which splits a product over its threads by its shape, and in
-    _ROW_TILE-row tiles when BLAS runs one thread, each with the bits of the
-    whole product's rows. An own-chunk product Z[s:e] @ Z[s:e].T stays
-    whole, since numpy hands it to BLAS syrk, not gemm, and tiles of it
-    moved 2 of 990 values by an ulp: every chunk under own-chunk-only, and
-    chunk 0, which the calling thread multiplies before the others when
-    they are tiled, so one m x m buffer exists at most. The weighting runs
-    over row tiles of the block inside a reused scratch buffer, and each
-    tile's rows are summed straight into the output, so no chunk-sized
+    on a 99k-row pool) is multiplied alone, the one step that depends on
+    BLAS's thread count: in _ROW_TILE-row tiles when BLAS runs one thread,
+    each with the bits of the whole product's rows, and whole under a
+    multithreaded BLAS, which splits a product over its threads by its
+    shape, so tiles there give other bits. An own-chunk product
+    Z[s:e] @ Z[s:e].T stays whole, since numpy hands it to BLAS syrk, not
+    gemm, and tiles of it moved 2 of 990 values by an ulp: every chunk
+    under own-chunk-only, and chunk 0 under with-previous, which the
+    calling thread makes before the others start. The weighting runs over
+    row tiles of the block inside a reused scratch buffer, and each tile's
+    rows are summed straight into the output, so no chunk-sized
     temporaries are allocated; a tile never splits a row. A large pool
     splits its chunks into contiguous runs, one per thread (see
     core._parallel_ranges for how many), each with its own two buffers; a
@@ -263,19 +264,19 @@ def lsh_density(
     m = assignment.chunk_size
     n_chunks = -(-n // m)
     width = min(n, m if window == WINDOW_OWN_CHUNK else 2 * m)  # widest window
-    product_size = min(m, n) * width
+    own = min(m, n)  # rows of chunk 0
     # Chunks whose products stack: full chunks with a full window. The first
-    # chunk has no previous one unless the window is its own chunk, and a
-    # remainder chunk is short.
-    stack_first = 0 if window == WINDOW_OWN_CHUNK else 1
+    # chunk has no previous one unless the window is its own chunk, so under
+    # with-previous it is made apart; a remainder chunk is short.
+    first = 0 if window == WINDOW_OWN_CHUNK else 1
     stack_last = n // m  # one past the last full chunk
-    per_stack = max(1, _STACK_SCRATCH // product_size)
-    big = product_size > _STACK_SCRATCH and window == WINDOW_WITH_PREVIOUS
-    tiled = big and _blas_single_threaded()
-    # Rows a thread multiplies (when tiled) and weighs at once; otherwise at
-    # least a whole stack's rows.
-    tile_rows = _ROW_TILE if tiled else max(_ROW_TILE, _STACK_SCRATCH // width)
-    product_cap = tile_rows * width if tiled else per_stack * product_size
+    per_stack = max(1, _STACK_SCRATCH // (own * width))
+    # Rows of a chunk multiplied at once.
+    big = own * width > _STACK_SCRATCH and window == WINDOW_WITH_PREVIOUS
+    step = _ROW_TILE if big and _blas_single_threaded() else own
+    tile_rows = max(_ROW_TILE, _STACK_SCRATCH // width)  # rows weighed at once
+    product_cap = per_stack * step * width
+    scratch_cap = min(product_cap, tile_rows * width)  # a tile never outgrows its product
     vals_sorted = np.empty(n, dtype=np.float64)
 
     def score_rows(s, rows, lo, w, g, product, scratch) -> None:
@@ -302,24 +303,22 @@ def lsh_density(
             np.multiply(buf, tile, out=buf)
             buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
 
-    def chunks(first: int, last: int, mem: np.ndarray) -> None:
-        # One product buffer and one scratch tile per thread, reused for
-        # every stack of chunks, or tile of a chunk, it takes.
+    def chunks(a: int, b: int, mem: np.ndarray) -> None:
+        # Chunks first + a .. first + b - 1, with one product buffer and one
+        # scratch tile per thread, reused for every stack or tile it takes.
         product, scratch = mem[:product_cap], mem[product_cap:]
-        c = max(first, 1) if tiled else first  # a tiled pass did chunk 0 first
+        c, last = first + a, first + b
         while c < last:
             s, e = c * m, min(n, (c + 1) * m)
-            lo = s if (window == WINDOW_OWN_CHUNK or c == 0) else (c - 1) * m
-            g = min(per_stack, min(last, stack_last) - c) if stack_first <= c < stack_last else 1
-            step = tile_rows if tiled else e - s
+            lo = s if window == WINDOW_OWN_CHUNK else s - m
+            g = min(per_stack, min(last, stack_last) - c) if c < stack_last else 1
             for t in range(s, e, step):
                 score_rows(t, min(step, e - t), lo, e - lo, g, product, scratch)
             c += g
 
-    if tiled:  # chunk 0's own-chunk product stays whole, on this thread
-        own = min(n, m)
-        score_rows(0, own, 0, own, 1, np.empty(own * own), np.empty(tile_rows * own))
-    _parallel_ranges(n_chunks, n * width, product_cap + tile_rows * width, chunks)
+    if first:  # chunk 0's own-chunk product, whole, on this thread
+        score_rows(0, own, 0, own, 1, np.empty(own * own), np.empty(min(own, tile_rows) * own))
+    _parallel_ranges(n_chunks - first, n * width, product_cap + scratch_cap, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(

@@ -132,8 +132,9 @@ def jenks_breaks(values, h: int) -> DensityPartition:
 
     Classes come back sparsest first (ascending value). A value exactly on a
     break boundary belongs to the lower class. Raises DegeneratePartitionError
-    when h exceeds the number of distinct values, and ValueError when the
-    values are spread so far that their squared deviations overflow float64.
+    when h exceeds the points the DP gets (the distinct values, or above
+    BIN_THRESHOLD their quantile bins), and ValueError when the values are
+    spread so far that their squared deviations overflow float64.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
@@ -143,12 +144,12 @@ def jenks_breaks(values, h: int) -> DensityPartition:
     if h < 1:
         raise ValueError("h must be at least 1")
     uniq, counts = np.unique(v, return_counts=True)
-    if h > uniq.size:
-        raise DegeneratePartitionError(
-            f"{h} classes requested but only {uniq.size} distinct values; use h <= {uniq.size}"
-        )
+    points = f"{uniq.size} distinct values"
     if uniq.size > BIN_THRESHOLD:
         uniq, counts = _quantile_bins(np.sort(v), N_BINS)
+        points = f"{uniq.size} quantile bins of {points}"
+    if h > uniq.size:
+        raise DegeneratePartitionError(f"{h} classes requested but only {points}; use h <= {uniq.size}")
     edges = _weighted_jenks_dp(uniq, counts, h)
     breaks = uniq[edges[1:h] - 1]
     # Membership by value: count of breaks strictly below puts boundary ties low.

@@ -275,6 +275,20 @@ class TestSelectCommand:
         assert "exceeds unlabeled pool" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("breaks", [1025, 1100])
+    def test_more_breaks_than_density_bins_is_a_usage_error(self, tmp_path, capsys, breaks):
+        # 25,000 rows have as many distinct densities, which Jenks bins to 1,024
+        gen = Rng(3, "bins").generator()
+        pool, out = tmp_path / "pool.bin", tmp_path / "picks.json"
+        write_embeddings(pool, FeatureMatrix(unit(gen.normal(size=(25_000, 16))), unit_norm=True))
+        code = main(
+            ["select", "--embeddings", str(pool), "--budget", "5", "--strategy", "dacs",
+             "--breaks", str(breaks), "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert f"{breaks} classes requested but only 1024 quantile bins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_combined_requires_scores(self, pool_file, tmp_path, capsys):
         code, _ = self.run_select(pool_file, tmp_path, "--strategy", "combined")
         assert code == EXIT_USAGE

@@ -209,6 +209,17 @@ class TestJenksBreaks:
         all_members = np.concatenate(part.clusters)
         assert np.array_equal(np.sort(all_members), np.arange(60))
 
+    @pytest.mark.parametrize("h", [1025, 1100])
+    def test_more_classes_than_bins_rejected(self, h):
+        # 25,000 distinct values pass the distinct-value check, but the DP
+        # gets their 1,024 quantile bins
+        values = Rng(4, "jenks").generator().uniform(0, 1, 25_000)
+        assert np.unique(values).size == 25_000
+        match = f"{h} classes requested but only 1024 quantile bins of 25000 distinct values"
+        with pytest.raises(DegeneratePartitionError, match=match):
+            jenks_breaks(values, h)
+        assert len(jenks_breaks(values, 1024).clusters) == 1024
+
     def test_large_input_binned_path(self):
         gen = Rng(4, "jenks").generator()
         values = gen.uniform(0, 1, 25_000)  # all distinct almost surely
