@@ -205,7 +205,7 @@ class FeatureMatrix:
             raise ValueError("feature matrix contains non-finite values")
         object.__setattr__(self, "data", _readonly(data))
         if self.unit_norm:
-            norms = np.linalg.norm(self.data, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data))  # no n x d temporary
             off = np.abs(norms - 1.0)
             if np.any(off > UNIT_NORM_TOL):
                 row = int(np.argmax(off))

@@ -224,18 +224,18 @@ def lsh_density(
     BLAS's thread count: in _ROW_TILE-row tiles when BLAS runs one thread,
     each with the bits of the whole product's rows, and whole under a
     multithreaded BLAS, which splits a product over its threads by its
-    shape, so tiles there give other bits. An own-chunk product
-    Z[s:e] @ Z[s:e].T stays whole, since numpy hands it to BLAS syrk, not
-    gemm, and tiles of it moved 2 of 990 values by an ulp: every chunk
-    under own-chunk-only, and chunk 0 under with-previous, which the
-    calling thread makes before the others start. The weighting runs over
-    row tiles of the block inside a reused scratch buffer, and each tile's
-    rows are summed straight into the output, so no chunk-sized
-    temporaries are allocated; a tile never splits a row. A large pool
+    shape, so tiles there give other bits. An own-chunk product Z Z^T
+    stays whole, since numpy hands it to BLAS syrk, not gemm, and tiles of
+    it moved 2 of 990 values by an ulp: every chunk under own-chunk-only,
+    and chunk 0 under with-previous, made first on the calling thread. No
+    sorted copy Z of the pool is made: a stack, or a chunk taken in tiles,
+    gathers its rows and the window before them into a row buffer with
+    Z's row stride, so each product keeps its shapes, strides and bits.
+    The weighting runs over row tiles in a reused scratch buffer, summed
+    straight into the output; a tile never splits a row. A large pool
     splits its chunks into contiguous runs, one per thread (see
-    core._parallel_ranges for how many), each with its own two buffers; a
-    chunk's arithmetic does not depend on which thread or stack takes it,
-    so neither does any value.
+    core._parallel_ranges for how many), each with its own three buffers;
+    no value depends on which thread or stack takes a chunk.
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
@@ -260,8 +260,7 @@ def lsh_density(
             convention=DensityConvention.SIMILARITY_BASED,
             params=params,
         )
-    Z = x.data[assignment.sorted_order]
-    m = assignment.chunk_size
+    m, d = assignment.chunk_size, x.d
     n_chunks = -(-n // m)
     width = min(n, m if window == WINDOW_OWN_CHUNK else 2 * m)  # widest window
     own = min(m, n)  # rows of chunk 0
@@ -277,17 +276,22 @@ def lsh_density(
     tile_rows = max(_ROW_TILE, _STACK_SCRATCH // width)  # rows weighed at once
     product_cap = per_stack * step * width
     scratch_cap = min(product_cap, tile_rows * width)  # a tile never outgrows its product
+    gather_cap = min(n, (per_stack + 1) * m) * d  # a stack's chunks and the window before them
     vals_sorted = np.empty(n, dtype=np.float64)
 
-    def score_rows(s, rows, lo, w, g, product, scratch) -> None:
-        # Row block j < g multiplies rows Z[s + j*m :][:rows] by its window
-        # Z[lo + j*m :][:w]; the windows overlap, so they are a strided view.
+    def gather(lo, hi, buf) -> np.ndarray:
+        # Sorted rows lo .. hi - 1, with the row stride of a sorted copy.
+        Z = buf[: (hi - lo) * d].reshape(hi - lo, d)
+        return np.take(x.data, assignment.sorted_order[lo:hi], axis=0, out=Z)
+
+    def score_rows(Z, s, rows, lo, w, g, product, scratch) -> None:
+        # Z holds sorted rows lo on; row block j < g multiplies rows s + j*m on
+        # by its window lo + j*m on, a strided view, as the windows overlap.
         windows = np.lib.stride_tricks.as_strided(
-            Z[lo:], shape=(g, w, Z.shape[1]), strides=(m * Z.strides[0], *Z.strides),
-            writeable=False,
+            Z, shape=(g, w, d), strides=(m * Z.strides[0], *Z.strides), writeable=False
         )
         sims = product[: g * rows * w].reshape(g, rows, w)
-        np.matmul(Z[s : s + g * rows].reshape(g, rows, -1), windows.transpose(0, 2, 1), out=sims)
+        np.matmul(Z[s - lo : s - lo + g * rows].reshape(g, rows, d), windows.transpose(0, 2, 1), out=sims)
         diag = np.arange(rows)
         sims[:, diag, diag + (s - lo)] = 0.0  # self term contributes nothing
         block = sims.reshape(g * rows, w)
@@ -304,21 +308,23 @@ def lsh_density(
             buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
 
     def chunks(a: int, b: int, mem: np.ndarray) -> None:
-        # Chunks first + a .. first + b - 1, with one product buffer and one
-        # scratch tile per thread, reused for every stack or tile it takes.
-        product, scratch = mem[:product_cap], mem[product_cap:]
+        # Chunks first + a .. first + b - 1, with one product, one scratch tile
+        # and one row buffer per thread, reused for every stack or chunk.
+        product, scratch, rows_buf = np.split(mem, [product_cap, product_cap + scratch_cap])
         c, last = first + a, first + b
         while c < last:
             s, e = c * m, min(n, (c + 1) * m)
             lo = s if window == WINDOW_OWN_CHUNK else s - m
             g = min(per_stack, min(last, stack_last) - c) if c < stack_last else 1
+            Z = gather(lo, min(n, (c + g) * m), rows_buf)
             for t in range(s, e, step):
-                score_rows(t, min(step, e - t), lo, e - lo, g, product, scratch)
+                score_rows(Z, t, min(step, e - t), lo, e - lo, g, product, scratch)
             c += g
 
     if first:  # chunk 0's own-chunk product, whole, on this thread
-        score_rows(0, own, 0, own, 1, np.empty(own * own), np.empty(min(own, tile_rows) * own))
-    _parallel_ranges(n_chunks - first, n * width, product_cap + scratch_cap, chunks)
+        Z = gather(0, own, np.empty(own * d))
+        score_rows(Z, 0, own, 0, own, 1, np.empty(own * own), np.empty(min(own, tile_rows) * own))
+    _parallel_ranges(n_chunks - first, n * width, product_cap + scratch_cap + gather_cap, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(
@@ -340,6 +346,7 @@ def pool_density(
 
     The profile is keyed by sample index: value i belongs to indices[i], and
     equals what lsh_assign and lsh_density give on features.rows(indices).
+    That copy, beside the pool, is the one pool-sized float array it adds.
     """
     sub = features.rows(indices)
     local = lsh_density(sub, lsh_assign(sub, n_buckets, rng), window=window)

@@ -29,14 +29,6 @@ class ParseError(ValueError):
     """Malformed input file; message carries the location."""
 
 
-def write_embeddings(path, x: FeatureMatrix) -> None:
-    flags = FLAG_UNIT_NORM if x.unit_norm else 0
-    payload = x.data.astype("<f4").tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, x.n, x.d, flags))
-        fh.write(payload)
-
-
 def read_embeddings(path) -> FeatureMatrix:
     """Read the binary container; the file size is checked before the payload is read."""
     with open(path, "rb") as fh:
@@ -57,15 +49,9 @@ def read_embeddings(path) -> FeatureMatrix:
                 f"header promises {expected} bytes ({n}x{d} float32), found {actual}"
             )
         payload = fh.read(expected)
-    data = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-    return FeatureMatrix(data.astype(np.float64), unit_norm=bool(flags & FLAG_UNIT_NORM))
-
-
-def write_embeddings_csv(path, x: FeatureMatrix) -> None:
-    header = ",".join(f"f{j}" for j in range(x.d))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, x.data, delimiter=",", fmt="%.17g")
+    data = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
+    del payload  # the float32 bytes go before the matrix is validated
+    return FeatureMatrix(data, unit_norm=bool(flags & FLAG_UNIT_NORM))
 
 
 def read_embeddings_csv(path) -> FeatureMatrix:

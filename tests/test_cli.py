@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from embedding_writers import write_embeddings, write_embeddings_csv
 
 import dacs.cli
 import dacs.core
@@ -31,7 +32,7 @@ from dacs.config import (
 )
 from dacs.core import AcquisitionConfig, DegenerateInputError, DivergenceError, FeatureMatrix, Rng
 from dacs.density import lsh_assign, lsh_density
-from dacs.formats import ParseError, read_embeddings, write_embeddings, write_embeddings_csv
+from dacs.formats import ParseError, read_embeddings
 from dacs.model import ModelConfig
 from dacs.selection import STRATEGIES, STRATEGY_READS
 from dacs.simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE, run_al

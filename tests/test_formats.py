@@ -3,6 +3,7 @@ import stat
 
 import numpy as np
 import pytest
+from embedding_writers import write_embeddings, write_embeddings_csv
 
 from dacs.core import FeatureMatrix, Rng
 from dacs.formats import (
@@ -13,8 +14,6 @@ from dacs.formats import (
     read_embeddings_csv,
     read_index_file,
     read_scores_file,
-    write_embeddings,
-    write_embeddings_csv,
 )
 
 

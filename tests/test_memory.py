@@ -6,15 +6,19 @@ buffers the kernel is meant to hold and no more. tracemalloc sees the
 allocations of every thread, so the bounds hold with the kernels on threads.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from embedding_writers import write_embeddings
 
+import dacs.cli
 import dacs.core
 from dacs.core import FeatureMatrix, Rng, normalize_rows
 from dacs.density import _ROW_TILE, lsh_assign, lsh_density
-from dacs.selection import kcenter_greedy
+from dacs.formats import read_embeddings
+from dacs.selection import _CAND_TILE, _REF_BLOCK, kcenter_greedy
 
 FLOAT = 8  # bytes per float64
 
@@ -58,18 +62,21 @@ def test_bucket_hash_builds_no_concatenation():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_window_density_holds_one_product_per_thread(monkeypatch, workers):
+    # The whole chunk products a threaded BLAS gets, whatever BLAS runs here.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
     n, d, k = 50_000, 16, 100
     x = unit_rows(n, d, 2)
     a = lsh_assign(x, k, Rng(0))
     m = a.chunk_size
     peak = traced_peak(lambda: lsh_density(x, a))
-    # The sorted copy of the rows, the output, its sorted copy and the
-    # indices; then per thread one m x 2m chunk product and one scratch tile
-    # of its rows, plus 1 MB for Python objects. One more chunk-sized
-    # temporary on any thread (4 MB here) would break the bound.
-    pool_sized = (n * d + 3 * n) * FLOAT
-    per_thread = (m * 2 * m + _ROW_TILE * 2 * m) * FLOAT
+    # The output, its sorted copy and the indices; then per thread one m x 2m
+    # chunk product, one scratch tile of its rows and the 2m rows it gathers,
+    # plus 1 MB for Python objects. A sorted copy of the pool (6.4 MB here),
+    # or one more chunk-sized temporary on any thread (4 MB), would break
+    # the bound.
+    pool_sized = 3 * n * FLOAT
+    per_thread = (m * 2 * m + _ROW_TILE * 2 * m + 2 * m * d) * FLOAT
     assert peak < pool_sized + workers * per_thread + 2**20
 
 
@@ -84,12 +91,13 @@ def test_one_blas_thread_tiles_the_window_products_and_the_hash(monkeypatch, wor
     a = lsh_assign(x, k, Rng(0))
     m = a.chunk_size
     peak = traced_peak(lambda: lsh_density(x, a))
-    # The pool-sized arrays as above, chunk 0's m x m own-chunk product,
-    # then per thread a tile of the product and a scratch tile, plus 1 MB.
-    # One m x 2m chunk product (8 MB here) would break the bound.
-    pool_sized = (n * d + 3 * n) * FLOAT
-    per_thread = 2 * _ROW_TILE * 2 * m * FLOAT
-    assert peak < pool_sized + m * m * FLOAT + workers * per_thread + 2**20
+    # The pool-sized arrays as above, chunk 0's m x m own-chunk product and
+    # its m rows, then per thread a tile of the product, a scratch tile and
+    # the 2m rows it gathers, plus 1 MB. A sorted copy of the pool (6.4 MB
+    # here), or one m x 2m chunk product (4 MB), would break the bound.
+    pool_sized = 3 * n * FLOAT
+    per_thread = (2 * _ROW_TILE * 2 * m + 2 * m * d) * FLOAT
+    assert peak < pool_sized + (m * m + m * d) * FLOAT + workers * per_thread + 2**20
     # The whole hash held the n x k/2 projection.
     peak = traced_peak(lambda: lsh_assign(x, k, Rng(0)))
     assert peak < n * (k // 2) * FLOAT / 2
@@ -119,7 +127,56 @@ def test_window_density_fits_the_budget_on_64_threads(monkeypatch):
     a = lsh_assign(x, k, Rng(0))
     peak = traced_peak(lambda: lsh_density(x, a))
     # As above, with the whole scratch budget in place of the per-thread
-    # buffers. One m x 2m product for each of the 100 chunks (400 MB), or
-    # each of 64 threads (256 MB), would break the bound.
-    pool_sized = (n * d + 3 * n) * FLOAT
+    # buffers, gathered rows included. One m x 2m product for each of the
+    # 100 chunks (400 MB), or each of 64 threads (256 MB), would break the
+    # bound; so would a sorted copy of the pool (6.4 MB here) when a threaded
+    # BLAS lets the buffers fill the budget.
+    pool_sized = 3 * n * FLOAT
     assert peak < pool_sized + dacs.core._SCRATCH_BUDGET * FLOAT + 2**20
+
+
+def test_unit_norm_check_holds_no_row_sized_temporary():
+    n, d = 50_000, 16
+    data = unit_rows(n, d, 4).data
+    peak = traced_peak(lambda: FeatureMatrix(data, unit_norm=True))
+    # The n x d finite mask (bools) and a few n-sized vectors, plus 1 MB. An
+    # n x d float64 temporary, as np.linalg.norm(axis=1) makes (6.4 MB
+    # here), would break the bound.
+    assert peak < n * d + 2**20
+
+
+def test_reading_embeddings_drops_the_raw_bytes(tmp_path):
+    n, d = 50_000, 16
+    path = tmp_path / "pool.bin"
+    write_embeddings(path, unit_rows(n, d, 5))
+    peak = traced_peak(lambda: read_embeddings(path))
+    # The float64 matrix and, while it is converted, its float32 payload,
+    # plus 1 MB. The payload kept through validation beside the n x d finite
+    # mask (0.8 MB here), or one more float64 pool (6.4 MB), would break
+    # the bound.
+    assert peak < n * d * (FLOAT + 4) + 2**20
+
+
+def test_a_select_holds_two_copies_of_the_pool(monkeypatch, tmp_path):
+    # One thread, so one thread's scratch counts.
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: 1)
+    n, d = 50_000, 64
+    pool, labeled, out = tmp_path / "pool.bin", tmp_path / "labeled.txt", tmp_path / "out.json"
+    write_embeddings(pool, unit_rows(n, d, 6))
+    labeled.write_text("".join(f"{i}\n" for i in range(0, n, 100)))  # 1% labeled
+    argv = ["select", "--embeddings", str(pool), "--labeled", str(labeled), "--budget", "200",
+            "--strategy", "dacs", "--out", str(out)]
+    peak = traced_peak(lambda: dacs.cli.main(argv))
+    clusters = json.loads(out.read_text())["diagnostics"]["clusters"]
+    m = (n - n // 100) // 100  # chunk rows at 100 buckets
+    # The pool and the unlabeled rows pool_density hands the density pass;
+    # chunk 0's m x m product; one k-center tile; the largest class's
+    # gathered rows; plus 1 MB. A third copy of the pool (25.6 MB here),
+    # such as a sorted copy of the unlabeled rows, would break the bound.
+    bound = (
+        2 * n * d
+        + m * m
+        + _CAND_TILE * _REF_BLOCK
+        + max(c["size"] for c in clusters) * d
+    ) * FLOAT + 2**20
+    assert peak < bound
