@@ -146,13 +146,13 @@ def test_unit_norm_check_holds_no_row_sized_temporary():
 
 
 def test_reading_embeddings_drops_the_raw_bytes(tmp_path):
-    n, d = 50_000, 16
+    n, d = 50_000, 64
     path = tmp_path / "pool.bin"
     write_embeddings(path, unit_rows(n, d, 5))
     peak = traced_peak(lambda: read_embeddings(path))
     # The float64 matrix and, while it is converted, its float32 payload,
     # plus 1 MB. The payload kept through validation beside the n x d finite
-    # mask (0.8 MB here), or one more float64 pool (6.4 MB), would break
+    # mask (3.2 MB here), or one more float64 pool (25.6 MB), would break
     # the bound.
     assert peak < n * d * (FLOAT + 4) + 2**20
 
