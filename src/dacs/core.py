@@ -22,7 +22,10 @@ _PARALLEL_MIN_WORK = 1 << 24
 # threads: the single 4,096 x 2,048 buffer (64 MB) the serial k-center first
 # pass held. Threads are capped to fit it, so scratch does not grow with the
 # CPU count; one part larger than the budget runs alone, as the serial kernel
-# would have held it.
+# would have held it. A k-center thread holds 384 x 1,024 floats (3 MB), so
+# that pass reaches the cap only past 21 threads. Beside the pool, the one
+# pool-sized array of a select, the threads' buffers and the largest density
+# class's gathered rows are the largest arrays a select holds.
 _SCRATCH_BUDGET = 4096 * 2048
 # Variables OpenBLAS, the BLAS of numpy's wheels, reads its thread count from
 # when it loads; the first one set wins, and with none set it runs a thread
@@ -223,12 +226,54 @@ class FeatureMatrix:
 
     def rows(self, indices) -> "FeatureMatrix":
         """Sub-matrix restricted to the given row indices (order preserved)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("row selection must be a non-empty 1-D index list")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise ValueError("row selection out of range")
-        return FeatureMatrix(self.data[idx], unit_norm=self.unit_norm)
+        return FeatureMatrix(self.data[_row_selection(indices, self.n)], unit_norm=self.unit_norm)
+
+    def take(self, positions, out=None) -> np.ndarray:
+        """Copies of the rows at `positions`, written into `out` when given."""
+        return np.take(self.data, positions, axis=0, out=out)
+
+
+def _row_selection(indices, n: int) -> np.ndarray:
+    """indices as int64, checked to be a non-empty 1-D list of rows of an n-row matrix."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("row selection must be a non-empty 1-D index list")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError("row selection out of range")
+    return idx
+
+
+@dataclass(frozen=True, eq=False)
+class RowView:
+    """Rows `indices` of a FeatureMatrix (order preserved), read in place.
+
+    It offers what the density pass reads of the matrix rows(indices) builds
+    (n, d, unit_norm and take) without copying the rows: take gathers only
+    the rows asked for. The indices are checked as rows checks them; the
+    parent's unit norms were checked when it was built, so not again here.
+    """
+
+    parent: FeatureMatrix
+    indices: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "indices", _readonly(_row_selection(self.indices, self.parent.n)))
+
+    @property
+    def n(self) -> int:
+        return self.indices.size
+
+    @property
+    def d(self) -> int:
+        return self.parent.d
+
+    @property
+    def unit_norm(self) -> bool:
+        return self.parent.unit_norm
+
+    def take(self, positions, out=None) -> np.ndarray:
+        """Copies of rows `positions` of the view, written into `out` when given."""
+        return self.parent.take(self.indices[positions], out=out)
 
 
 def normalize_rows(x: FeatureMatrix) -> FeatureMatrix:

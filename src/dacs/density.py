@@ -12,7 +12,9 @@ inside one np.matmul, and the hash in row blocks. Only the rows of a large
 chunk one product multiplies depend on BLAS's thread count: row tiles with
 BLAS on one thread, the whole chunk otherwise (see lsh_density). pool_density
 is its one front-end: selection, the simulator and the CLI all estimate
-density through it.
+density through it. It reads the pool's rows in place, so a pass holds no
+pool-sized float array beside the pool: each hash block, stack and chunk
+gathers the rows it multiplies.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     WINDOW_WITH_PREVIOUS,
     FeatureMatrix,
     Rng,
+    RowView,
     _blas_single_threaded,
     _parallel_ranges,
     _readonly,
@@ -95,8 +98,10 @@ class LshAssignment:
     def __post_init__(self):
         object.__setattr__(self, "bucket_ids", _readonly(np.asarray(self.bucket_ids, np.int64)))
         object.__setattr__(self, "sorted_order", _readonly(np.asarray(self.sorted_order, np.int64)))
-        n = self.bucket_ids.size
-        if self.sorted_order.size != n:
+        n, order = self.bucket_ids.size, self.sorted_order
+        # lsh_density writes the value of row order[i] once per i, so an order
+        # that repeats a row would leave another row unwritten.
+        if order.size != n or (n and (order.min() < 0 or order.max() >= n or np.bincount(order).max() > 1)):
             raise ValueError("sorted_order must be a permutation of all samples")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -146,21 +151,21 @@ def exact_knn_density(
     )
 
 
-def _assign_buckets(z: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+def _assign_buckets(x: FeatureMatrix | RowView, rotation: np.ndarray) -> np.ndarray:
     """Bucket id per row: argmax over the concatenated [R^T z; -R^T z] responses.
 
     The concatenation is never built. Its argmax is the first argmax of
     R^T z, or, shifted by k/2, the first argmin; negation is exact, and a tie
     between the two goes to the first half, as argmax over the concatenation
-    sends it. The rows are projected in blocks of _HASH_BLOCK, so scratch
-    does not grow with the pool. A block's projection can differ from the
-    whole one in a last bit; the ids are the contract, and the tests check
-    them against reference_assign_buckets, which projects whole.
+    sends it. The rows are gathered and projected in blocks of _HASH_BLOCK,
+    so scratch does not grow with the pool. A block's projection can differ
+    from the whole one in a last bit; the ids are the contract, and the tests
+    check them against reference_assign_buckets, which projects whole.
     """
-    n = z.shape[0]
+    n = x.n
     ids = np.empty(n, dtype=np.int64)
     for a in range(0, n, _HASH_BLOCK):
-        proj = z[a : a + _HASH_BLOCK] @ rotation
+        proj = x.take(np.arange(a, min(n, a + _HASH_BLOCK))) @ rotation
         rows = np.arange(proj.shape[0])
         hi = proj.argmax(axis=1)
         lo = proj.argmin(axis=1)
@@ -168,7 +173,7 @@ def _assign_buckets(z: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     return ids
 
 
-def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
+def lsh_assign(x: FeatureMatrix | RowView, k: int, rng: Rng) -> LshAssignment:
     """Hash unit-norm rows into k buckets with one fixed random rotation.
 
     The rotation has shape (d, k/2) with i.i.d. standard normal entries drawn
@@ -182,7 +187,7 @@ def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
     check_bucket_count(k)
     stream = rng.derive("rotation")
     rotation = stream.generator().standard_normal((x.d, k // 2))
-    bucket_ids = _assign_buckets(x.data, rotation)
+    bucket_ids = _assign_buckets(x, rotation)
     sorted_order = np.argsort(bucket_ids, kind="stable")
     m = max(1, x.n // k)
     if x.n < k:
@@ -200,7 +205,7 @@ def lsh_assign(x: FeatureMatrix, k: int, rng: Rng) -> LshAssignment:
 
 
 def lsh_density(
-    x: FeatureMatrix,
+    x: FeatureMatrix | RowView,
     assignment: LshAssignment,
     window: str = WINDOW_WITH_PREVIOUS,
 ) -> DensityProfile:
@@ -228,9 +233,10 @@ def lsh_density(
     stays whole, since numpy hands it to BLAS syrk, not gemm, and tiles of
     it moved 2 of 990 values by an ulp: every chunk under own-chunk-only,
     and chunk 0 under with-previous, made first on the calling thread. No
-    sorted copy Z of the pool is made: a stack, or a chunk taken in tiles,
-    gathers its rows and the window before them into a row buffer with
-    Z's row stride, so each product keeps its shapes, strides and bits.
+    sorted copy Z of the rows is made: a stack, or a chunk taken in tiles,
+    gathers its rows and the window before them, straight from the pool
+    when x is a RowView, into a row buffer with Z's row stride, so each
+    product keeps its shapes, strides and bits.
     The weighting runs over row tiles in a reused scratch buffer, summed
     straight into the output; a tile never splits a row. A large pool
     splits its chunks into contiguous runs, one per thread (see
@@ -282,7 +288,7 @@ def lsh_density(
     def gather(lo, hi, buf) -> np.ndarray:
         # Sorted rows lo .. hi - 1, with the row stride of a sorted copy.
         Z = buf[: (hi - lo) * d].reshape(hi - lo, d)
-        return np.take(x.data, assignment.sorted_order[lo:hi], axis=0, out=Z)
+        return x.take(assignment.sorted_order[lo:hi], out=Z)
 
     def score_rows(Z, s, rows, lo, w, g, product, scratch) -> None:
         # Z holds sorted rows lo on; row block j < g multiplies rows s + j*m on
@@ -345,10 +351,12 @@ def pool_density(
     """Hash the given rows into n_buckets and estimate their window density.
 
     The profile is keyed by sample index: value i belongs to indices[i], and
-    equals what lsh_assign and lsh_density give on features.rows(indices).
-    That copy, beside the pool, is the one pool-sized float array it adds.
+    equals, bit for bit, what lsh_assign and lsh_density give on
+    features.rows(indices). No such copy is made: both read the rows in
+    place through a RowView, which gathers each hash block, stack and chunk
+    as a copy would hold it, so the pass adds no pool-sized float array.
     """
-    sub = features.rows(indices)
+    sub = RowView(features, indices)
     local = lsh_density(sub, lsh_assign(sub, n_buckets, rng), window=window)
     return DensityProfile(
         indices=indices,

@@ -73,13 +73,15 @@ class AcquisitionResult:
 
 # Reference rows gathered at once, and candidate rows multiplied against them
 # at once, by the first k-center pass: each thread's scratch is _CAND_TILE x
-# _REF_BLOCK floats (6 MB) whatever the pool size. The tile size is fixed, not
+# _REF_BLOCK floats (3 MB) whatever the pool size. The tile size is fixed, not
 # derived from the thread count, so every product has the same shape and the
 # same bits on any number of cores; that holds for any BLAS. That 384-row
 # tiles also round every entry as the untiled product does was seen only on
 # x86-64 OpenBLAS 0.3.31 (Haswell kernels), where 4,096- and 128-row tiles
-# moved the last rows of a tile in the last columns by an ulp.
-_REF_BLOCK = 2048
+# moved the last rows of a tile in the last columns by an ulp. The block was
+# seen the same way there: 1,024-row blocks gave every row maximum of the
+# 2,048-row ones in the first passes of 100k-row selects, 512-row blocks not.
+_REF_BLOCK = 1024
 _CAND_TILE = 384
 
 

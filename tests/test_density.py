@@ -174,15 +174,15 @@ class TestLshAssign:
         # With rotation [[1]], +1 responds strongest on the positive column,
         # -1 on the negated copy.
         z = np.array([[1.0], [-1.0]])
-        buckets = _assign_buckets(z, np.array([[1.0]]))
+        buckets = _assign_buckets(FeatureMatrix(z), np.array([[1.0]]))
         assert buckets.tolist() == [0, 1]
 
     def test_antipodal_rows_never_share_bucket(self):
         gen = Rng(11, "lsh").generator()
         v = normalize_rows(FeatureMatrix(gen.standard_normal((64, 8)))).data
         rotation = gen.standard_normal((8, 5))
-        up = _assign_buckets(v, rotation)
-        down = _assign_buckets(-v, rotation)
+        up = _assign_buckets(FeatureMatrix(v), rotation)
+        down = _assign_buckets(FeatureMatrix(-v), rotation)
         assert np.all(up != down)
 
     def test_identical_rows_share_bucket_and_stay_adjacent(self):
@@ -272,7 +272,7 @@ class TestAssignBucketsMatchesConcatenation:
         # rotation = identity, so the projection is the row itself
         z = np.array([proj_row])
         rotation = np.eye(len(proj_row))
-        got = _assign_buckets(z, rotation)
+        got = _assign_buckets(FeatureMatrix(z), rotation)
         assert np.array_equal(got, reference_assign_buckets(z, rotation))
 
     @settings(max_examples=300, deadline=None)
@@ -292,15 +292,15 @@ class TestAssignBucketsMatchesConcatenation:
                 z = data.draw(arrays(np.float64, (n, d), elements=LATTICE), label="z")
             else:
                 z = np.zeros((n, d))
-        got = _assign_buckets(z, rotation)
+        got = _assign_buckets(FeatureMatrix(z), rotation)
         assert got.dtype == np.int64
         assert np.array_equal(got, reference_assign_buckets(z, rotation))
 
     def test_matches_reference_on_a_hashed_pool(self):
         gen = Rng(16, "lsh").generator()
-        z = normalize_rows(FeatureMatrix(gen.standard_normal((5000, 16)))).data
+        x = normalize_rows(FeatureMatrix(gen.standard_normal((5000, 16))))
         rotation = gen.standard_normal((16, 50))
-        assert np.array_equal(_assign_buckets(z, rotation), reference_assign_buckets(z, rotation))
+        assert np.array_equal(_assign_buckets(x, rotation), reference_assign_buckets(x.data, rotation))
 
 
 def make_assignment(n, m, bucket_ids=None):
@@ -379,10 +379,10 @@ for window in ("with-previous", "own-chunk-only"):
         assert np.array_equal(got, expect), (window, workers)
         print("ok")
 gen = Rng(16, "lsh").generator()
-z = normalize_rows(FeatureMatrix(gen.standard_normal((10_000, 16)))).data
+x = normalize_rows(FeatureMatrix(gen.standard_normal((10_000, 16))))
 rotation = gen.standard_normal((16, 50))
-assert z.shape[0] > 2 * dacs.density._HASH_BLOCK
-assert np.array_equal(dacs.density._assign_buckets(z, rotation), reference_assign_buckets(z, rotation))
+assert x.n > 2 * dacs.density._HASH_BLOCK
+assert np.array_equal(dacs.density._assign_buckets(x, rotation), reference_assign_buckets(x.data, rotation))
 print("ok")
 """
 
@@ -498,6 +498,18 @@ class TestLshDensity:
         with pytest.raises(ValueError, match="unit-norm"):
             lsh_density(x, a)
 
+    # An order that repeats row 0 leaves row 7 out, and lsh_density would
+    # never write row 7's value; so would an order with a row out of range.
+    @pytest.mark.parametrize(
+        "order", [[0, 0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7, 8], [-1, 0, 1, 2, 3, 4, 5, 6], [0, 1]]
+    )
+    def test_an_order_that_is_no_permutation_is_refused(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            LshAssignment(
+                bucket_ids=np.zeros(8, np.int64), sorted_order=order, chunk_size=2,
+                n_buckets=2, rotation_seed=0,
+            )
+
 
 class TestRankAgreement:
     def test_fast_density_tracks_exact_on_clustered_data(self):
@@ -533,3 +545,32 @@ class TestPoolDensity:
         assert got.params == want.params
         assert got.convention is want.convention
         assert got.lookup(idx[::-1]).tobytes() == want.values[::-1].tobytes()
+
+    # (pool rows, indexed rows, buckets): 12-row chunks that stack; 383-row
+    # chunks too large to stack, multiplied in tiles with BLAS on one thread
+    # and whole under two; 9,000 rows hashed over three hash blocks. Each on
+    # one thread and in two forced parts.
+    @pytest.mark.parametrize(
+        "pool_rows, rows, buckets, chunk", [(2000, 1207, 100, 12), (4000, 3070, 8, 383), (12_000, 9000, 100, 90)]
+    )
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
+    def test_bit_identical_to_the_copied_rows(
+        self, monkeypatch, window, workers, blas_threads, pool_rows, rows, buckets, chunk
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
+        gen = Rng(42, "pool").generator()
+        x = normalize_rows(FeatureMatrix(gen.standard_normal((pool_rows, 16))))
+        idx = gen.permutation(pool_rows)[:rows]  # unsorted, with gaps
+        sub = x.rows(idx)
+        a = lsh_assign(sub, buckets, Rng(43, "pd"))
+        assert a.chunk_size == chunk
+        assert (dacs.density._STACK_SCRATCH // (2 * chunk * chunk) >= 2) == (chunk < 383)
+        assert (rows > 2 * dacs.density._HASH_BLOCK) == (rows == 9000)
+        want = lsh_density(sub, a, window=window)
+        got = pool_density(x, idx, buckets, Rng(43, "pd"), window)
+        assert got.indices.tolist() == idx.tolist()
+        assert got.values.tobytes() == want.values.tobytes()

@@ -16,7 +16,7 @@ from embedding_writers import write_embeddings
 import dacs.cli
 import dacs.core
 from dacs.core import FeatureMatrix, Rng, normalize_rows
-from dacs.density import _ROW_TILE, lsh_assign, lsh_density
+from dacs.density import _ROW_TILE, lsh_assign, lsh_density, pool_density
 from dacs.formats import read_embeddings
 from dacs.selection import _CAND_TILE, _REF_BLOCK, kcenter_greedy
 
@@ -157,7 +157,19 @@ def test_reading_embeddings_drops_the_raw_bytes(tmp_path):
     assert peak < n * d * (FLOAT + 4) + 2**20
 
 
-def test_a_select_holds_two_copies_of_the_pool(monkeypatch, tmp_path):
+def test_pool_density_copies_no_indexed_rows(monkeypatch):
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: 1)
+    n, d = 50_000, 64
+    x = unit_rows(n, d, 7)
+    idx = np.arange(1, n, 2)  # half the rows, with gaps
+    peak = traced_peak(lambda: pool_density(x, idx, 100, Rng(0)))
+    # The hash blocks, the window buffers and a few index-sized vectors
+    # stay below one copy of the indexed rows (12.8 MB here), which
+    # pool_density made before it read them in place.
+    assert peak < idx.size * d * FLOAT
+
+
+def test_a_select_holds_one_copy_of_the_pool(monkeypatch, tmp_path):
     # One thread, so one thread's scratch counts.
     monkeypatch.setattr(dacs.core, "_worker_count", lambda: 1)
     n, d = 50_000, 64
@@ -169,12 +181,12 @@ def test_a_select_holds_two_copies_of_the_pool(monkeypatch, tmp_path):
     peak = traced_peak(lambda: dacs.cli.main(argv))
     clusters = json.loads(out.read_text())["diagnostics"]["clusters"]
     m = (n - n // 100) // 100  # chunk rows at 100 buckets
-    # The pool and the unlabeled rows pool_density hands the density pass;
-    # chunk 0's m x m product; one k-center tile; the largest class's
-    # gathered rows; plus 1 MB. A third copy of the pool (25.6 MB here),
-    # such as a sorted copy of the unlabeled rows, would break the bound.
+    # The pool; chunk 0's m x m product; one k-center tile; the largest
+    # class's gathered rows; plus 1 MB. A second copy of the pool (25.6 MB
+    # here), such as the unlabeled rows copied out for the density pass,
+    # would break the bound.
     bound = (
-        2 * n * d
+        n * d
         + m * m
         + _CAND_TILE * _REF_BLOCK
         + max(c["size"] for c in clusters) * d

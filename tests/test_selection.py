@@ -24,6 +24,7 @@ from dacs.selection import (
     STRATEGY_DENSE_ONLY,
     STRATEGY_READS,
     STRATEGY_SPARSE_ONLY,
+    _REF_BLOCK,
     _max_similarity,
     STRATEGIES,
     UncertaintyScores,
@@ -271,13 +272,26 @@ class TestMaxSimilarityTiling:
 
     def test_default_tiles_with_one_row_tail_and_one_column_block(self, monkeypatch):
         # 3,841 candidates leave a one-row tail after ten 384-row tiles, and
-        # 2,049 reference rows a one-row second block; on 1, 2 and 3 threads
+        # 2,049 reference rows a one-row last block; on 1, 2 and 3 threads
         X = sphere_points(5890, 16, 11).data
         Xc, ref = X[:3841], np.arange(3841, 5890)
         expected = reference_max_similarity(Xc, X, ref)
         for workers in (1, 2, 3):
             force_threads(monkeypatch, workers)
             assert np.array_equal(_max_similarity(Xc, X, ref), expected), workers
+
+    def test_a_select_scale_pass_across_block_edges(self):
+        # The shape of the largest greedy call of a 100k-row select: 37,509
+        # candidates against 1,607 reference rows, which the default block
+        # splits (the pinned select's references never reach a block edge).
+        # Every row maximum must be the one of the untiled product of all
+        # 1,607 reference rows. On x86-64 OpenBLAS 0.3.31, 128-row tiles move
+        # 5 of them here and 512-row blocks 87.
+        X = sphere_points(37_509 + 1_607, 16, 13).data
+        Xc, ref = X[:37_509], np.arange(37_509, 37_509 + 1_607)
+        assert _REF_BLOCK < ref.size
+        expected = reference_max_similarity(Xc, X, ref, block=2048)
+        assert np.array_equal(_max_similarity(Xc, X, ref), expected)
 
     # 15 candidates in tiles of 7 end in a one-row tail. On 3 threads the tail
     # is alone on its thread, and the row it borrows belongs to the tile
