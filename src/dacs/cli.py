@@ -13,6 +13,7 @@ import os
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -97,7 +98,7 @@ def _json_safe(value):
 def cmd_select(args) -> int:
     given = getattr(args, "given", frozenset())
     # selection.STRATEGY_READS says who reads what; a fixed order picks the flag named.
-    for dest in ("scores", "buckets", "breaks", "temperature", "window", "seed"):
+    for dest in ("scores", "buckets", "breaks", "temperature", "seed"):
         if dest in given and dest not in STRATEGY_READS[args.strategy]:
             readers = [s for s, reads in STRATEGY_READS.items() if dest in reads]
             raise ParseError(
@@ -139,6 +140,23 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
+def spearman(a, b) -> float:
+    """Spearman's rank correlation: Pearson's of the ranks, ties given their mean rank.
+
+    NaN, with a warning, when either input is constant.
+    """
+
+    def ranks(v):
+        _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+    ra, rb = ranks(a), ranks(b)
+    if np.ptp(ra) == 0 or np.ptp(rb) == 0:
+        warnings.warn("rank correlation of a constant input is undefined")
+        return math.nan
+    return float(np.corrcoef(ra, rb)[0, 1])
+
+
 def cmd_density(args) -> int:
     given = getattr(args, "given", frozenset())
     lsh, exact = args.mode == "lsh", args.mode == "exact"
@@ -163,10 +181,8 @@ def cmd_density(args) -> int:
         rng = Rng(_resolve_seed(args.seed))
         profile = pool_density(embeddings, np.arange(embeddings.n), args.buckets, rng)
         if args.compare:
-            from scipy.stats import spearmanr
-
             exact = exact_knn_density(embeddings, args.knn, metric=METRIC_COSINE)
-            rho = spearmanr(profile.values, -exact.values).statistic
+            rho = spearman(profile.values, -exact.values)
             print(
                 f"spearman(fast density, negated exact {args.knn}-nn) = {rho:.4f}",
                 file=sys.stderr,
@@ -352,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument(
         "--temperature", type=float, default=AcquisitionConfig.temperature, action=_NoteGiven
     )
-    p_select.add_argument("--window", default=AcquisitionConfig.window, action=_NoteGiven)
     p_select.set_defaults(func=cmd_select)
 
     p_density = sub.add_parser("density", parents=[pool_flags], help="estimate per-sample density")

@@ -53,7 +53,6 @@ class RunConfig:
     buckets: int = AcquisitionConfig.n_buckets
     breaks: int = AcquisitionConfig.n_breaks
     temperature: float = AcquisitionConfig.temperature
-    window: str = AcquisitionConfig.window
     # learner
     reduced_dim: int = ModelConfig.reduced_dim
     epochs: int = ModelConfig.epochs
@@ -162,7 +161,6 @@ def acquisition_config(settings, budget: int) -> AcquisitionConfig:
         n_buckets=settings.buckets,
         n_breaks=settings.breaks,
         temperature=settings.temperature,
-        window=settings.window,
     )
 
 

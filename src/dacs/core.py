@@ -127,10 +127,6 @@ class DegenerateInputError(ValueError):
         return type(self), (self.args[0], self.row), self.__dict__
 
 
-class DegeneratePartitionError(ValueError):
-    """More classes requested than the data can support."""
-
-
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
@@ -272,8 +268,14 @@ class RowView:
         return self.parent.unit_norm
 
     def take(self, positions, out=None) -> np.ndarray:
-        """Copies of rows `positions` of the view, written into `out` when given."""
-        return self.parent.take(self.indices[positions], out=out)
+        """Copies of rows `positions` of the view, written into `out` when given.
+
+        A bad position raises as it indexes the view's indices, which were
+        range-checked when the view was built; so np.take can gather with
+        mode="clip", which never clips here and, unlike the default "raise",
+        writes straight into `out` with no temporary of its size.
+        """
+        return np.take(self.parent.data, self.indices[positions], axis=0, out=out, mode="clip")
 
 
 def normalize_rows(x: FeatureMatrix) -> FeatureMatrix:
@@ -353,11 +355,6 @@ def check_bucket_count(k: int) -> None:
         raise ValueError(f"buckets must be a positive even integer, got {k}")
 
 
-# Window rule for hashed density: each chunk also looks at the preceding chunk.
-WINDOW_WITH_PREVIOUS = "with-previous"
-WINDOW_OWN_CHUNK = "own-chunk-only"
-
-
 @dataclass(frozen=True)
 class AcquisitionConfig:
     """Knobs for one acquisition round.
@@ -366,14 +363,12 @@ class AcquisitionConfig:
     n_buckets: hash bucket count (even) for density estimation.
     n_breaks: number of density classes for the natural-breaks split.
     temperature: softmax temperature for inverse-size budget ratios.
-    window: which chunks a row's hashed density sums over.
     """
 
     budget: int
     n_buckets: int = 100
     n_breaks: int = 4
     temperature: float = 0.25
-    window: str = WINDOW_WITH_PREVIOUS
 
     def __post_init__(self):
         if self.budget < 1:
@@ -383,5 +378,3 @@ class AcquisitionConfig:
             raise ValueError("breaks must be at least 1")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.window not in (WINDOW_WITH_PREVIOUS, WINDOW_OWN_CHUNK):
-            raise ValueError(f"unknown window rule {self.window!r}")

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    WINDOW_OWN_CHUNK,
-    WINDOW_WITH_PREVIOUS,
     FeatureMatrix,
     Rng,
     RowView,
@@ -42,8 +40,9 @@ METRIC_COSINE = "cosine-distance"
 
 # Rows of a chunk's similarity block that lsh_density weighs (at least), and
 # with BLAS on one thread multiplies, at once; keeps buffers cache-sized. A
-# multiple of 12: on x86-64 OpenBLAS 0.3.31 (Haswell), 12- to 360-row tiles
-# gave the untiled product's bits, and 16-, 32-, 40-, 64- and 128-row did not.
+# multiple of 12: on x86-64 OpenBLAS 0.3.31 (SkylakeX kernels), 12- to
+# 360-row tiles gave the untiled product's bits, and 16-, 32-, 40-, 64- and
+# 128-row did not.
 _ROW_TILE = 48
 # Float64 elements of the chunk products lsh_density stacks into one matmul
 # (a chunk's product larger than this is made alone).
@@ -207,14 +206,18 @@ def lsh_assign(x: FeatureMatrix | RowView, k: int, rng: Rng) -> LshAssignment:
 def lsh_density(
     x: FeatureMatrix | RowView,
     assignment: LshAssignment,
-    window: str = WINDOW_WITH_PREVIOUS,
+    window: str = "with-previous",
 ) -> DensityProfile:
     """Windowed sigmoid-weighted cosine similarity mass per sample.
 
-    For each sample, sums sigmoid(c_ij) * c_ij over its window (self excluded),
-    where c_ij is the cosine similarity of the unit-norm rows. Similarity-based
-    convention: larger values mean denser neighborhoods. window="own-chunk-only"
-    drops the preceding chunk (ablation switch).
+    For each sample, sums sigmoid(c_ij) * c_ij over its window (self excluded):
+    its own chunk and the chunk before it, as Reformer's chunked attention
+    looks back one chunk; chunk 0 has none before it. c_ij is the cosine
+    similarity of the unit-norm rows. Similarity-based convention: larger
+    values mean denser neighborhoods. window names that one rule and refuses
+    any other value. It stays a parameter only because the benchmark's pair
+    counter (perfbench/tracing.py) reads it from the call's bound arguments;
+    it can go at the next change to the benchmark (ROADMAP item 9).
 
     Each chunk's similarities against its window come from one matrix product
     into a reused buffer. Small chunks cost more in per-call overhead than in
@@ -229,10 +232,10 @@ def lsh_density(
     BLAS's thread count: in _ROW_TILE-row tiles when BLAS runs one thread,
     each with the bits of the whole product's rows, and whole under a
     multithreaded BLAS, which splits a product over its threads by its
-    shape, so tiles there give other bits. An own-chunk product Z Z^T
-    stays whole, since numpy hands it to BLAS syrk, not gemm, and tiles of
-    it moved 2 of 990 values by an ulp: every chunk under own-chunk-only,
-    and chunk 0 under with-previous, made first on the calling thread. No
+    shape, so tiles there give other bits. Chunk 0's own-chunk product
+    Z Z^T stays whole, since numpy hands it to BLAS syrk, not gemm, and
+    tiles of it moved 2 of 990 values by an ulp; it is made first, on the
+    calling thread. No
     sorted copy Z of the rows is made: a stack, or a chunk taken in tiles,
     gathers its rows and the window before them, straight from the pool
     when x is a RowView, into a row buffer with Z's row stride, so each
@@ -245,8 +248,8 @@ def lsh_density(
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
-    if window not in (WINDOW_WITH_PREVIOUS, WINDOW_OWN_CHUNK):
-        raise ValueError(f"unknown window rule {window!r}")
+    if window != "with-previous":
+        raise ValueError(f"unknown window rule {window!r}; the one rule is 'with-previous'")
     n = x.n
     if assignment.sorted_order.size != n:
         raise ValueError("assignment does not match the feature matrix")
@@ -254,7 +257,6 @@ def lsh_density(
         "estimator": "lsh-window",
         "n_buckets": assignment.n_buckets,
         "chunk_size": assignment.chunk_size,
-        "window": window,
         "rotation_seed": assignment.rotation_seed,
     }
     indices = np.arange(n, dtype=np.int64)
@@ -268,17 +270,14 @@ def lsh_density(
         )
     m, d = assignment.chunk_size, x.d
     n_chunks = -(-n // m)
-    width = min(n, m if window == WINDOW_OWN_CHUNK else 2 * m)  # widest window
+    width = min(n, 2 * m)  # widest window
     own = min(m, n)  # rows of chunk 0
-    # Chunks whose products stack: full chunks with a full window. The first
-    # chunk has no previous one unless the window is its own chunk, so under
-    # with-previous it is made apart; a remainder chunk is short.
-    first = 0 if window == WINDOW_OWN_CHUNK else 1
+    # Chunks whose products stack: full chunks with a full window. Chunk 0
+    # has no previous one, so it is made apart; a remainder chunk is short.
     stack_last = n // m  # one past the last full chunk
     per_stack = max(1, _STACK_SCRATCH // (own * width))
     # Rows of a chunk multiplied at once.
-    big = own * width > _STACK_SCRATCH and window == WINDOW_WITH_PREVIOUS
-    step = _ROW_TILE if big and _blas_single_threaded() else own
+    step = _ROW_TILE if own * width > _STACK_SCRATCH and _blas_single_threaded() else own
     tile_rows = max(_ROW_TILE, _STACK_SCRATCH // width)  # rows weighed at once
     product_cap = per_stack * step * width
     scratch_cap = min(product_cap, tile_rows * width)  # a tile never outgrows its product
@@ -314,23 +313,23 @@ def lsh_density(
             buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
 
     def chunks(a: int, b: int, mem: np.ndarray) -> None:
-        # Chunks first + a .. first + b - 1, with one product, one scratch tile
-        # and one row buffer per thread, reused for every stack or chunk.
+        # Chunks 1 + a .. b, with one product, one scratch tile and one row
+        # buffer per thread, reused for every stack or chunk.
         product, scratch, rows_buf = np.split(mem, [product_cap, product_cap + scratch_cap])
-        c, last = first + a, first + b
+        c, last = 1 + a, 1 + b
         while c < last:
             s, e = c * m, min(n, (c + 1) * m)
-            lo = s if window == WINDOW_OWN_CHUNK else s - m
+            lo = s - m
             g = min(per_stack, min(last, stack_last) - c) if c < stack_last else 1
             Z = gather(lo, min(n, (c + g) * m), rows_buf)
             for t in range(s, e, step):
                 score_rows(Z, t, min(step, e - t), lo, e - lo, g, product, scratch)
             c += g
 
-    if first:  # chunk 0's own-chunk product, whole, on this thread
-        Z = gather(0, own, np.empty(own * d))
-        score_rows(Z, 0, own, 0, own, 1, np.empty(own * own), np.empty(min(own, tile_rows) * own))
-    _parallel_ranges(n_chunks - first, n * width, product_cap + scratch_cap + gather_cap, chunks)
+    # Chunk 0's own-chunk product, whole, on this thread.
+    Z = gather(0, own, np.empty(own * d))
+    score_rows(Z, 0, own, 0, own, 1, np.empty(own * own), np.empty(min(own, tile_rows) * own))
+    _parallel_ranges(n_chunks - 1, n * width, product_cap + scratch_cap + gather_cap, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(
@@ -346,7 +345,6 @@ def pool_density(
     indices: np.ndarray,
     n_buckets: int,
     rng: Rng,
-    window: str = WINDOW_WITH_PREVIOUS,
 ) -> DensityProfile:
     """Hash the given rows into n_buckets and estimate their window density.
 
@@ -357,7 +355,7 @@ def pool_density(
     as a copy would hold it, so the pass adds no pool-sized float array.
     """
     sub = RowView(features, indices)
-    local = lsh_density(sub, lsh_assign(sub, n_buckets, rng), window=window)
+    local = lsh_density(sub, lsh_assign(sub, n_buckets, rng))
     return DensityProfile(
         indices=indices,
         values=local.values,

@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DegeneratePartitionError
-
 # Above this many distinct values the DP runs on quantile-bin representatives.
 BIN_THRESHOLD = 20_000
 N_BINS = 1_024
@@ -131,10 +129,11 @@ def jenks_breaks(values, h: int) -> DensityPartition:
     """Split values into h contiguous classes minimizing within-class squared deviation.
 
     Classes come back sparsest first (ascending value). A value exactly on a
-    break boundary belongs to the lower class. Raises DegeneratePartitionError
-    when h exceeds the points the DP gets (the distinct values, or above
-    BIN_THRESHOLD their quantile bins), and ValueError when the values are
-    spread so far that their squared deviations overflow float64.
+    break boundary belongs to the lower class. When h exceeds the points the
+    DP gets (the distinct values, or above BIN_THRESHOLD their quantile
+    bins), it warns and makes one class per point, so the partition holds
+    fewer than h classes. Raises ValueError when the values are spread so
+    far that their squared deviations overflow float64.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
@@ -149,7 +148,8 @@ def jenks_breaks(values, h: int) -> DensityPartition:
         uniq, counts = _quantile_bins(np.sort(v), N_BINS)
         points = f"{uniq.size} quantile bins of {points}"
     if h > uniq.size:
-        raise DegeneratePartitionError(f"{h} classes requested but only {points}; use h <= {uniq.size}")
+        warnings.warn(f"{h} classes requested but only {points}; using {uniq.size}")
+        h = uniq.size
     edges = _weighted_jenks_dp(uniq, counts, h)
     breaks = uniq[edges[1:h] - 1]
     # Membership by value: count of breaks strictly below puts boundary ties low.

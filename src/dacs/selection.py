@@ -77,7 +77,7 @@ class AcquisitionResult:
 # derived from the thread count, so every product has the same shape and the
 # same bits on any number of cores; that holds for any BLAS. That 384-row
 # tiles also round every entry as the untiled product does was seen only on
-# x86-64 OpenBLAS 0.3.31 (Haswell kernels), where 4,096- and 128-row tiles
+# x86-64 OpenBLAS 0.3.31 (SkylakeX kernels), where 4,096- and 128-row tiles
 # moved the last rows of a tile in the last columns by an ulp. The block was
 # seen the same way there: 1,024-row blocks gave every row maximum of the
 # 2,048-row ones in the first passes of 100k-row selects, 512-row blocks not.
@@ -198,17 +198,13 @@ def check_budget(budget: int, pool: PoolState) -> None:
 
 
 def _density_pipeline(pool: PoolState, features: FeatureMatrix, config: AcquisitionConfig, rng: Rng):
-    """Shared front half: hash, window density, natural breaks over the unlabeled pool."""
-    profile = pool_density(features, pool.unlabeled, config.n_buckets, rng, config.window)
-    h = config.n_breaks
-    distinct = np.unique(profile.values).size
-    if h > distinct:
-        warnings.warn(
-            f"{h} density classes requested but only {distinct} distinct values; using {distinct}"
-        )
-        h = distinct
-    partition = jenks_breaks(profile.values, h)
-    return profile, partition, h
+    """Shared front half: hash, window density, natural breaks over the unlabeled pool.
+
+    The partition holds at most config.n_breaks classes: jenks_breaks clamps
+    (with a warning) to the points its DP gets.
+    """
+    profile = pool_density(features, pool.unlabeled, config.n_buckets, rng)
+    return profile, jenks_breaks(profile.values, config.n_breaks)
 
 
 def dacs_select(
@@ -226,7 +222,7 @@ def dacs_select(
     classes before it. A budget larger than the unlabeled pool is clamped (with
     a warning, by allocate_budget) so that sum(budgets) == min(budget, pool size).
     """
-    profile, partition, h_used = _density_pipeline(pool, features, config, rng)
+    profile, partition = _density_pipeline(pool, features, config, rng)
     partition = allocate_budget(partition, config.budget, config.temperature, pool.unlabeled.size)
     running: list[int] = []
     per_cluster: list[ClusterSelection] = []
@@ -255,7 +251,7 @@ def dacs_select(
             "strategy": STRATEGY_DACS,
             "max_similarity": trace_all,
             "clusters": cluster_table,
-            "h_used": h_used,
+            "h_used": len(partition.clusters),
         },
     )
 
@@ -297,10 +293,8 @@ def region_only_select(
     """
     if which not in ("sparsest", "densest"):
         raise ValueError(f"which must be 'sparsest' or 'densest', got {which!r}")
-    profile, partition, h_used = _density_pipeline(
-        pool, features, replace(config, n_breaks=REGION_BREAKS), rng
-    )
-    ci = 0 if which == "sparsest" else h_used - 1
+    profile, partition = _density_pipeline(pool, features, replace(config, n_breaks=REGION_BREAKS), rng)
+    ci = 0 if which == "sparsest" else len(partition.clusters) - 1
     members = partition.clusters[ci]
     cand = pool.unlabeled[members]
     n_pick = config.budget
@@ -318,7 +312,7 @@ def region_only_select(
             "strategy": strategy,
             "max_similarity": trace,
             "region_size": int(cand.size),
-            "h_used": h_used,
+            "h_used": len(partition.clusters),
         },
     )
 
@@ -406,13 +400,13 @@ STRATEGIES = tuple(_STRATEGY_TABLE)
 # The one declaration of the settings each strategy reads, named as the
 # `dacs select` flags (seed is the Rng's, scores the UncertaintyScores); a run
 # refuses any other. The region strategies use REGION_BREAKS, no temperature.
-_DACS_READS = ("buckets", "breaks", "temperature", "window", "seed")
+_DACS_READS = ("buckets", "breaks", "temperature", "seed")
 STRATEGY_READS = {
     STRATEGY_RANDOM: ("seed",),
     STRATEGY_CORESET: (),
     STRATEGY_DACS: _DACS_READS,
-    STRATEGY_SPARSE_ONLY: ("buckets", "window", "seed"),
-    STRATEGY_DENSE_ONLY: ("buckets", "window", "seed"),
+    STRATEGY_SPARSE_ONLY: ("buckets", "seed"),
+    STRATEGY_DENSE_ONLY: ("buckets", "seed"),
     STRATEGY_COMBINED: _DACS_READS + ("scores",),
     STRATEGY_ENTROPY: ("scores",),
 }

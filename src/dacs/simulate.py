@@ -281,8 +281,7 @@ def _density_correlations(
     rho_entropy = rho_loss = None
     try:
         dens_unl = pool_density(
-            embeddings, pool.unlabeled, acq_config.n_buckets,
-            rng.derive("rho-unl"), acq_config.window,
+            embeddings, pool.unlabeled, acq_config.n_buckets, rng.derive("rho-unl")
         )
         out_unl = ModelOutputs(
             probs=out_train.probs[pool.unlabeled],
@@ -293,7 +292,7 @@ def _density_correlations(
         emb_test = out_test.embedding_matrix()
         dens_test = pool_density(
             emb_test, np.arange(emb_test.n, dtype=np.int64), acq_config.n_buckets,
-            rng.derive("rho-test"), acq_config.window,
+            rng.derive("rho-test"),
         )
         _, rho_loss = density_uncertainty_correlation(out_test, dens_test)
     except UndefinedCorrelationError:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from embedding_writers import write_embeddings, write_embeddings_csv
+from scipy.stats import spearmanr
 
 import dacs.cli
 import dacs.core
@@ -21,6 +24,7 @@ from dacs.cli import (
     build_parser,
     main,
     run_config_grid,
+    spearman,
 )
 from dacs.config import (
     RunConfig,
@@ -31,7 +35,7 @@ from dacs.config import (
     run_settings,
 )
 from dacs.core import AcquisitionConfig, DegenerateInputError, DivergenceError, FeatureMatrix, Rng
-from dacs.density import lsh_assign, lsh_density
+from dacs.density import exact_knn_density, lsh_assign, lsh_density
 from dacs.formats import ParseError, read_embeddings
 from dacs.model import ModelConfig
 from dacs.selection import STRATEGIES, STRATEGY_READS
@@ -41,8 +45,7 @@ from dacs.simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE, run_al
 # line gives it; a strategy that does not read the flag refuses it before any
 # file is opened, so the scores file need not exist.
 SETTING_VALUES = {
-    "buckets": "8", "breaks": "2", "temperature": "20", "window": "own-chunk-only", "seed": "1",
-    "scores": "s.txt",
+    "buckets": "8", "breaks": "2", "temperature": "20", "seed": "1", "scores": "s.txt",
 }
 
 
@@ -80,7 +83,6 @@ class TestParseRunConfig:
             "strategies = dacs, random\n"
             "seeds = 4, 5\n"
             "temperature = 0.5\n"
-            "window = own-chunk-only\n"
         )
         config = parse_run_config(path)
         assert config.classes == 3
@@ -88,13 +90,14 @@ class TestParseRunConfig:
         assert config.strategies == ["dacs", "random"]
         assert config.seeds == [4, 5]
         assert config.temperature == 0.5
-        assert config.window == "own-chunk-only"
         assert config.dim == 32  # untouched default
 
-    def test_unknown_key_names_the_line(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus", "window"])
+    def test_unknown_key_names_the_line(self, tmp_path, key):
+        # window is gone: density always sums over a chunk and the one before it
         path = tmp_path / "run.cfg"
-        path.write_text("classes = 3\nbogus = 1\n")
-        with pytest.raises(ParseError, match="line 2: unknown key 'bogus'"):
+        path.write_text(f"classes = 3\n{key} = 1\n")
+        with pytest.raises(ParseError, match=f"line 2: unknown key '{key}'"):
             parse_run_config(path)
 
     def test_duplicate_key_names_the_line(self, tmp_path):
@@ -138,7 +141,7 @@ class TestParseRunConfig:
         [
             "dataset = parquet",
             "strategies = oracle",
-            "window = sliding",
+            "temperature = 0",
             "test_fraction = 1.5",
             "cycles = -1",
         ],
@@ -180,10 +183,11 @@ class TestParseRunConfig:
 
 
 # sha256 of the `dacs select` JSON (sorted, timings removed) of each strategy
-# in TestSelectCommand.test_a_large_selection_is_pinned, as first written.
+# in TestSelectCommand.test_a_large_selection_is_pinned, as first written but
+# with the since-deleted window key taken out of config_echo.
 LARGE_SELECTION_SHA256 = {
-    "dacs": "d58b2bc0166f1dab99cabebdfed64146a7495da65de4767f871075fba8678c40",
-    "coreset": "49de419b81ad6c9bf6778affd9d33f0c5b09424520304fe5a047a1b31ed6fcb7",
+    "dacs": "9a8fe3a8ba9acec842348543eae7caef3f44cd2f7879c2e2136f96d0662fc79b",
+    "coreset": "9fd6301ea741f677f3492cb3efb2d8edd0abb67a3054aa65123ea313a6ac36d5",
 }
 
 
@@ -215,7 +219,7 @@ class TestSelectCommand:
         assert all(0 <= i < 100 for i in picks)
         assert sum(c["budget"] for c in payload["per_cluster"]) == 5
         assert set(payload["config_echo"]) == {
-            "strategy", "budget", "n_buckets", "n_breaks", "temperature", "window", "seed",
+            "strategy", "budget", "n_buckets", "n_breaks", "temperature", "seed",
         }
         assert payload["config_echo"]["strategy"] == "dacs"
         assert payload["config_echo"]["seed"] == 1
@@ -277,18 +281,23 @@ class TestSelectCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("breaks", [1025, 1100])
-    def test_more_breaks_than_density_bins_is_a_usage_error(self, tmp_path, capsys, breaks):
-        # 25,000 rows have as many distinct densities, which Jenks bins to 1,024
+    def test_more_breaks_than_density_bins_are_clamped(self, tmp_path, breaks):
+        # 25,000 rows have as many distinct densities, which Jenks bins to
+        # 1,024: the one rule that clamps --breaks to a tiny pool's distinct
+        # densities clamps it to the bins
         gen = Rng(3, "bins").generator()
         pool, out = tmp_path / "pool.bin", tmp_path / "picks.json"
         write_embeddings(pool, FeatureMatrix(unit(gen.normal(size=(25_000, 16))), unit_norm=True))
-        code = main(
-            ["select", "--embeddings", str(pool), "--budget", "5", "--strategy", "dacs",
-             "--breaks", str(breaks), "--out", str(out)]
-        )
-        assert code == EXIT_USAGE
-        assert f"{breaks} classes requested but only 1024 quantile bins" in capsys.readouterr().err
-        assert not out.exists()
+        match = f"{breaks} classes requested but only 1024 quantile bins of 25000 distinct values; using 1024"
+        with pytest.warns(UserWarning, match=match):
+            code = main(
+                ["select", "--embeddings", str(pool), "--budget", "5", "--strategy", "dacs",
+                 "--breaks", str(breaks), "--out", str(out)]
+            )
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["diagnostics"]["h_used"] == 1024
+        assert len(payload["selected"]) == 5
 
     def test_combined_requires_scores(self, pool_file, tmp_path, capsys):
         code, _ = self.run_select(pool_file, tmp_path, "--strategy", "combined")
@@ -370,7 +379,7 @@ class TestSelectCommand:
         "strategy, flags, readers",
         [
             ("coreset", ["--breaks", "7", "--temperature", "9"], "dacs or combined"),
-            ("random", ["--window", "own-chunk-only"], "dacs or sparse-only or dense-only or combined"),
+            ("random", ["--buckets", "6"], "dacs or sparse-only or dense-only or combined"),
             ("sparse-only", ["--breaks", "7"], "dacs or combined"),
             ("dense-only", ["--temperature", "0.25"], "dacs or combined"),  # the default, given
             ("entropy-top-b", ["--buckets", "4"], "dacs or sparse-only or dense-only or combined"),
@@ -412,9 +421,8 @@ class TestSelectCommand:
     @pytest.mark.parametrize(
         "strategy, flags",
         [
-            ("dacs", ["--buckets", "4", "--breaks", "4", "--temperature", "0.5", "--window",
-                      "own-chunk-only"]),
-            ("sparse-only", ["--buckets", "4", "--window", "with-previous"]),
+            ("dacs", ["--buckets", "4", "--breaks", "4", "--temperature", "0.5"]),
+            ("sparse-only", ["--buckets", "6"]),
             ("dense-only", ["--buckets", "4"]),
             ("coreset", []),
             ("random", ["--seed", "2"]),
@@ -428,7 +436,7 @@ class TestSelectCommand:
         assert code == EXIT_OK
         assert len(json.loads(out.read_text())["selected"]) == 5
 
-    @pytest.mark.parametrize("flag", ["--expand-factor", "--reference"])
+    @pytest.mark.parametrize("flag", ["--expand-factor", "--reference", "--window"])
     def test_deleted_flags_are_unrecognised(self, pool_file, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             self.run_select(pool_file, tmp_path, flag, "1")
@@ -560,27 +568,45 @@ class TestDensityCommand:
         message = "error: buckets must be a positive even integer, got 3\n"
         assert from_select == from_density == message
 
+    @staticmethod
+    def compare_argv(pool, out):
+        return ["density", "--embeddings", str(pool), "--mode", "lsh", "--buckets", "4",
+                "--seed", "0", "--compare", "--knn", "5", "--out", str(out)]
+
     def test_lsh_mode_with_rank_agreement(self, pool_file, tmp_path, capsys):
         pool, _ = pool_file
         out = tmp_path / "density.csv"
-        code = main(
-            [
-                "density",
-                "--embeddings", str(pool),
-                "--mode", "lsh",
-                "--buckets", "4",
-                "--seed", "0",
-                "--compare",
-                "--knn", "5",
-                "--out", str(out),
-            ]
-        )
+        code = main(self.compare_argv(pool, out))
         assert code == EXIT_OK
         err = capsys.readouterr().err
-        assert "negated exact 5-nn" in err
+        fast = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+        exact = exact_knn_density(read_embeddings(pool), 5, metric="cosine-distance")
+        rho = spearmanr(fast, -exact.values).statistic
+        assert f"spearman(fast density, negated exact 5-nn) = {rho:.4f}" in err
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 101
         assert lines[1].split(",")[2] == "similarity-based"
+
+    def test_compare_needs_no_scipy(self, pool_file, tmp_path, capsys):
+        # scipy is a test dependency only; None in sys.modules makes its import fail
+        pool, _ = pool_file
+        out = tmp_path / "density.csv"
+        assert main(self.compare_argv(pool, tmp_path / "in-process.csv")) == EXIT_OK
+        want = capsys.readouterr().err
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dacs.cli import main\n"
+            f"sys.exit(main({self.compare_argv(pool, out)!r}))\n"
+        )
+        src = str(Path(dacs.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr.splitlines()[0] == want.splitlines()[0]  # the rank agreement
+        assert out.read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
     @staticmethod
     def hashed_density_csv(pool, buckets, seed) -> bytes:
@@ -787,9 +813,10 @@ def grid_digest(outputs) -> str:
 
 
 # grid_digest of the parting grid below, as written when each run trained
-# alone, one after another (with the six since-deleted model and acquisition
-# keys stripped from each report's config, and its since-deleted error key).
-PARTING_GRID_SHA256 = "d7710446a5e07bda1ed30c20c1e657125058757cc0e28e23850ccfb466b397ed"
+# alone, one after another (with the seven since-deleted model and acquisition
+# keys, window the last, stripped from each report's config, and its
+# since-deleted error key).
+PARTING_GRID_SHA256 = "64b5f334d7d553101890de17bd070cf678142655aced56bc7c22714ace4c9aff"
 
 
 def force_workers(monkeypatch, workers):
@@ -1000,3 +1027,24 @@ class TestGridWorkers:
         seen = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
         assert seen == [(str(w.message), w.category, w.filename, w.lineno) for w in alone]
         assert sum("smaller than k=100 buckets" in w[0] for w in seen) >= 2
+
+
+class TestSpearman:
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_matches_scipy(self, tied):
+        gen = Rng(5, "spearman").generator()
+        for _ in range(50):
+            n = int(gen.integers(3, 300))
+            if tied:  # few distinct values, so long runs of ties
+                a = gen.integers(0, 6, n).astype(np.float64)
+                b = a + gen.integers(0, 4, n)
+            else:
+                a = gen.normal(size=n)
+                b = a + gen.normal(size=n)
+            if np.ptp(a) == 0 or np.ptp(b) == 0:
+                continue
+            assert abs(spearman(a, b) - spearmanr(a, b).statistic) <= 1e-12
+
+    def test_constant_input_is_nan_with_a_warning(self):
+        with pytest.warns(UserWarning, match="constant input"):
+            assert np.isnan(spearman(np.ones(4), np.arange(4.0)))

@@ -1,6 +1,7 @@
 import os
 import pickle
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from dacs.core import (
     UNIT_NORM_TOL,
     AcquisitionConfig,
     DegenerateInputError,
-    DegeneratePartitionError,
     DivergenceError,
     FeatureMatrix,
     PoolState,
     Rng,
+    RowView,
     UndefinedCorrelationError,
     _parallel_ranges,
     _worker_count,
@@ -259,13 +260,27 @@ class TestPool:
         assert np.array_equal(union, np.arange(n))
 
 
+class TestRowView:
+    x = FeatureMatrix(np.arange(12.0).reshape(6, 2))
+
+    def test_a_view_refuses_rows_outside_its_matrix(self):
+        with pytest.raises(ValueError, match="out of range"):
+            RowView(self.x, [0, 6])
+
+    @pytest.mark.parametrize("out", [None, np.empty((2, 2))], ids=["new", "into-out"])
+    def test_take_refuses_a_position_outside_the_view(self, out):
+        # The gather itself cannot clip: the position fails on the view's indices.
+        with pytest.raises(IndexError):
+            RowView(self.x, [1, 3, 5]).take(np.array([0, 3]), out=out)
+
+
 class TestAcquisitionConfig:
     def test_defaults(self):
         cfg = AcquisitionConfig(budget=5)
         assert cfg.n_buckets == 100
         assert cfg.n_breaks == 4
         assert cfg.temperature == 0.25
-        assert cfg.window == "with-previous"
+        assert [f.name for f in fields(cfg)] == ["budget", "n_buckets", "n_breaks", "temperature"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -275,7 +290,6 @@ class TestAcquisitionConfig:
             dict(budget=5, n_buckets=0),
             dict(budget=5, n_breaks=0),
             dict(budget=5, temperature=0.0),
-            dict(budget=5, window="sideways"),
             dict(budget=5, temperature=float("nan")),
         ],
     )
@@ -436,7 +450,6 @@ class TestParallelRanges:
     [
         DegenerateInputError("row 3 has zero norm", row=3),
         DegenerateInputError("no row"),
-        DegeneratePartitionError("4 classes from 3 values"),
         DivergenceError("non-finite loss at epoch 3 (lr=1e+307)", epoch=3, learning_rate=1e307),
         UndefinedCorrelationError("zero variance"),
     ],

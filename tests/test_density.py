@@ -73,7 +73,7 @@ def reference_assign_buckets(z, rotation):
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def window_density_oracle(x, assignment, window="with-previous"):
+def window_density_oracle(x, assignment):
     """Reference: per-sample loop through chunk_window, direct weighted-cosine sum."""
     Z = x.data
     order = assignment.sorted_order
@@ -81,14 +81,8 @@ def window_density_oracle(x, assignment, window="with-previous"):
     out = np.zeros(n)
     for pos in range(n):
         i = order[pos]
-        if window == "with-previous":
-            win = chunk_window(assignment, pos)
-        else:
-            m = assignment.chunk_size
-            c = pos // m
-            win = np.arange(c * m, min(n, (c + 1) * m))
         total = 0.0
-        for q in win:
+        for q in chunk_window(assignment, pos):
             if q == pos:
                 continue
             j = order[q]
@@ -98,7 +92,7 @@ def window_density_oracle(x, assignment, window="with-previous"):
     return out
 
 
-def chunk_formula_oracle(x, assignment, window="with-previous"):
+def chunk_formula_oracle(x, assignment):
     """Reference: the one-shot per-chunk formula, weighting and summing each
     chunk's whole similarity block with fresh temporaries."""
     Z = x.data[assignment.sorted_order]
@@ -107,7 +101,7 @@ def chunk_formula_oracle(x, assignment, window="with-previous"):
     vals_sorted = np.empty(n)
     for c in range(-(-n // m)):
         s, e = c * m, min(n, (c + 1) * m)
-        lo = s if (window == "own-chunk-only" or c == 0) else (c - 1) * m
+        lo = s if c == 0 else (c - 1) * m
         sims = Z[s:e] @ Z[lo:e].T
         rows = np.arange(e - s)
         sims[rows, rows + (s - lo)] = 0.0
@@ -358,8 +352,8 @@ def chunk_pool(rows, buckets):
 SRC_DIR = os.path.dirname(os.path.dirname(dacs.__file__))
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 # Run with BLAS on one thread: the 3,070-row pool's density on 1, 2 and 3
-# threads in both windows, and a hash over three projection blocks, each
-# against its oracle. Prints one "ok" per check.
+# threads, and a hash over three projection blocks, each against its oracle.
+# Prints one "ok" per check.
 ONE_BLAS_THREAD_CHECK = """
 import numpy as np
 import dacs.core
@@ -371,13 +365,12 @@ assert dacs.core._blas_single_threaded()
 dacs.core._PARALLEL_MIN_WORK = 0
 x, a = chunk_pool(3070, 8)
 assert a.chunk_size == 383
-for window in ("with-previous", "own-chunk-only"):
-    expect = chunk_formula_oracle(x, a, window=window)
-    for workers in (1, 2, 3):
-        dacs.core._worker_count = lambda: workers
-        got = dacs.density.lsh_density(x, a, window=window).values
-        assert np.array_equal(got, expect), (window, workers)
-        print("ok")
+expect = chunk_formula_oracle(x, a)
+for workers in (1, 2, 3):
+    dacs.core._worker_count = lambda: workers
+    got = dacs.density.lsh_density(x, a).values
+    assert np.array_equal(got, expect), workers
+    print("ok")
 gen = Rng(16, "lsh").generator()
 x = normalize_rows(FeatureMatrix(gen.standard_normal((10_000, 16))))
 rotation = gen.standard_normal((16, 50))
@@ -408,45 +401,40 @@ class TestLshDensity:
             prof = lsh_density(x, a)
         assert prof.values.tolist() == [0.0]
 
-    def test_window_of_one_gives_zero(self):
-        # chunk size 1, own-chunk-only: every window is just the sample itself
-        x = FeatureMatrix(np.array([[1.0, 0.0], [0.6, 0.8]]), unit_norm=True)
-        a = make_assignment(2, 1)
-        prof = lsh_density(x, a, window="own-chunk-only")
-        assert np.allclose(prof.values, [0.0, 0.0])
+    def test_chunk_size_one_looks_back_one_row(self):
+        # chunk 0 has no chunk before it, so its one row scores nothing; the
+        # next row's window holds it
+        x = FeatureMatrix(np.array([[1.0, 0.0], [0.6, 0.8], [-0.6, 0.8]]), unit_norm=True)
+        prof = lsh_density(x, make_assignment(3, 1))
+        assert np.allclose(prof.values, [0.0, 0.6 / (1 + np.exp(-0.6)), 0.28 / (1 + np.exp(-0.28))])
 
-    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
-    def test_matches_per_sample_oracle(self, window):
+    def test_matches_per_sample_oracle(self):
         gen = Rng(20, "dens").generator()
         x = normalize_rows(FeatureMatrix(gen.standard_normal((57, 5))))
         a = lsh_assign(x, 8, Rng(2))
-        got = lsh_density(x, a, window=window)
-        expect = window_density_oracle(x, a, window=window)
+        got = lsh_density(x, a)
+        expect = window_density_oracle(x, a)
         assert np.allclose(got.values, expect, atol=1e-10)
 
     @pytest.mark.parametrize("rows, buckets, chunk", CHUNK_POOLS)
-    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
-    def test_bit_identical_to_one_shot_chunk_formula(self, window, rows, buckets, chunk):
+    def test_bit_identical_to_one_shot_chunk_formula(self, rows, buckets, chunk):
         x, a = chunk_pool(rows, buckets)
         assert a.chunk_size == chunk
         # every pool but the 383-row chunks' stacks at least two chunks
         assert (dacs.density._STACK_SCRATCH // (2 * chunk * chunk) >= 2) == (chunk < 383)
-        got = lsh_density(x, a, window=window)
-        assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
+        got = lsh_density(x, a)
+        assert np.array_equal(got.values, chunk_formula_oracle(x, a))
 
     # The same pools split across threads: 2 and 3 threads get uneven runs
     # (which split stacks), 16 threads more threads than 383-row chunks.
     @pytest.mark.parametrize("rows, buckets, chunk", CHUNK_POOLS)
     @pytest.mark.parametrize("workers", [1, 2, 3, 16])
-    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
-    def test_bit_identical_on_any_number_of_threads(
-        self, monkeypatch, workers, window, rows, buckets, chunk
-    ):
+    def test_bit_identical_on_any_number_of_threads(self, monkeypatch, workers, rows, buckets, chunk):
         monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
         monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
         x, a = chunk_pool(rows, buckets)
-        got = lsh_density(x, a, window=window)
-        assert np.array_equal(got.values, chunk_formula_oracle(x, a, window=window))
+        got = lsh_density(x, a)
+        assert np.array_equal(got.values, chunk_formula_oracle(x, a))
 
     def test_tiled_paths_are_bit_identical_under_one_blas_thread(self):
         # lsh_density tiles large chunks' products, and _assign_buckets
@@ -467,7 +455,7 @@ class TestLshDensity:
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["ok"] * 7
+        assert result.stdout.split() == ["ok"] * 4
 
     def test_magnitude_bounded_by_window_size(self):
         gen = Rng(21, "dens").generator()
@@ -477,13 +465,10 @@ class TestLshDensity:
         # the largest window spans two chunks
         assert np.all(np.abs(prof.values) <= 2 * a.chunk_size - 1)
 
-    def test_own_chunk_only_differs(self):
-        gen = Rng(22, "dens").generator()
-        x = normalize_rows(FeatureMatrix(gen.standard_normal((60, 5))))
-        a = lsh_assign(x, 6, Rng(4))
-        wide = lsh_density(x, a)
-        narrow = lsh_density(x, a, window="own-chunk-only")
-        assert not np.allclose(wide.values, narrow.values)
+    def test_other_window_rules_are_refused(self):
+        x = FeatureMatrix(np.eye(2), unit_norm=True)
+        with pytest.raises(ValueError, match="unknown window rule 'own-chunk-only'"):
+            lsh_density(x, make_assignment(2, 1), window="own-chunk-only")
 
     def test_deterministic_given_seed(self):
         gen = Rng(23, "dens").generator()
@@ -532,14 +517,13 @@ class TestRankAgreement:
 
 
 class TestPoolDensity:
-    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
-    def test_equals_lsh_density_of_the_rows_keyed_by_index(self, window):
+    def test_equals_lsh_density_of_the_rows_keyed_by_index(self):
         gen = Rng(40, "pool").generator()
         x = normalize_rows(FeatureMatrix(gen.standard_normal((80, 5))))
         idx = np.flatnonzero(gen.random(80) < 0.6)
-        got = pool_density(x, idx, 6, Rng(41, "pd"), window)
+        got = pool_density(x, idx, 6, Rng(41, "pd"))
         sub = x.rows(idx)
-        want = lsh_density(sub, lsh_assign(sub, 6, Rng(41, "pd")), window=window)
+        want = lsh_density(sub, lsh_assign(sub, 6, Rng(41, "pd")))
         assert got.indices.tolist() == idx.tolist()
         assert got.values.tobytes() == want.values.tobytes()
         assert got.params == want.params
@@ -555,9 +539,8 @@ class TestPoolDensity:
     )
     @pytest.mark.parametrize("blas_threads", ["1", "2"])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("window", ["with-previous", "own-chunk-only"])
     def test_bit_identical_to_the_copied_rows(
-        self, monkeypatch, window, workers, blas_threads, pool_rows, rows, buckets, chunk
+        self, monkeypatch, workers, blas_threads, pool_rows, rows, buckets, chunk
     ):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
         monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
@@ -570,7 +553,7 @@ class TestPoolDensity:
         assert a.chunk_size == chunk
         assert (dacs.density._STACK_SCRATCH // (2 * chunk * chunk) >= 2) == (chunk < 383)
         assert (rows > 2 * dacs.density._HASH_BLOCK) == (rows == 9000)
-        want = lsh_density(sub, a, window=window)
-        got = pool_density(x, idx, buckets, Rng(43, "pd"), window)
+        want = lsh_density(sub, a)
+        got = pool_density(x, idx, buckets, Rng(43, "pd"))
         assert got.indices.tolist() == idx.tolist()
         assert got.values.tobytes() == want.values.tobytes()

@@ -15,7 +15,7 @@ from embedding_writers import write_embeddings
 
 import dacs.cli
 import dacs.core
-from dacs.core import FeatureMatrix, Rng, normalize_rows
+from dacs.core import FeatureMatrix, Rng, RowView, normalize_rows
 from dacs.density import _ROW_TILE, lsh_assign, lsh_density, pool_density
 from dacs.formats import read_embeddings
 from dacs.selection import _CAND_TILE, _REF_BLOCK, kcenter_greedy
@@ -167,6 +167,19 @@ def test_pool_density_copies_no_indexed_rows(monkeypatch):
     # stay below one copy of the indexed rows (12.8 MB here), which
     # pool_density made before it read them in place.
     assert peak < idx.size * d * FLOAT
+
+
+def test_a_row_view_gathers_straight_into_out():
+    n, d = 40_000, 16
+    x = unit_rows(n, d, 8)
+    view = RowView(x, np.arange(1, n, 2))
+    positions = np.arange(view.n)[::-1].copy()
+    out = np.empty((view.n, d))
+    peak = traced_peak(lambda: view.take(positions, out=out))
+    # The gathered row numbers (160 kB here) and no more. np.take's default
+    # mode="raise" buffers a temporary the size of out (2.56 MB here).
+    assert peak < out.nbytes / 4
+    assert np.array_equal(out, x.data[view.indices[positions]])
 
 
 def test_a_select_holds_one_copy_of_the_pool(monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dacs.core import DegeneratePartitionError, Rng
+from dacs.core import Rng
 from dacs.partition import (
     DensityPartition,
     _weighted_jenks_dp,
@@ -142,9 +142,11 @@ class TestJenksBreaks:
         part = jenks_breaks([5.0], 1)
         assert part.clusters[0].tolist() == [0]
 
-    def test_too_many_classes_rejected(self):
-        with pytest.raises(DegeneratePartitionError, match="2 distinct"):
-            jenks_breaks([1.0, 1.0, 2.0], 3)
+    def test_too_many_classes_clamped_to_the_distinct_values(self):
+        with pytest.warns(UserWarning, match="3 classes requested but only 2 distinct values; using 2"):
+            part = jenks_breaks([1.0, 1.0, 2.0], 3)
+        assert [c.tolist() for c in part.clusters] == [[0, 1], [2]]
+        assert part.breaks.tolist() == [1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -210,15 +212,17 @@ class TestJenksBreaks:
         assert np.array_equal(np.sort(all_members), np.arange(60))
 
     @pytest.mark.parametrize("h", [1025, 1100])
-    def test_more_classes_than_bins_rejected(self, h):
+    def test_more_classes_than_bins_clamped_to_the_bins(self, h):
         # 25,000 distinct values pass the distinct-value check, but the DP
         # gets their 1,024 quantile bins
         values = Rng(4, "jenks").generator().uniform(0, 1, 25_000)
         assert np.unique(values).size == 25_000
-        match = f"{h} classes requested but only 1024 quantile bins of 25000 distinct values"
-        with pytest.raises(DegeneratePartitionError, match=match):
-            jenks_breaks(values, h)
-        assert len(jenks_breaks(values, 1024).clusters) == 1024
+        match = f"{h} classes requested but only 1024 quantile bins of 25000 distinct values; using 1024"
+        with pytest.warns(UserWarning, match=match):
+            part = jenks_breaks(values, h)
+        want = jenks_breaks(values, 1024)
+        assert np.array_equal(part.breaks, want.breaks)
+        assert all(np.array_equal(a, b) for a, b in zip(part.clusters, want.clusters, strict=True))
 
     def test_large_input_binned_path(self):
         gen = Rng(4, "jenks").generator()

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dacs.core import (
-    WINDOW_OWN_CHUNK,
-    WINDOW_WITH_PREVIOUS,
-    AcquisitionConfig,
-    FeatureMatrix,
-    Rng,
-    make_pool,
-)
+from dacs.core import AcquisitionConfig, FeatureMatrix, Rng, make_pool
 from dacs.density import DensityConvention, DensityProfile
 from dacs.partition import allocate_budget
 import dacs.core
@@ -496,7 +489,7 @@ class TestDacsSelect:
         pool = make_pool(80, labeled)
         cfg = AcquisitionConfig(budget=15, n_buckets=4, n_breaks=3)
         got = dacs_select(pool, X, cfg, Rng(seed, "sel"))
-        profile, partition, _ = dacs.selection._density_pipeline(pool, X, cfg, Rng(seed, "sel"))
+        profile, partition = dacs.selection._density_pipeline(pool, X, cfg, Rng(seed, "sel"))
         partition = allocate_budget(partition, cfg.budget, cfg.temperature, pool.unlabeled.size)
         running, trace = [], []
         for ci, members in enumerate(partition.clusters):
@@ -692,25 +685,24 @@ class TestStrategyReads:
     two values are far apart, so that a strategy that reads it cannot miss
     the change: 4 and 8 buckets hash into different chunks; 3 classes and 2
     split the spectrum differently; temperature 0.05 gives nearly the whole
-    budget to the smallest class and 20 splits it nearly evenly; the two
-    windows sum over different chunks; seeds 0 and 1 draw different
-    rotations and samples; and the two score vectors rank the pool in
-    opposite orders. Most 40-row pools of this generator show every declared
+    budget to the smallest class and 20 splits it nearly evenly; seeds 0
+    and 1 draw different rotations and samples; and the two score vectors
+    rank the pool in opposite orders. Most 40-row pools of this generator show every declared
     change too; this one is fixed so the test is deterministic. A wrong entry
     in either direction, such as a seed the registry leaves out, fails here.
     """
 
     N = 40
-    BASE = {"buckets": 4, "breaks": 3, "temperature": 0.05, "window": WINDOW_WITH_PREVIOUS,
-            "seed": 0, "scores": np.linspace(0.0, 1.0, N)}
-    OTHER = {"buckets": 8, "breaks": 2, "temperature": 20.0, "window": WINDOW_OWN_CHUNK,
-             "seed": 1, "scores": np.linspace(1.0, 0.0, N)}
+    BASE = {"buckets": 4, "breaks": 3, "temperature": 0.05, "seed": 0,
+            "scores": np.linspace(0.0, 1.0, N)}
+    OTHER = {"buckets": 8, "breaks": 2, "temperature": 20.0, "seed": 1,
+             "scores": np.linspace(1.0, 0.0, N)}
 
     def picks(self, strategy, settings):
         X, pool = sphere_points(self.N, 4, 0), make_pool(self.N, [0, 1])
         cfg = AcquisitionConfig(
             budget=6, n_buckets=settings["buckets"], n_breaks=settings["breaks"],
-            temperature=settings["temperature"], window=settings["window"],
+            temperature=settings["temperature"],
         )
         rng = Rng(settings["seed"], "reads")
         return select(strategy, pool, X, cfg, rng, UncertaintyScores(scores=settings["scores"])).selected
