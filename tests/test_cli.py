@@ -1030,17 +1030,22 @@ class TestGridWorkers:
 
 
 class TestSpearman:
-    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-    def test_matches_scipy(self, tied):
+    @pytest.mark.parametrize("kind", ["untied", "tied", "tied-on-one-side", "anticorrelated"])
+    def test_matches_scipy(self, kind):
         gen = Rng(5, "spearman").generator()
         for _ in range(50):
             n = int(gen.integers(3, 300))
-            if tied:  # few distinct values, so long runs of ties
+            if kind == "tied":  # few distinct values, so long runs of ties
                 a = gen.integers(0, 6, n).astype(np.float64)
                 b = a + gen.integers(0, 4, n)
+            elif kind == "tied-on-one-side":
+                a = gen.integers(0, 6, n).astype(np.float64)
+                b = a + gen.normal(size=n)
             else:
                 a = gen.normal(size=n)
                 b = a + gen.normal(size=n)
+                if kind == "anticorrelated":
+                    b = -b
             if np.ptp(a) == 0 or np.ptp(b) == 0:
                 continue
             assert abs(spearman(a, b) - spearmanr(a, b).statistic) <= 1e-12

@@ -338,8 +338,23 @@ class TestChunkWindow:
 # each 383-row chunk is multiplied alone over several row tiles, then a
 # 6-row remainder chunk. The 100-bucket pools stack their full chunks (14 to
 # a stack at 47 rows, all of them at 12 or fewer) and end in a remainder
-# chunk, except at chunk size 1, where no pool has one.
-CHUNK_POOLS = [(3070, 8, 383), (150, 100, 1), (201, 100, 2), (1207, 100, 12), (4731, 100, 47)]
+# chunk, except at chunk size 1, where no pool has one. The rest sit on the
+# edges of that layout: two chunks, the second one stacked alone; 14 chunks
+# of 47 rows, whose last 13 fill less than a stack; 16 such chunks, a full
+# stack of 14 and then one chunk alone, with no remainder and with a one-row
+# remainder; two 383-row chunks and no remainder.
+CHUNK_POOLS = [
+    (3070, 8, 383),
+    (150, 100, 1),
+    (201, 100, 2),
+    (1207, 100, 12),
+    (4731, 100, 47),
+    (30, 2, 15),
+    (658, 14, 47),
+    (752, 16, 47),
+    (753, 16, 47),
+    (766, 2, 383),
+]
 
 
 def chunk_pool(rows, buckets):
@@ -408,10 +423,14 @@ class TestLshDensity:
         prof = lsh_density(x, make_assignment(3, 1))
         assert np.allclose(prof.values, [0.0, 0.6 / (1 + np.exp(-0.6)), 0.28 / (1 + np.exp(-0.28))])
 
-    def test_matches_per_sample_oracle(self):
+    # (rows, dims, buckets): a 1-row remainder chunk after 7-row chunks, no
+    # remainder, chunk size 1, two chunks, and 4-row chunks with a 1-row
+    # remainder.
+    @pytest.mark.parametrize("rows, dims, buckets", [(57, 5, 8), (64, 4, 8), (33, 3, 32), (20, 6, 2), (9, 3, 2)])
+    def test_matches_per_sample_oracle(self, rows, dims, buckets):
         gen = Rng(20, "dens").generator()
-        x = normalize_rows(FeatureMatrix(gen.standard_normal((57, 5))))
-        a = lsh_assign(x, 8, Rng(2))
+        x = normalize_rows(FeatureMatrix(gen.standard_normal((rows, dims))))
+        a = lsh_assign(x, buckets, Rng(2))
         got = lsh_density(x, a)
         expect = window_density_oracle(x, a)
         assert np.allclose(got.values, expect, atol=1e-10)
@@ -465,10 +484,17 @@ class TestLshDensity:
         # the largest window spans two chunks
         assert np.all(np.abs(prof.values) <= 2 * a.chunk_size - 1)
 
-    def test_other_window_rules_are_refused(self):
+    @pytest.mark.parametrize("window", ["own-chunk-only", "sliding", "With-Previous"])
+    def test_other_window_rules_are_refused(self, window):
         x = FeatureMatrix(np.eye(2), unit_norm=True)
-        with pytest.raises(ValueError, match="unknown window rule 'own-chunk-only'"):
-            lsh_density(x, make_assignment(2, 1), window="own-chunk-only")
+        with pytest.raises(ValueError, match=f"unknown window rule '{window}'"):
+            lsh_density(x, make_assignment(2, 1), window=window)
+
+    def test_the_one_window_rule_named_is_the_default(self):
+        x, a = chunk_pool(201, 100)
+        named = lsh_density(x, a, window="with-previous")
+        assert named.values.tobytes() == lsh_density(x, a).values.tobytes()
+        assert "window" not in named.params
 
     def test_deterministic_given_seed(self):
         gen = Rng(23, "dens").generator()
@@ -532,10 +558,18 @@ class TestPoolDensity:
 
     # (pool rows, indexed rows, buckets): 12-row chunks that stack; 383-row
     # chunks too large to stack, multiplied in tiles with BLAS on one thread
-    # and whole under two; 9,000 rows hashed over three hash blocks. Each on
-    # one thread and in two forced parts.
+    # and whole under two; 9,000 rows hashed over three hash blocks; every
+    # row of the pool, reordered; a few rows of a larger pool. Each on one
+    # thread and in two forced parts.
     @pytest.mark.parametrize(
-        "pool_rows, rows, buckets, chunk", [(2000, 1207, 100, 12), (4000, 3070, 8, 383), (12_000, 9000, 100, 90)]
+        "pool_rows, rows, buckets, chunk",
+        [
+            (2000, 1207, 100, 12),
+            (4000, 3070, 8, 383),
+            (12_000, 9000, 100, 90),
+            (1000, 1000, 100, 10),
+            (5000, 250, 10, 25),
+        ],
     )
     @pytest.mark.parametrize("blas_threads", ["1", "2"])
     @pytest.mark.parametrize("workers", [1, 2])

@@ -142,11 +142,19 @@ class TestJenksBreaks:
         part = jenks_breaks([5.0], 1)
         assert part.clusters[0].tolist() == [0]
 
-    def test_too_many_classes_clamped_to_the_distinct_values(self):
-        with pytest.warns(UserWarning, match="3 classes requested but only 2 distinct values; using 2"):
-            part = jenks_breaks([1.0, 1.0, 2.0], 3)
-        assert [c.tolist() for c in part.clusters] == [[0, 1], [2]]
-        assert part.breaks.tolist() == [1.0]
+    # (values, classes asked for, classes made, breaks): two distinct values;
+    # one value repeated, which leaves one class and no break.
+    @pytest.mark.parametrize(
+        "values, h, clusters, breaks",
+        [([1.0, 1.0, 2.0], 3, [[0, 1], [2]], [1.0]), ([4.0, 4.0, 4.0], 2, [[0, 1, 2]], [])],
+    )
+    def test_too_many_classes_clamped_to_the_distinct_values(self, values, h, clusters, breaks):
+        distinct = len(set(values))
+        match = f"{h} classes requested but only {distinct} distinct values; using {distinct}"
+        with pytest.warns(UserWarning, match=match):
+            part = jenks_breaks(values, h)
+        assert [c.tolist() for c in part.clusters] == clusters
+        assert part.breaks.tolist() == breaks
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
