@@ -8,9 +8,8 @@ adjacent chunks. The fast path never compares samples more than two chunks
 apart, but a chunk holds n/k rows, so at a fixed bucket count k a pass scores
 about 2n^2/k pairs: quadratic in the pool, not linear (ROADMAP item 1 has the
 timings). Small chunks are multiplied in stacks, one BLAS call per chunk
-inside one np.matmul, and the hash in row blocks. Only the rows of a large
-chunk one product multiplies depend on BLAS's thread count: row tiles with
-BLAS on one thread, the whole chunk otherwise (see lsh_density). pool_density
+inside one np.matmul, a large chunk in row tiles, and the hash in row blocks;
+each product's shape depends on the chunk's shape alone. pool_density
 is its one front-end: selection, the simulator and the CLI all estimate
 density through it. It reads the pool's rows in place, so a pass holds no
 pool-sized float array beside the pool: each hash block, stack and chunk
@@ -29,7 +28,6 @@ from .core import (
     FeatureMatrix,
     Rng,
     RowView,
-    _blas_single_threaded,
     _parallel_ranges,
     _readonly,
     check_bucket_count,
@@ -39,10 +37,10 @@ METRIC_EUCLIDEAN = "euclidean"
 METRIC_COSINE = "cosine-distance"
 
 # Rows of a chunk's similarity block that lsh_density weighs (at least), and
-# with BLAS on one thread multiplies, at once; keeps buffers cache-sized. A
-# multiple of 12: on x86-64 OpenBLAS 0.3.31 (SkylakeX kernels), 12- to
-# 360-row tiles gave the untiled product's bits, and 16-, 32-, 40-, 64- and
-# 128-row did not.
+# of a chunk too large to stack multiplies, at once; keeps buffers
+# cache-sized. A multiple of 12: on x86-64 OpenBLAS 0.3.31 (SkylakeX kernels)
+# on one thread, 12- to 360-row tiles gave the untiled product's bits, and
+# 16-, 32-, 40-, 64- and 128-row did not.
 _ROW_TILE = 48
 # Float64 elements of the chunk products lsh_density stacks into one matmul
 # (a chunk's product larger than this is made alone).
@@ -228,14 +226,11 @@ def lsh_density(
     of a stack with the shapes and strides of the one-chunk call (the fact
     model.train_stacked relies on), so each slice is the same product, bit
     for bit. A chunk whose product alone exceeds the bound (990-row chunks
-    on a 99k-row pool) is multiplied alone, the one step that depends on
-    BLAS's thread count: in _ROW_TILE-row tiles when BLAS runs one thread,
-    each with the bits of the whole product's rows, and whole under a
-    multithreaded BLAS, which splits a product over its threads by its
-    shape, so tiles there give other bits. Chunk 0's own-chunk product
-    Z Z^T stays whole, since numpy hands it to BLAS syrk, not gemm, and
-    tiles of it moved 2 of 990 values by an ulp; it is made first, on the
-    calling thread. No
+    on a 99k-row pool) is multiplied alone, in _ROW_TILE-row tiles, whatever
+    BLAS runs; on one BLAS thread each tile has the bits of the whole
+    product's rows. Chunk 0's own-chunk product Z Z^T stays whole, since
+    numpy hands it to BLAS syrk, not gemm, and tiles of it moved 2 of 990
+    values by an ulp; it is made first, on the calling thread. No
     sorted copy Z of the rows is made: a stack, or a chunk taken in tiles,
     gathers its rows and the window before them, straight from the pool
     when x is a RowView, into a row buffer with Z's row stride, so each
@@ -277,7 +272,7 @@ def lsh_density(
     stack_last = n // m  # one past the last full chunk
     per_stack = max(1, _STACK_SCRATCH // (own * width))
     # Rows of a chunk multiplied at once.
-    step = _ROW_TILE if own * width > _STACK_SCRATCH and _blas_single_threaded() else own
+    step = _ROW_TILE if own * width > _STACK_SCRATCH else own
     tile_rows = max(_ROW_TILE, _STACK_SCRATCH // width)  # rows weighed at once
     product_cap = per_stack * step * width
     scratch_cap = min(product_cap, tile_rows * width)  # a tile never outgrows its product

@@ -1,0 +1,36 @@
+"""Names the BLAS the tests ran on in pytest's report header.
+
+Which bits the bit-exact tests see depends on the BLAS build and its thread
+count, so the header gives the OpenBLAS core and thread count that numpy's
+bundled library reports at run time, and the kernel thread count
+dacs.core._worker_count gives beside it.
+"""
+
+import ctypes
+import glob
+import os
+
+import numpy as np
+
+import dacs.core
+
+
+def openblas_runtime() -> tuple[str, str]:
+    """(core name, thread count) of the OpenBLAS numpy loaded, each 'unknown' if it does not say."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            corename = lib.scipy_openblas_get_corename64_
+            threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        return (corename() or b"unknown").decode(), str(threads())
+    return "unknown", "unknown"
+
+
+def pytest_report_header(config):
+    core, threads = openblas_runtime()
+    return f"OpenBLAS core: {core}, OpenBLAS threads: {threads}, dacs kernel threads: {dacs.core._worker_count()}"

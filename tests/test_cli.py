@@ -477,6 +477,33 @@ class TestSelectCommand:
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         assert digest == LARGE_SELECTION_SHA256[strategy]
 
+    def test_picks_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS reads its thread count when it loads, so each select runs in
+        # a fresh interpreter. 19,800 candidates in 20 buckets make 990-row
+        # chunks, too large to stack, which the density pass multiplies in
+        # row tiles under either BLAS.
+        gen = Rng(11, "blas-picks").generator()
+        pool, labeled = tmp_path / "pool.bin", tmp_path / "labeled.txt"
+        write_embeddings(pool, FeatureMatrix(unit(gen.normal(size=(20_000, 16))), unit_norm=True))
+        labeled.write_text("".join(f"{i}\n" for i in range(0, 20_000, 100)))
+        src = str(Path(dacs.cli.__file__).parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"picks-{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            argv = ["select", "--embeddings", str(pool), "--labeled", str(labeled), "--budget", "200",
+                    "--strategy", "dacs", "--buckets", "20", "--seed", "0", "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "dacs.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            reports.append(json.loads(out.read_text()))
+        one, two = reports
+        assert len(one["selected"]) == 200
+        assert one["selected"] == two["selected"]
+        budgets = [[c["budget"] for c in r["diagnostics"]["clusters"]] for r in reports]
+        assert budgets[0] == budgets[1]
+
 
 class TestDensityCommand:
     def test_exact_mode_writes_a_profile(self, pool_file, tmp_path):

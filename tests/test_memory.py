@@ -60,41 +60,26 @@ def test_bucket_hash_builds_no_concatenation():
     assert peak < concatenating / 2
 
 
+# Under "2", a density pass that shaped its products by BLAS's thread count
+# would multiply a chunk whole; _worker_count is patched, so the setting
+# steers nothing else here.
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_window_density_holds_one_product_per_thread(monkeypatch, workers):
-    # The whole chunk products a threaded BLAS gets, whatever BLAS runs here.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+def test_window_density_tiles_the_chunk_products_and_the_hash(monkeypatch, blas_threads, workers):
+    # lsh_density multiplies a chunk too large to stack in _ROW_TILE-row
+    # tiles, and lsh_assign projects in row blocks, whatever BLAS runs.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
     n, d, k = 50_000, 16, 100
     x = unit_rows(n, d, 2)
     a = lsh_assign(x, k, Rng(0))
     m = a.chunk_size
     peak = traced_peak(lambda: lsh_density(x, a))
-    # The output, its sorted copy and the indices; then per thread one m x 2m
-    # chunk product, one scratch tile of its rows and the 2m rows it gathers,
-    # plus 1 MB for Python objects. A sorted copy of the pool (6.4 MB here),
-    # or one more chunk-sized temporary on any thread (4 MB), would break
-    # the bound.
-    pool_sized = 3 * n * FLOAT
-    per_thread = (m * 2 * m + _ROW_TILE * 2 * m + 2 * m * d) * FLOAT
-    assert peak < pool_sized + workers * per_thread + 2**20
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_one_blas_thread_tiles_the_window_products_and_the_hash(monkeypatch, workers):
-    # With BLAS on one thread, lsh_density multiplies a chunk too large to
-    # stack in _ROW_TILE-row tiles, and lsh_assign projects in row blocks.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
-    n, d, k = 50_000, 16, 100
-    x = unit_rows(n, d, 2)
-    a = lsh_assign(x, k, Rng(0))
-    m = a.chunk_size
-    peak = traced_peak(lambda: lsh_density(x, a))
-    # The pool-sized arrays as above, chunk 0's m x m own-chunk product and
-    # its m rows, then per thread a tile of the product, a scratch tile and
-    # the 2m rows it gathers, plus 1 MB. A sorted copy of the pool (6.4 MB
-    # here), or one m x 2m chunk product (4 MB), would break the bound.
+    # The output, its sorted copy and the indices; chunk 0's m x m own-chunk
+    # product and its m rows; then per thread a tile of the product, a
+    # scratch tile and the 2m rows it gathers, plus 1 MB. A sorted copy of
+    # the pool (6.4 MB here), or one m x 2m chunk product (4 MB), would
+    # break the bound.
     pool_sized = 3 * n * FLOAT
     per_thread = (2 * _ROW_TILE * 2 * m + 2 * m * d) * FLOAT
     assert peak < pool_sized + (m * m + m * d) * FLOAT + workers * per_thread + 2**20
@@ -127,10 +112,9 @@ def test_window_density_fits_the_budget_on_64_threads(monkeypatch):
     a = lsh_assign(x, k, Rng(0))
     peak = traced_peak(lambda: lsh_density(x, a))
     # As above, with the whole scratch budget in place of the per-thread
-    # buffers, gathered rows included. One m x 2m product for each of the
-    # 100 chunks (400 MB), or each of 64 threads (256 MB), would break the
-    # bound; so would a sorted copy of the pool (6.4 MB here) when a threaded
-    # BLAS lets the buffers fill the budget.
+    # buffers, gathered rows included (the peak is 56 MB here). One m x 2m
+    # product for each of the 100 chunks (400 MB), or each of 64 threads
+    # (256 MB), would break the bound.
     pool_sized = 3 * n * FLOAT
     assert peak < pool_sized + dacs.core._SCRATCH_BUDGET * FLOAT + 2**20
 
