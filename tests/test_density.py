@@ -576,7 +576,9 @@ class TestPoolDensity:
     # (pool rows, indexed rows, buckets): 12-row chunks that stack; 383-row
     # chunks too large to stack, multiplied in tiles; 9,000 rows hashed over
     # three hash blocks; every row of the pool, reordered; a few rows of a
-    # larger pool. Each on one thread and in two forced parts.
+    # larger pool. Each on one thread and in two, three and sixteen forced
+    # parts: uneven runs that split stacks, and more threads than the
+    # 383-row chunks.
     @pytest.mark.parametrize(
         "pool_rows, rows, buckets, chunk",
         [
@@ -587,7 +589,7 @@ class TestPoolDensity:
             (5000, 250, 10, 25),
         ],
     )
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 16])
     def test_bit_identical_to_the_copied_rows(self, monkeypatch, workers, pool_rows, rows, buckets, chunk):
         monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
         monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
