@@ -225,8 +225,12 @@ class FeatureMatrix:
         return FeatureMatrix(self.data[_row_selection(indices, self.n)], unit_norm=self.unit_norm)
 
     def take(self, positions, out=None) -> np.ndarray:
-        """Copies of the rows at `positions`, written into `out` when given."""
-        return np.take(self.data, positions, axis=0, out=out)
+        """Copies of the rows at `positions`, written into `out` when given.
+
+        The positions are range-checked first, so np.take gathers with
+        mode="clip", straight into `out`, as RowView.take does.
+        """
+        return np.take(self.data, _row_selection(positions, self.n), axis=0, out=out, mode="clip")
 
 
 def _row_selection(indices, n: int) -> np.ndarray:

@@ -36,14 +36,13 @@ from .core import (
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_COSINE = "cosine-distance"
 
-# Rows of a chunk's similarity block that lsh_density weighs (at least), and
-# of a chunk too large to stack multiplies, at once; keeps buffers
-# cache-sized. A multiple of 12: on x86-64 OpenBLAS 0.3.31 (SkylakeX kernels)
-# on one thread, 12- to 360-row tiles gave the untiled product's bits, and
-# 16-, 32-, 40-, 64- and 128-row did not.
+# Rows of a chunk too large to stack that lsh_density multiplies at once,
+# chunk 0's included; keeps buffers cache-sized. A multiple of 12: on x86-64
+# OpenBLAS 0.3.31 (SkylakeX kernels) on one thread, 12- to 360-row tiles gave
+# the untiled gemm's bits, and 16-, 32-, 40-, 64- and 128-row did not.
 _ROW_TILE = 48
 # Float64 elements of the chunk products lsh_density stacks into one matmul
-# (a chunk's product larger than this is made alone).
+# (a chunk whose widest window's product is larger is made in tiles).
 _STACK_SCRATCH = 1 << 16
 # Rows _assign_buckets projects at once; a multiple of 12, as _ROW_TILE.
 _HASH_BLOCK = 4092
@@ -225,21 +224,21 @@ def lsh_density(
     _STACK_SCRATCH elements of products allow. numpy hands BLAS each slice
     of a stack with the shapes and strides of the one-chunk call (the fact
     model.train_stacked relies on), so each slice is the same product, bit
-    for bit. A chunk whose product alone exceeds the bound (990-row chunks
-    on a 99k-row pool) is multiplied alone, in _ROW_TILE-row tiles, whatever
-    BLAS runs; on one BLAS thread each tile has the bits of the whole
-    product's rows. Chunk 0's own-chunk product Z Z^T stays whole, since
-    numpy hands it to BLAS syrk, not gemm, and tiles of it moved 2 of 990
-    values by an ulp; it is made first, on the calling thread. No
-    sorted copy Z of the rows is made: a stack, or a chunk taken in tiles,
-    gathers its rows and the window before them, straight from the pool
-    when x is a RowView, into a row buffer with Z's row stride, so each
-    product keeps its shapes, strides and bits.
-    The weighting runs over row tiles in a reused scratch buffer, summed
-    straight into the output; a tile never splits a row. A large pool
-    splits its chunks into contiguous runs, one per thread (see
-    core._parallel_ranges for how many), each with its own three buffers;
-    no value depends on which thread or stack takes a chunk.
+    for bit. Chunk 0, whose window is its own rows, and a short remainder
+    chunk are made alone. When chunks stack, chunk 0 is one whole Z Z^T,
+    which numpy hands to BLAS syrk. When one chunk's product with a full
+    window exceeds the bound (990-row chunks on a 99k-row pool), every chunk,
+    chunk 0 included, is multiplied in _ROW_TILE-row tiles, each a gemm,
+    whatever BLAS runs; on one BLAS thread each tile has the bits of the
+    whole gemm's rows. No sorted copy Z of the rows is made: a stack or a
+    chunk gathers its rows and the window before them, straight from the
+    pool when x is a RowView, into a row buffer with Z's row stride, so each
+    product keeps its shapes, strides and bits. Each product block is
+    weighed whole in a scratch buffer of its size and summed straight into
+    the output. A large pool splits its chunks into contiguous runs, one
+    per thread (see core._parallel_ranges for how many), each with its own
+    product, scratch and row buffers; no value depends on which thread or
+    stack takes a chunk.
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
@@ -266,23 +265,16 @@ def lsh_density(
     m, d = assignment.chunk_size, x.d
     n_chunks = -(-n // m)
     width = min(n, 2 * m)  # widest window
-    own = min(m, n)  # rows of chunk 0
+    own = min(m, n)  # rows of a full chunk
     # Chunks whose products stack: full chunks with a full window. Chunk 0
-    # has no previous one, so it is made apart; a remainder chunk is short.
+    # has no previous one and a remainder chunk is short, so each is alone.
     stack_last = n // m  # one past the last full chunk
     per_stack = max(1, _STACK_SCRATCH // (own * width))
     # Rows of a chunk multiplied at once.
     step = _ROW_TILE if own * width > _STACK_SCRATCH else own
-    tile_rows = max(_ROW_TILE, _STACK_SCRATCH // width)  # rows weighed at once
     product_cap = per_stack * step * width
-    scratch_cap = min(product_cap, tile_rows * width)  # a tile never outgrows its product
     gather_cap = min(n, (per_stack + 1) * m) * d  # a stack's chunks and the window before them
     vals_sorted = np.empty(n, dtype=np.float64)
-
-    def gather(lo, hi, buf) -> np.ndarray:
-        # Sorted rows lo .. hi - 1, with the row stride of a sorted copy.
-        Z = buf[: (hi - lo) * d].reshape(hi - lo, d)
-        return x.take(assignment.sorted_order[lo:hi], out=Z)
 
     def score_rows(Z, s, rows, lo, w, g, product, scratch) -> None:
         # Z holds sorted rows lo on; row block j < g multiplies rows s + j*m on
@@ -295,36 +287,33 @@ def lsh_density(
         diag = np.arange(rows)
         sims[:, diag, diag + (s - lo)] = 0.0  # self term contributes nothing
         block = sims.reshape(g * rows, w)
-        for t in range(0, g * rows, tile_rows):
-            tile = block[t : t + tile_rows]
-            buf = scratch[: tile.size].reshape(tile.shape)
-            # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
-            # Cosines lie in [-1, 1], so exp cannot overflow.
-            np.negative(tile, out=buf)
-            np.exp(buf, out=buf)
-            np.add(buf, 1.0, out=buf)
-            np.divide(1.0, buf, out=buf)
-            np.multiply(buf, tile, out=buf)
-            buf.sum(axis=1, out=vals_sorted[s + t : s + t + tile.shape[0]])
+        buf = scratch[: block.size].reshape(block.shape)
+        # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
+        # Cosines lie in [-1, 1], so exp cannot overflow.
+        np.negative(block, out=buf)
+        np.exp(buf, out=buf)
+        np.add(buf, 1.0, out=buf)
+        np.divide(1.0, buf, out=buf)
+        np.multiply(buf, block, out=buf)
+        buf.sum(axis=1, out=vals_sorted[s : s + g * rows])
 
     def chunks(a: int, b: int, mem: np.ndarray) -> None:
-        # Chunks 1 + a .. b, with one product, one scratch tile and one row
-        # buffer per thread, reused for every stack or chunk.
-        product, scratch, rows_buf = np.split(mem, [product_cap, product_cap + scratch_cap])
-        c, last = 1 + a, 1 + b
-        while c < last:
+        # Chunks a .. b - 1, with one product, one scratch buffer of its size
+        # and one row buffer per thread, reused for every stack or chunk.
+        product, scratch, rows_buf = np.split(mem, [product_cap, 2 * product_cap])
+        c = a
+        while c < b:
             s, e = c * m, min(n, (c + 1) * m)
-            lo = s - m
-            g = min(per_stack, min(last, stack_last) - c) if c < stack_last else 1
-            Z = gather(lo, min(n, (c + g) * m), rows_buf)
+            lo = max(0, s - m)
+            g = min(per_stack, min(b, stack_last) - c) if 0 < c < stack_last else 1
+            # Sorted rows lo .. hi - 1, with the row stride of a sorted copy.
+            hi = min(n, (c + g) * m)
+            Z = x.take(assignment.sorted_order[lo:hi], out=rows_buf[: (hi - lo) * d].reshape(hi - lo, d))
             for t in range(s, e, step):
                 score_rows(Z, t, min(step, e - t), lo, e - lo, g, product, scratch)
             c += g
 
-    # Chunk 0's own-chunk product, whole, on this thread.
-    Z = gather(0, own, np.empty(own * d))
-    score_rows(Z, 0, own, 0, own, 1, np.empty(own * own), np.empty(min(own, tile_rows) * own))
-    _parallel_ranges(n_chunks - 1, n * width, product_cap + scratch_cap + gather_cap, chunks)
+    _parallel_ranges(n_chunks, n * width, 2 * product_cap + gather_cap, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
     return DensityProfile(

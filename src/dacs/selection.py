@@ -170,15 +170,10 @@ def kcenter_greedy(
     if ref.size:
         maxsim = _max_similarity(Xc, X, ref)
     else:
-        if density is not None:
-            first_pos = int(np.argmin(density.lookup(cand)))
-        else:
-            first_pos = 0
-        u = int(cand[first_pos])
-        picked.append(u)
-        trace.append(-math.inf)
-        maxsim = Xc @ X[u]
-        maxsim[first_pos] = np.inf
+        # -2 lies below every cosine of unit rows, and the first center's
+        # -inf below that, so the loop takes it first and traces it at -inf.
+        maxsim = np.full(cand.size, -2.0)
+        maxsim[int(np.argmin(density.lookup(cand))) if density is not None else 0] = -np.inf
     sim = np.empty(cand.size)
     while len(picked) < n_pick:
         pos = int(np.argmin(maxsim))

@@ -1,9 +1,10 @@
-"""Names the BLAS the tests ran on in pytest's report header.
+"""Names the BLAS the tests ran on in pytest's terminal summary.
 
 Which bits the bit-exact tests see depends on the BLAS build and its thread
-count, so the header gives the OpenBLAS core and thread count that numpy's
+count, so the summary gives the OpenBLAS core and thread count that numpy's
 bundled library reports at run time, and the kernel thread count
-dacs.core._worker_count gives beside it.
+dacs.core._worker_count gives beside it. pytest prints the summary under -q
+too, where it drops the report header.
 """
 
 import ctypes
@@ -31,6 +32,8 @@ def openblas_runtime() -> tuple[str, str]:
     return "unknown", "unknown"
 
 
-def pytest_report_header(config):
+def pytest_terminal_summary(terminalreporter):
     core, threads = openblas_runtime()
-    return f"OpenBLAS core: {core}, OpenBLAS threads: {threads}, dacs kernel threads: {dacs.core._worker_count()}"
+    terminalreporter.write_line(
+        f"OpenBLAS core: {core}, OpenBLAS threads: {threads}, dacs kernel threads: {dacs.core._worker_count()}"
+    )

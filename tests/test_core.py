@@ -273,6 +273,14 @@ class TestRowView:
         with pytest.raises(IndexError):
             RowView(self.x, [1, 3, 5]).take(np.array([0, 3]), out=out)
 
+    @pytest.mark.parametrize("out", [None, np.empty((2, 2))], ids=["new", "into-out"])
+    @pytest.mark.parametrize("positions", [[0, 6], [-1, 0]])
+    def test_a_matrix_take_refuses_a_position_outside_it(self, out, positions):
+        # The gather clips, so the positions are checked before it: unchecked,
+        # 6 would gather row 5 and -1 row 0.
+        with pytest.raises(ValueError, match="out of range"):
+            self.x.take(np.array(positions), out=out)
+
 
 class TestAcquisitionConfig:
     def test_defaults(self):

@@ -94,15 +94,23 @@ def window_density_oracle(x, assignment):
 
 def chunk_formula_oracle(x, assignment):
     """Reference: the one-shot per-chunk formula, weighting and summing each
-    chunk's whole similarity block with fresh temporaries."""
+    chunk's whole similarity block with fresh temporaries.
+
+    Chunk 0's window is its own rows, so numpy hands Z[0:e] @ Z[0:e].T to
+    BLAS syrk, as lsh_density's whole product of a chunk that stacks. A chunk
+    too large to stack is multiplied in row tiles, each a gemm, so there
+    chunk 0 meets a copy of its rows, a gemm too.
+    """
     Z = x.data[assignment.sorted_order]
     n = Z.shape[0]
     m = assignment.chunk_size
+    tiled = m * min(n, 2 * m) > dacs.density._STACK_SCRATCH
     vals_sorted = np.empty(n)
     for c in range(-(-n // m)):
         s, e = c * m, min(n, (c + 1) * m)
-        lo = s if c == 0 else (c - 1) * m
-        sims = Z[s:e] @ Z[lo:e].T
+        lo = max(0, s - m)
+        window = Z[lo:e].copy() if c == 0 and tiled else Z[lo:e]
+        sims = Z[s:e] @ window.T
         rows = np.arange(e - s)
         sims[rows, rows + (s - lo)] = 0.0
         vals_sorted[s:e] = (1.0 / (1.0 + np.exp(-sims)) * sims).sum(axis=1)
@@ -342,7 +350,9 @@ class TestChunkWindow:
 # edges of that layout: two chunks, the second one stacked alone; 14 chunks
 # of 47 rows, whose last 13 fill less than a stack; 16 such chunks, a full
 # stack of 14 and then one chunk alone, with no remainder and with a one-row
-# remainder; two 383-row chunks and no remainder.
+# remainder; two 383-row chunks and no remainder; two 200-row chunks, chunk
+# 0 in tiles although its own product would fit whole, the last tile of each
+# 8 rows, and a one-row remainder.
 CHUNK_POOLS = [
     (3070, 8, 383),
     (150, 100, 1),
@@ -354,6 +364,7 @@ CHUNK_POOLS = [
     (752, 16, 47),
     (753, 16, 47),
     (766, 2, 383),
+    (401, 2, 200),
 ]
 
 
@@ -366,8 +377,8 @@ def chunk_pool(rows, buckets):
 
 SRC_DIR = os.path.dirname(os.path.dirname(dacs.__file__))
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
-# Run with BLAS on one thread: the density of both pools of 383-row chunks on
-# 1, 2, 3 and 16 threads, and a hash over three projection blocks, each
+# Run with BLAS on one thread: the density of the three pools of tiled chunks
+# on 1, 2, 3 and 16 threads, and a hash over three projection blocks, each
 # against its oracle, bit for bit. Prints one "ok" per check.
 ONE_BLAS_THREAD_CHECK = """
 import numpy as np
@@ -378,9 +389,9 @@ from test_density import chunk_formula_oracle, chunk_pool, reference_assign_buck
 
 assert dacs.core._blas_single_threaded()
 dacs.core._PARALLEL_MIN_WORK = 0
-for rows, buckets in ((3070, 8), (766, 2)):
+for rows, buckets, chunk in ((3070, 8, 383), (766, 2, 383), (401, 2, 200)):
     x, a = chunk_pool(rows, buckets)
-    assert a.chunk_size == 383
+    assert a.chunk_size == chunk
     expect = chunk_formula_oracle(x, a)
     for workers in (1, 2, 3, 16):
         dacs.core._worker_count = lambda: workers
@@ -401,9 +412,10 @@ def assert_matches_chunk_formula(got, x, a):
 
     Except for chunks too large to stack under a threaded BLAS: their row
     tiles and the oracle's whole product are split over BLAS's threads by
-    their shapes, and on two OpenBLAS threads 27 of the 3,070 values and 6 of
-    the 766 sat up to 2 ulps apart. ONE_BLAS_THREAD_CHECK checks those pools
-    bit for bit with BLAS on one thread.
+    their shapes, and on two OpenBLAS threads 37 of the 3,070 values and 12
+    of the 766 sat up to 2 ulps apart (all 401 matched).
+    ONE_BLAS_THREAD_CHECK checks those pools bit for bit with BLAS on one
+    thread.
     """
     expect = chunk_formula_oracle(x, a)
     m = a.chunk_size
@@ -457,8 +469,8 @@ class TestLshDensity:
     def test_bit_identical_to_one_shot_chunk_formula(self, rows, buckets, chunk):
         x, a = chunk_pool(rows, buckets)
         assert a.chunk_size == chunk
-        # every pool but the 383-row chunks' stacks at least two chunks
-        assert (dacs.density._STACK_SCRATCH // (2 * chunk * chunk) >= 2) == (chunk < 383)
+        # every pool but those of chunks taken in tiles stacks at least two chunks
+        assert (dacs.density._STACK_SCRATCH // (2 * chunk * chunk) >= 2) == (chunk < 200)
         assert_matches_chunk_formula(lsh_density(x, a).values, x, a)
 
     # The same pools split across threads: 2 and 3 threads get uneven runs
@@ -476,8 +488,8 @@ class TestLshDensity:
         # projects in blocks, whose bits equal the whole product's with BLAS
         # on one thread, which OpenBLAS reads when it loads: a fresh
         # interpreter with it set checks both whatever BLAS this process has.
-        # The 383-row chunks are multiplied in 8 tiles each; 40- or 64-row
-        # tiles move values there.
+        # The 383-row chunks are multiplied in 8 tiles each, the 200-row ones
+        # in 5, chunk 0 included; 40- or 64-row tiles move values there.
         env = {
             **os.environ,
             "OPENBLAS_NUM_THREADS": "1",
@@ -491,7 +503,7 @@ class TestLshDensity:
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["ok"] * 9
+        assert result.stdout.split() == ["ok"] * 13
 
     def test_magnitude_bounded_by_window_size(self):
         gen = Rng(21, "dens").generator()

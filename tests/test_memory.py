@@ -62,27 +62,30 @@ def test_bucket_hash_builds_no_concatenation():
 
 # Under "2", a density pass that shaped its products by BLAS's thread count
 # would multiply a chunk whole; _worker_count is patched, so the setting
-# steers nothing else here.
+# steers nothing else here. The 40,000-row pool's 2,000-row chunks make
+# chunk 0's own m x m product (32 MB) dwarf every other buffer.
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_window_density_tiles_the_chunk_products_and_the_hash(monkeypatch, blas_threads, workers):
-    # lsh_density multiplies a chunk too large to stack in _ROW_TILE-row
-    # tiles, and lsh_assign projects in row blocks, whatever BLAS runs.
+@pytest.mark.parametrize("n, k", [(50_000, 100), (40_000, 20)])
+def test_window_density_tiles_the_chunk_products_and_the_hash(monkeypatch, blas_threads, workers, n, k):
+    # lsh_density multiplies a chunk too large to stack, chunk 0 included,
+    # in _ROW_TILE-row tiles, and lsh_assign projects in row blocks, whatever
+    # BLAS runs.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
-    n, d, k = 50_000, 16, 100
+    d = 16
     x = unit_rows(n, d, 2)
     a = lsh_assign(x, k, Rng(0))
     m = a.chunk_size
     peak = traced_peak(lambda: lsh_density(x, a))
-    # The output, its sorted copy and the indices; chunk 0's m x m own-chunk
-    # product and its m rows; then per thread a tile of the product, a
-    # scratch tile and the 2m rows it gathers, plus 1 MB. A sorted copy of
-    # the pool (6.4 MB here), or one m x 2m chunk product (4 MB), would
+    # The output, its sorted copy and the indices; then per thread a tile of
+    # the product, a scratch buffer of its size and the 2m rows it gathers,
+    # plus 1 MB. A sorted copy of the pool (6.4 MB at 50,000 rows), one
+    # m x 2m chunk product (4 MB there), or chunk 0's m x m product, would
     # break the bound.
     pool_sized = 3 * n * FLOAT
     per_thread = (2 * _ROW_TILE * 2 * m + 2 * m * d) * FLOAT
-    assert peak < pool_sized + (m * m + m * d) * FLOAT + workers * per_thread + 2**20
+    assert peak < pool_sized + workers * per_thread + 2**20
     # The whole hash held the n x k/2 projection.
     peak = traced_peak(lambda: lsh_assign(x, k, Rng(0)))
     assert peak < n * (k // 2) * FLOAT / 2
@@ -112,7 +115,7 @@ def test_window_density_fits_the_budget_on_64_threads(monkeypatch):
     a = lsh_assign(x, k, Rng(0))
     peak = traced_peak(lambda: lsh_density(x, a))
     # As above, with the whole scratch budget in place of the per-thread
-    # buffers, gathered rows included (the peak is 56 MB here). One m x 2m
+    # buffers, gathered rows included (the peak is 55.8 MiB here). One m x 2m
     # product for each of the 100 chunks (400 MB), or each of 64 threads
     # (256 MB), would break the bound.
     pool_sized = 3 * n * FLOAT
@@ -164,6 +167,17 @@ def test_a_row_view_gathers_straight_into_out():
     # mode="raise" buffers a temporary the size of out (2.56 MB here).
     assert peak < out.nbytes / 4
     assert np.array_equal(out, x.data[view.indices[positions]])
+
+
+def test_a_matrix_gathers_straight_into_out():
+    n, d = 20_000, 16
+    x = unit_rows(n, d, 8)
+    positions = np.arange(n)[::-1].copy()
+    out = np.empty((n, d))
+    peak = traced_peak(lambda: x.take(positions, out=out))
+    # As a row view's gather, which lsh_density makes on a matrix too.
+    assert peak < out.nbytes / 4
+    assert np.array_equal(out, x.data[positions])
 
 
 def test_a_select_holds_one_copy_of_the_pool(monkeypatch, tmp_path):
