@@ -188,8 +188,8 @@ def cmd_density(args) -> int:
                 file=sys.stderr,
             )
     lines = ["index,density,convention"]
-    for i, v in zip(profile.indices, profile.values):
-        lines.append(f"{int(i)},{float(v)!r},{profile.convention.value}")
+    for i, v in enumerate(profile.values):
+        lines.append(f"{i},{float(v)!r},{profile.convention.value}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {profile.values.size} densities -> {args.out}", file=sys.stderr)
     return EXIT_OK

@@ -57,28 +57,16 @@ class DensityConvention(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class DensityProfile:
-    """Per-sample density values aligned to an index list."""
+    """Per-sample density values: value i belongs to the i-th row the pass estimated."""
 
-    indices: np.ndarray
     values: np.ndarray
     convention: DensityConvention
     params: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", _readonly(np.asarray(self.indices, np.int64)))
         object.__setattr__(self, "values", _readonly(np.asarray(self.values, np.float64)))
-        if self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must have equal length")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("density values must be finite")
-
-    def lookup(self, indices) -> np.ndarray:
-        """Values for the given sample indices (indices field must be sorted)."""
-        idx = np.asarray(indices, np.int64)
-        pos = np.searchsorted(self.indices, idx)
-        if np.any(pos >= self.indices.size) or np.any(self.indices[np.minimum(pos, self.indices.size - 1)] != idx):
-            raise ValueError("density profile does not cover all requested indices")
-        return self.values[pos]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +128,6 @@ def exact_knn_density(
         nearest = np.partition(dist, k_nn - 1, axis=1)[:, :k_nn]
         values[start:stop] = nearest.mean(axis=1)
     return DensityProfile(
-        indices=np.arange(n, dtype=np.int64),
         values=values,
         convention=DensityConvention.DISTANCE_BASED,
         params={"estimator": "exact-knn", "k_nn": k_nn, "metric": metric},
@@ -253,15 +240,9 @@ def lsh_density(
         "chunk_size": assignment.chunk_size,
         "rotation_seed": assignment.rotation_seed,
     }
-    indices = np.arange(n, dtype=np.int64)
     if n < 2:
         warnings.warn("density over fewer than 2 samples is degenerate; returning 0")
-        return DensityProfile(
-            indices=indices,
-            values=np.zeros(n),
-            convention=DensityConvention.SIMILARITY_BASED,
-            params=params,
-        )
+        return DensityProfile(np.zeros(n), DensityConvention.SIMILARITY_BASED, params)
     m, d = assignment.chunk_size, x.d
     n_chunks = -(-n // m)
     width = min(n, 2 * m)  # widest window
@@ -316,12 +297,7 @@ def lsh_density(
     _parallel_ranges(n_chunks, n * width, 2 * product_cap + gather_cap, chunks)
     values = np.empty(n, dtype=np.float64)
     values[assignment.sorted_order] = vals_sorted
-    return DensityProfile(
-        indices=indices,
-        values=values,
-        convention=DensityConvention.SIMILARITY_BASED,
-        params=params,
-    )
+    return DensityProfile(values, DensityConvention.SIMILARITY_BASED, params)
 
 
 def pool_density(
@@ -332,17 +308,11 @@ def pool_density(
 ) -> DensityProfile:
     """Hash the given rows into n_buckets and estimate their window density.
 
-    The profile is keyed by sample index: value i belongs to indices[i], and
-    equals, bit for bit, what lsh_assign and lsh_density give on
-    features.rows(indices). No such copy is made: both read the rows in
-    place through a RowView, which gathers each hash block, stack and chunk
-    as a copy would hold it, so the pass adds no pool-sized float array.
+    Value i belongs to indices[i], and equals, bit for bit, what lsh_assign
+    and lsh_density give on features.rows(indices). No such copy is made:
+    both read the rows in place through a RowView, which gathers each hash
+    block, stack and chunk as a copy would hold it, so the pass adds no
+    pool-sized float array.
     """
     sub = RowView(features, indices)
-    local = lsh_density(sub, lsh_assign(sub, n_buckets, rng))
-    return DensityProfile(
-        indices=indices,
-        values=local.values,
-        convention=local.convention,
-        params=local.params,
-    )
+    return lsh_density(sub, lsh_assign(sub, n_buckets, rng))

@@ -41,6 +41,9 @@ def read_embeddings(path) -> FeatureMatrix:
         magic, n, d, flags = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ParseError(f"bad magic {magic!r} at byte offset 0; expected {MAGIC!r}")
+        for what, count, offset in (("rows", n, 8), ("columns", d, 16)):
+            if count == 0:
+                raise ParseError(f"header declares 0 {what} at byte offset {offset}; a pool needs one or more")
         expected = n * d * 4
         actual = size - _HEADER.size
         if expected != actual:

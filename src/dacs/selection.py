@@ -25,7 +25,7 @@ from .core import (
     _parallel_ranges,
     _readonly,
 )
-from .density import DensityProfile, pool_density
+from .density import pool_density
 from .partition import allocate_budget, jenks_breaks
 
 STRATEGY_RANDOM = "random"
@@ -135,14 +135,16 @@ def kcenter_greedy(
     reference,
     n_pick: int,
     features: FeatureMatrix,
-    density: DensityProfile | None = None,
+    density: np.ndarray | None = None,
 ):
     """Greedy facility placement under cosine similarity.
 
     Each step picks the candidate minimizing its maximum similarity to the
     reference set plus prior picks, breaking ties toward the lowest index.
     With an empty reference the first center is the lowest-density candidate
-    when a profile is given, else the lowest index; its trace entry is -inf.
+    when density (one value per candidate, in candidate order; a repeated
+    candidate keeps its first value) is given, else the lowest index; its
+    trace entry is -inf.
 
     The candidate rows are gathered once per call; each pick then costs one
     matrix-vector product into a reused buffer and an in-place maximum.
@@ -152,10 +154,13 @@ def kcenter_greedy(
     if not features.unit_norm:
         raise ValueError("greedy k-center requires unit-norm features")
     cand = np.asarray(candidates, np.int64).ravel()
+    if density is not None and np.shape(density) != cand.shape:
+        raise ValueError(f"{np.size(density)} density values for {cand.size} candidates")
     # Callers pass strictly increasing candidates, which np.unique (a hash or a
-    # sort) would return unchanged.
+    # sort) would return unchanged; each density value goes with its candidate.
     if np.any(cand[1:] <= cand[:-1]):
-        cand = np.unique(cand)
+        cand, first = np.unique(cand, return_index=True)
+        density = None if density is None else np.asarray(density)[first]
     ref = np.asarray(reference, np.int64)
     if n_pick < 0:
         raise ValueError("n_pick must be non-negative")
@@ -173,7 +178,7 @@ def kcenter_greedy(
         # -2 lies below every cosine of unit rows, and the first center's
         # -inf below that, so the loop takes it first and traces it at -inf.
         maxsim = np.full(cand.size, -2.0)
-        maxsim[int(np.argmin(density.lookup(cand))) if density is not None else 0] = -np.inf
+        maxsim[int(np.argmin(density)) if density is not None else 0] = -np.inf
     sim = np.empty(cand.size)
     while len(picked) < n_pick:
         pos = int(np.argmin(maxsim))
@@ -227,7 +232,7 @@ def dacs_select(
         cand = pool.unlabeled[members]
         n_i = int(partition.budgets[ci])
         ref = np.concatenate([pool.labeled, np.asarray(running, np.int64)])
-        picked, trace = kcenter_greedy(cand, ref, n_i, features, density=profile)
+        picked, trace = kcenter_greedy(cand, ref, n_i, features, density=profile.values[members])
         running.extend(picked)
         trace_all.extend(trace)
         per_cluster.append(ClusterSelection(cluster=ci, budget=n_i, selected=picked))
@@ -298,7 +303,7 @@ def region_only_select(
             f"budget {n_pick} exceeds {which} class size {cand.size}; clamping"
         )
         n_pick = cand.size
-    picked, trace = kcenter_greedy(cand, pool.labeled, n_pick, features, density=profile)
+    picked, trace = kcenter_greedy(cand, pool.labeled, n_pick, features, density=profile.values[members])
     strategy = STRATEGY_SPARSE_ONLY if which == "sparsest" else STRATEGY_DENSE_ONLY
     return AcquisitionResult(
         selected=picked,

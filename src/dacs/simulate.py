@@ -207,7 +207,7 @@ def subset_metrics(selected, outputs: ModelOutputs, embeddings: FeatureMatrix):
 def density_uncertainty_correlation(outputs: ModelOutputs, density: DensityProfile):
     """Pearson correlations (rho_entropy, rho_loss) of density against uncertainty.
 
-    outputs must align row-for-row with density.indices. rho_loss is None when
+    outputs must align row-for-row with density.values. rho_loss is None when
     the outputs carry no per-sample loss (no labels were given). Zero variance
     in any input raises UndefinedCorrelationError.
     """

@@ -129,11 +129,8 @@ class TestReadOnlyFields:
         self.assert_frozen_view(UncertaintyScores(scores=a).scores, a)
 
     def test_density_profile(self):
-        idx, vals = np.arange(4), np.linspace(0.0, 1.0, 4)
-        profile = DensityProfile(
-            indices=idx, values=vals, convention=DensityConvention.SIMILARITY_BASED, params={}
-        )
-        self.assert_frozen_view(profile.indices, idx)
+        vals = np.linspace(0.0, 1.0, 4)
+        profile = DensityProfile(values=vals, convention=DensityConvention.SIMILARITY_BASED, params={})
         self.assert_frozen_view(profile.values, vals)
 
     def test_non_contiguous_input_is_copied_once(self):

@@ -572,18 +572,16 @@ class TestRankAgreement:
 
 
 class TestPoolDensity:
-    def test_equals_lsh_density_of_the_rows_keyed_by_index(self):
+    def test_equals_lsh_density_of_the_rows_in_index_order(self):
         gen = Rng(40, "pool").generator()
         x = normalize_rows(FeatureMatrix(gen.standard_normal((80, 5))))
         idx = np.flatnonzero(gen.random(80) < 0.6)
         got = pool_density(x, idx, 6, Rng(41, "pd"))
         sub = x.rows(idx)
         want = lsh_density(sub, lsh_assign(sub, 6, Rng(41, "pd")))
-        assert got.indices.tolist() == idx.tolist()
         assert got.values.tobytes() == want.values.tobytes()
         assert got.params == want.params
         assert got.convention is want.convention
-        assert got.lookup(idx[::-1]).tobytes() == want.values[::-1].tobytes()
 
     # (pool rows, indexed rows, buckets): 12-row chunks that stack; 383-row
     # chunks too large to stack, multiplied in tiles; 9,000 rows hashed over
@@ -615,5 +613,4 @@ class TestPoolDensity:
         assert (rows > 2 * dacs.density._HASH_BLOCK) == (rows == 9000)
         want = lsh_density(sub, a)
         got = pool_density(x, idx, buckets, Rng(43, "pd"))
-        assert got.indices.tolist() == idx.tolist()
         assert got.values.tobytes() == want.values.tobytes()

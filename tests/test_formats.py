@@ -69,6 +69,15 @@ class TestBinaryEmbeddings:
         with pytest.raises(ParseError, match="promises 48 bytes.*found 56"):
             read_embeddings(path)
 
+    # (rows, columns, offset of the zero count): 2^62 x 0 rows promise an
+    # empty payload too large to shape; 3 x 0 and 0 x 4 an empty matrix.
+    @pytest.mark.parametrize("n, d, offset", [(2**62, 0, 16), (3, 0, 16), (0, 4, 8)])
+    def test_a_header_with_no_rows_or_no_columns_names_its_offset(self, tmp_path, n, d, offset):
+        path = tmp_path / "emb.bin"
+        path.write_bytes(MAGIC + n.to_bytes(8, "little") + d.to_bytes(8, "little") + b"\x00")
+        with pytest.raises(ParseError, match=f"header declares 0 .* at byte offset {offset};"):
+            read_embeddings(path)
+
     def test_header_layout_is_fixed(self, tmp_path):
         x = f32_matrix(n=3, d=4)
         path = tmp_path / "emb.bin"

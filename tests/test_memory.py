@@ -191,15 +191,20 @@ def test_a_select_holds_one_copy_of_the_pool(monkeypatch, tmp_path):
             "--strategy", "dacs", "--out", str(out)]
     peak = traced_peak(lambda: dacs.cli.main(argv))
     clusters = json.loads(out.read_text())["diagnostics"]["clusters"]
-    m = (n - n // 100) // 100  # chunk rows at 100 buckets
-    # The pool; chunk 0's m x m product; one k-center tile; the largest
-    # class's gathered rows; plus 1 MB. A second copy of the pool (25.6 MB
-    # here), such as the unlabeled rows copied out for the density pass,
-    # would break the bound.
+    largest = max(c["size"] for c in clusters)
+    # The select peaks inside kcenter_greedy. It holds the pool; 3
+    # index-sized vectors (the unlabeled indices, their densities and their
+    # class members); the largest class's gathered rows and 5 vectors of its
+    # size (candidates, their densities, the first pass's maxima, the running
+    # maxima, one pick's similarities); one gathered reference block; one
+    # k-center tile; plus 1 MB. A second copy of the pool (25.6 MB here),
+    # such as the unlabeled rows copied out for the density pass, would
+    # break the bound.
     bound = (
         n * d
-        + m * m
+        + 3 * n
+        + largest * (d + 5)
+        + _REF_BLOCK * d
         + _CAND_TILE * _REF_BLOCK
-        + max(c["size"] for c in clusters) * d
     ) * FLOAT + 2**20
     assert peak < bound

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dacs.core import AcquisitionConfig, FeatureMatrix, Rng, make_pool
-from dacs.density import DensityConvention, DensityProfile
 from dacs.partition import allocate_budget
 import dacs.core
 import dacs.selection
@@ -60,6 +59,15 @@ def greedy_oracle(X, candidates, reference, n_pick):
     return picked, trace
 
 
+def density_by_candidate(candidates, density):
+    """Reference: each distinct candidate's first density value, in increasing
+    candidate order, as kcenter_greedy reads density (one value per candidate)."""
+    first = {}
+    for c, v in zip(np.asarray(candidates, np.int64).ravel().tolist(), density):
+        first.setdefault(c, v)
+    return np.array([first[c] for c in sorted(first)])
+
+
 def gather_every_pick_greedy(candidates, reference, n_pick, features, density=None):
     """Reference: the cached greedy that gathers the candidate rows afresh for
     the initial max-similarity pass and again on every pick."""
@@ -73,7 +81,7 @@ def gather_every_pick_greedy(candidates, reference, n_pick, features, density=No
             sims = X[cand] @ X[ref[start : start + 2048]].T
             np.maximum(maxsim, sims.max(axis=1), out=maxsim)
     else:
-        first_pos = 0 if density is None else int(np.argmin(density.lookup(cand)))
+        first_pos = 0 if density is None else int(np.argmin(density_by_candidate(candidates, density)))
         u = int(cand[first_pos])
         picked.append(u)
         trace.append(-math.inf)
@@ -118,7 +126,7 @@ def brute_force_greedy(candidates, reference, n_pick, features, density=None):
         if density is None:
             first = 0
         else:
-            vals = density.lookup(cand)
+            vals = density_by_candidate(candidates, density)
             first = min(range(cand.size), key=lambda i: (vals[i], i))
         taken.append(first)
         trace.append(-math.inf)
@@ -147,14 +155,9 @@ def tied_sphere_rows(seed, n, d, n_distinct, lattice):
     return FeatureMatrix(unit(base[gen.integers(0, n_distinct, size=n)]), unit_norm=True)
 
 
-def tied_profile(n, seed):
-    values = Rng(seed, "tied-density").generator().integers(0, 3, size=n).astype(np.float64)
-    return DensityProfile(
-        indices=np.arange(n),
-        values=values,
-        convention=DensityConvention.SIMILARITY_BASED,
-        params={},
-    )
+def tied_densities(n, seed):
+    """One of 3 density values per sample index."""
+    return Rng(seed, "tied-density").generator().integers(0, 3, size=n).astype(np.float64)
 
 
 def assert_matches_brute_force(cand, ref, n_pick, X, density=None):
@@ -184,13 +187,13 @@ class TestKcenterBruteForce:
         cand = list(order[n_ref:])
         cand += data.draw(st.lists(st.sampled_from(cand), max_size=4), label="repeats")
         n_pick = data.draw(st.integers(0, len(set(cand))), label="n_pick")
-        density = tied_profile(n, n) if data.draw(st.booleans(), label="density") else None
+        density = tied_densities(n, n)[cand] if data.draw(st.booleans(), label="density") else None
         assert_matches_brute_force(cand, ref, n_pick, X, density)
 
     @pytest.mark.parametrize("with_density", [False, True])
     def test_empty_reference_takes_every_candidate(self, with_density):
         X = tied_sphere_rows(3, 12, 3, 4, lattice=True)
-        density = tied_profile(12, 3) if with_density else None
+        density = tied_densities(12, 3) if with_density else None
         assert_matches_brute_force(np.arange(12), [], 12, X, density)
 
     @pytest.mark.parametrize("n_ref", [0, 3])
@@ -354,14 +357,9 @@ class TestKcenterGreedy:
         X = sphere_points(4000, 16, 7)
         ref = np.sort(Rng(7, "ref").generator().choice(4000, size=n_ref, replace=False))
         cand = np.setdiff1d(np.arange(4000), ref)
-        profile = DensityProfile(
-            indices=np.arange(4000),
-            values=Rng(7, "dens").generator().uniform(size=4000),
-            convention=DensityConvention.SIMILARITY_BASED,
-            params={},
-        )
-        got = kcenter_greedy(cand, ref, 150, X, density=profile)
-        want = gather_every_pick_greedy(cand, ref, 150, X, density=profile)
+        density = Rng(7, "dens").generator().uniform(size=4000)[cand]
+        got = kcenter_greedy(cand, ref, 150, X, density=density)
+        want = gather_every_pick_greedy(cand, ref, 150, X, density=density)
         assert got[0] == want[0]
         assert got[1] == want[1]
 
@@ -380,14 +378,21 @@ class TestKcenterGreedy:
 
     def test_cold_start_with_profile_takes_sparsest(self):
         X = sphere_points(10, 4, 0)
-        profile = DensityProfile(
-            indices=np.arange(10),
-            values=np.array([5.0, 5, 5, 9, 5, 5, 5, 1.0, 5, 5]),
-            convention=DensityConvention.SIMILARITY_BASED,
-            params={},
-        )
-        picked, _ = kcenter_greedy([3, 7, 9], [], 2, X, density=profile)
+        picked, _ = kcenter_greedy([3, 7, 9], [], 2, X, density=[9.0, 1.0, 5.0])
         assert picked[0] == 7
+
+    def test_cold_start_carries_the_density_of_unsorted_repeated_candidates(self):
+        # Sorted and deduplicated, the candidates are [3, 7, 9] with densities
+        # [9, 1, 5]; the densities read by position would start at candidate 9.
+        X = sphere_points(10, 4, 0)
+        picked, trace = kcenter_greedy([9, 3, 7, 3, 9], [], 2, X, density=[5.0, 9.0, 1.0, 9.0, 5.0])
+        assert picked[0] == 7
+        assert trace[0] == -math.inf
+
+    def test_refuses_a_density_that_is_not_one_value_per_candidate(self):
+        X = sphere_points(10, 4, 0)
+        with pytest.raises(ValueError, match="2 density values for 3 candidates"):
+            kcenter_greedy([3, 7, 9], [], 2, X, density=[1.0, 2.0])
 
     def test_rejects_overdraw(self):
         X = sphere_points(5, 3, 1)
@@ -496,7 +501,7 @@ class TestDacsSelect:
             # every class sees the labeled rows and the earlier classes' picks
             ref = pool.labeled.tolist() + running
             picked, t = brute_force_greedy(
-                pool.unlabeled[members], ref, int(partition.budgets[ci]), X, density=profile
+                pool.unlabeled[members], ref, int(partition.budgets[ci]), X, density=profile.values[members]
             )
             assert got.per_cluster[ci].selected == picked
             running += picked

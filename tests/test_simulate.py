@@ -186,7 +186,6 @@ class TestDensityUncertaintyCorrelation:
     def profile(self, values):
         v = np.asarray(values, dtype=np.float64)
         return DensityProfile(
-            indices=np.arange(v.size),
             values=v,
             convention=DensityConvention.SIMILARITY_BASED,
             params={},
