@@ -184,7 +184,12 @@ class Rng:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Immutable (n, d) float64 matrix; rows are samples.
+    """Immutable (n, d) matrix of float32 or float64 values; rows are samples.
+
+    A float32 or float64 array is kept as given (a binary pool stays in the
+    float32 form of its file); anything else becomes float64. Every float32
+    value converts to float64 exactly, so the kernels read float64 rows
+    through take, which upcasts only the rows it gathers.
 
     unit_norm advertises that every row has L2 norm 1 within UNIT_NORM_TOL,
     and is validated at construction. The underlying array is read-only.
@@ -194,18 +199,29 @@ class FeatureMatrix:
     unit_norm: bool = False
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        if data.dtype not in (np.float32, np.float64):
+            data = data.astype(np.float64)
         if data.ndim != 2:
             raise ValueError(f"feature matrix must be 2-D, got shape {data.shape}")
         n, d = data.shape
         if n < 1 or d < 1:
             raise ValueError(f"feature matrix must be non-empty, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("feature matrix contains non-finite values")
         object.__setattr__(self, "data", _readonly(data))
+        # Both checks read float64 blocks of 2^15 values (256 kB), the rows
+        # the kernels will read, so no n x d temporary is made.
+        norms = np.empty(n) if self.unit_norm else None
+        step = max(1, (1 << 15) // d)
+        for a in range(0, n, step):
+            block = self.data[a : a + step].astype(np.float64, copy=False)
+            if not np.all(np.isfinite(block)):
+                raise ValueError("feature matrix contains non-finite values")
+            if self.unit_norm:
+                np.einsum("ij,ij->i", block, block, out=norms[a : a + step])
         if self.unit_norm:
-            norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data))  # no n x d temporary
-            off = np.abs(norms - 1.0)
+            np.sqrt(norms, out=norms)
+            off = norms - 1.0
+            np.abs(off, out=off)
             if np.any(off > UNIT_NORM_TOL):
                 row = int(np.argmax(off))
                 raise ValueError(
@@ -225,12 +241,29 @@ class FeatureMatrix:
         return FeatureMatrix(self.data[_row_selection(indices, self.n)], unit_norm=self.unit_norm)
 
     def take(self, positions, out=None) -> np.ndarray:
-        """Copies of the rows at `positions`, written into `out` when given.
+        """float64 copies of the rows at `positions`, written into `out` when given.
 
-        The positions are range-checked first, so np.take gathers with
-        mode="clip", straight into `out`, as RowView.take does.
+        The positions are range-checked first, so the gather's clipping
+        never acts, as in RowView.take.
         """
-        return np.take(self.data, _row_selection(positions, self.n), axis=0, out=out, mode="clip")
+        return _gather(self.data, _row_selection(positions, self.n), out)
+
+
+def _gather(data: np.ndarray, rows: np.ndarray, out) -> np.ndarray:
+    """data[rows] as float64, written into `out` when given.
+
+    mode="clip" never clips here, as the callers check the rows, and, unlike
+    the default "raise", lets np.take write a float64 source's rows straight
+    into `out` with no temporary of its size. np.take refuses a float32
+    source with a float64 `out`, so those rows are gathered, then upcast.
+    """
+    if data.dtype == np.float64:
+        return np.take(data, rows, axis=0, out=out, mode="clip")
+    gathered = np.take(data, rows, axis=0, mode="clip")
+    if out is None:
+        return gathered.astype(np.float64)
+    out[...] = gathered
+    return out
 
 
 def _row_selection(indices, n: int) -> np.ndarray:
@@ -272,27 +305,27 @@ class RowView:
         return self.parent.unit_norm
 
     def take(self, positions, out=None) -> np.ndarray:
-        """Copies of rows `positions` of the view, written into `out` when given.
+        """float64 copies of rows `positions` of the view, written into `out` when given.
 
         A bad position raises as it indexes the view's indices, which were
-        range-checked when the view was built; so np.take can gather with
-        mode="clip", which never clips here and, unlike the default "raise",
-        writes straight into `out` with no temporary of its size.
+        range-checked when the view was built, so the gather never clips.
         """
-        return np.take(self.parent.data, self.indices[positions], axis=0, out=out, mode="clip")
+        return _gather(self.parent.data, self.indices[positions], out)
 
 
 def normalize_rows(x: FeatureMatrix) -> FeatureMatrix:
     """L2-normalize every row.
 
-    Raises DegenerateInputError naming the first zero-norm row. Idempotent on
-    already-normalized input within IDEMPOTENCE_TOL.
+    The result is float64 whatever the input's form, computed on float64
+    rows. Raises DegenerateInputError naming the first zero-norm row.
+    Idempotent on already-normalized input within IDEMPOTENCE_TOL.
     """
-    norms = np.linalg.norm(x.data, axis=1)
+    norms = np.linalg.norm(x.data.astype(np.float64, copy=False), axis=1)
     zero = norms == 0.0
     if np.any(zero):
         row = int(np.argmax(zero))
         raise DegenerateInputError(f"row {row} has zero norm", row=row)
+    # float32 rows are upcast, exactly, before they are divided
     return FeatureMatrix(x.data / norms[:, None], unit_norm=True)
 
 

@@ -99,15 +99,16 @@ def exact_knn_density(
 ) -> DensityProfile:
     """Mean distance to the k_nn nearest other samples (self excluded).
 
-    Quadratic in n; rows are processed in blocks to bound memory. Distance-based
-    convention: larger values mean sparser neighborhoods.
+    Quadratic in n; rows are processed in blocks to bound memory, in float64
+    whatever the pool's form. Distance-based convention: larger values mean
+    sparser neighborhoods.
     """
     n = x.n
     if not 1 <= k_nn < n:
         raise ValueError(f"k_nn must be in [1, n); got k_nn={k_nn}, n={n}")
     if metric not in (METRIC_EUCLIDEAN, METRIC_COSINE):
         raise ValueError(f"unknown metric {metric!r}")
-    X = x.data
+    X = x.data.astype(np.float64, copy=False)
     if metric == METRIC_COSINE:
         norms = np.linalg.norm(X, axis=1)
         if np.any(norms == 0.0):

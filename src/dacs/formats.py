@@ -3,7 +3,9 @@
 The embedding container is a fixed little-endian layout: 8-byte magic
 "DACSEMB1", u64 row count, u64 column count, one flag byte (bit 0 = rows are
 unit-norm), then n*d float32 values row-major. A CSV fallback with header
-f0..f{d-1} covers hand-made inputs. Parse failures name the byte offset or line
+f0..f{d-1} covers hand-made inputs. A binary pool stays float32, as its file
+holds it, and a CSV pool is float64; the kernels read both as float64 rows
+(FeatureMatrix.take). Parse failures name the byte offset or line
 so the CLI can report them cleanly.
 """
 
@@ -30,7 +32,7 @@ class ParseError(ValueError):
 
 
 def read_embeddings(path) -> FeatureMatrix:
-    """Read the binary container; the file size is checked before the payload is read."""
+    """Read the binary container into a float32 pool; the file size is checked before the payload is read."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_HEADER.size)
@@ -52,8 +54,8 @@ def read_embeddings(path) -> FeatureMatrix:
                 f"header promises {expected} bytes ({n}x{d} float32), found {actual}"
             )
         payload = fh.read(expected)
-    data = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
-    del payload  # the float32 bytes go before the matrix is validated
+    # The payload is the pool: FeatureMatrix keeps float32 rows as they are.
+    data = np.frombuffer(payload, dtype="<f4").reshape(n, d)
     return FeatureMatrix(data, unit_norm=bool(flags & FLAG_UNIT_NORM))
 
 

@@ -86,15 +86,20 @@ _CAND_TILE = 384
 
 
 def _max_similarity(
-    Xc: np.ndarray, X: np.ndarray, ref: np.ndarray, block: int = _REF_BLOCK, tile: int = _CAND_TILE
+    Xc: np.ndarray,
+    features: FeatureMatrix,
+    ref: np.ndarray,
+    block: int = _REF_BLOCK,
+    tile: int = _CAND_TILE,
 ) -> np.ndarray:
-    """max over reference rows of X of cosine similarity, per row of Xc.
+    """max over reference rows of features of cosine similarity, per row of Xc.
 
-    Each block of reference rows is gathered once. The candidate rows then
-    meet it in tiles of `tile` rows, each tile's product written into a
-    reused buffer and its row maxima folded into the output. Every value is
-    the one a single candidates x block product gives; a bit-exact oracle
-    test checks this, since no BLAS documents it (see _CAND_TILE).
+    Each block of reference rows is gathered once, as float64 rows (take).
+    The candidate rows then meet it in tiles of `tile` rows, each tile's
+    product written into a reused buffer and its row maxima folded into the
+    output. Every value is the one a single candidates x block product
+    gives; a bit-exact oracle test checks this, since no BLAS documents it
+    (see _CAND_TILE).
 
     BLAS takes its matrix-vector path, which rounds differently, for a
     product with one row or one column. So no product has a single row
@@ -113,7 +118,7 @@ def _max_similarity(
     tile = max(tile, 2)
     starts = range(0, n, tile)
     for start in range(0, ref.size, block):
-        R = X[ref[start : start + block]].T
+        R = features.take(ref[start : start + block]).T
         if R.shape[1] == 1:
             np.maximum(out, (Xc @ R)[:, 0], out=out)
             continue
@@ -146,8 +151,9 @@ def kcenter_greedy(
     candidate keeps its first value) is given, else the lowest index; its
     trace entry is -inf.
 
-    The candidate rows are gathered once per call; each pick then costs one
-    matrix-vector product into a reused buffer and an in-place maximum.
+    The candidate rows are gathered once per call, as float64 rows; each
+    pick then costs one matrix-vector product with its own gathered row into
+    a reused buffer and an in-place maximum.
 
     Returns (picked indices in selection order, per-pick max-similarity trace).
     """
@@ -168,12 +174,11 @@ def kcenter_greedy(
         raise ValueError(f"cannot pick {n_pick} from {cand.size} candidates")
     if n_pick == 0:
         return [], []
-    X = features.data
-    Xc = X[cand]
+    Xc = features.take(cand)
     picked: list[int] = []
     trace: list[float] = []
     if ref.size:
-        maxsim = _max_similarity(Xc, X, ref)
+        maxsim = _max_similarity(Xc, features, ref)
     else:
         # -2 lies below every cosine of unit rows, and the first center's
         # -inf below that, so the loop takes it first and traces it at -inf.
@@ -183,9 +188,8 @@ def kcenter_greedy(
     while len(picked) < n_pick:
         pos = int(np.argmin(maxsim))
         trace.append(float(maxsim[pos]))
-        u = int(cand[pos])
-        picked.append(u)
-        np.matmul(Xc, X[u], out=sim)
+        picked.append(int(cand[pos]))
+        np.matmul(Xc, Xc[pos], out=sim)
         np.maximum(maxsim, sim, out=maxsim)
         maxsim[pos] = np.inf
     return picked, trace

@@ -674,6 +674,68 @@ class TestDensityCommand:
         assert out.read_bytes() == want
 
 
+# sha256 of each output of TestBinaryPool, recorded on one BLAS thread while
+# read_embeddings still turned the float32 payload into a float64 pool:
+# density CSVs as written, select JSON sorted with its timings removed.
+BINARY_POOL_SHA256 = {
+    "density-exact": "65ce9d313acfafd7005b06d36d78d591d7308ed509104c7263a3f2911a2153ab",
+    "density-lsh": "7691b9f286da3cd4a5f9f7c5ea6d19f90dea36559f75266101e3833e8e5602e6",
+    "select-coreset": "cbf82e494a3fa36a660792a14400aa2f70757e655b43cd4f23322764332733b7",
+    "select-dacs": "d4f47edb785edc696cfe5807ac0af7493b16052a046816867a5a44a15bb0f3d7",
+}
+
+
+class TestBinaryPool:
+    """A seeded binary pool not flagged unit-norm, so every command reads its
+    float32 rows through normalize_rows or the exact k-NN oracle."""
+
+    COMMANDS = {
+        "density-exact": ["density", "--mode", "exact", "--knn", "5"],
+        "density-lsh": ["density", "--mode", "lsh", "--buckets", "20", "--seed", "0"],
+        "select-coreset": ["select", "--budget", "40", "--strategy", "coreset"],
+        "select-dacs": ["select", "--budget", "40", "--strategy", "dacs", "--buckets", "20", "--seed", "0"],
+    }
+
+    def output_digest(self, tmp_path, name, writer, fmt, run=main):
+        """sha256 of the output of command `name` on the pool written by `writer` in `fmt`."""
+        gen = Rng(9, "binary-pool").generator()
+        # off-centre rows of norm about 13, rounded to float32 as the file stores them
+        rows = (3.0 * gen.normal(size=(3000, 16)) + 1.5).astype(np.float32).astype(np.float64)
+        pool, labeled, out = tmp_path / f"pool.{fmt}", tmp_path / "labeled.txt", tmp_path / "out"
+        writer(pool, FeatureMatrix(rows))
+        argv = [*self.COMMANDS[name], "--embeddings", str(pool), "--format", fmt, "--out", str(out)]
+        if argv[0] == "select":
+            labeled.write_text("".join(f"{i}\n" for i in range(0, 3000, 100)))
+            argv += ["--labeled", str(labeled)]
+        assert run(argv) == EXIT_OK
+        if argv[0] == "density":
+            return hashlib.sha256(out.read_bytes()).hexdigest()
+        payload = json.loads(out.read_text())
+        del payload["timings"]
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+    @staticmethod
+    def on_one_blas_thread(argv) -> int:
+        # A threaded BLAS rounds some density products' last bits otherwise;
+        # OpenBLAS reads its thread count when it loads, hence a fresh interpreter.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(dacs.cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dacs.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return proc.returncode
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_outputs_are_pinned(self, tmp_path, name):
+        got = self.output_digest(tmp_path, name, write_embeddings, "binary", run=self.on_one_blas_thread)
+        assert got == BINARY_POOL_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_a_csv_of_the_same_values_gives_the_same_output(self, tmp_path, name):
+        csv = self.output_digest(tmp_path, name, write_embeddings_csv, "csv")
+        assert csv == self.output_digest(tmp_path, name, write_embeddings, "binary")
+
+
 def write_sim_config(path, **overrides):
     base = {
         "classes": 3,

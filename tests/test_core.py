@@ -70,9 +70,11 @@ class TestFeatureMatrix:
         x = FeatureMatrix(np.ones((3, 2)))
         assert x.n == 3 and x.d == 2
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, dtype, value):
         with pytest.raises(ValueError, match="finite"):
-            FeatureMatrix(np.array([[1.0, np.nan]]))
+            FeatureMatrix(np.array([[1.0, value]], dtype=dtype))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -100,6 +102,63 @@ class TestFeatureMatrix:
         x = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             x.rows([2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float32_and_float64_are_kept_as_given(self, dtype):
+        a = np.ones((3, 2), dtype=dtype)
+        assert FeatureMatrix(a).data.dtype == dtype
+        assert np.shares_memory(FeatureMatrix(a).data, a)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+    def test_other_types_become_float64(self, dtype):
+        assert FeatureMatrix(np.ones((3, 2), dtype=dtype)).data.dtype == np.float64
+
+    # Two float32 rows whose float64 norms lie 9.95e-7 below 1 (inside
+    # UNIT_NORM_TOL) and 1.014e-6 above it (outside). Their float32 norms,
+    # sqrt(1 - 1.00e-6) and 1 + 0.95e-6, would swap both verdicts; the
+    # check reads float64 rows, as it did when the pool was made float64.
+    INSIDE = [
+        -0.1989680677652359, 0.44536957144737244, -0.07577595859766006, 0.41512665152549744,
+        -0.11411331593990326, -0.19392602145671844, 0.0658612921833992, 0.27196481823921204,
+        0.042453642934560776, -0.15438729524612427, -0.35364148020744324, -0.3695409893989563,
+        0.1325431615114212, 0.2609591484069824, -0.043319810181856155, -0.2832794487476349,
+    ]
+    OUTSIDE = [
+        -0.038848940283060074, -0.3762262463569641, 0.2626264691352844, -0.49391990900039673,
+        -0.06124649569392204, -0.05220663174986839, -0.26620161533355713, 0.1565064787864685,
+        -0.051136378198862076, -0.11151548475027084, 0.13269536197185516, -0.12165208905935287,
+        0.3545525372028351, 0.08971280604600906, -0.12107875943183899, -0.4962952136993408,
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unit_norm_verdicts_at_the_tolerance_edge(self, dtype):
+        assert FeatureMatrix(np.array([self.INSIDE], dtype=dtype), unit_norm=True).unit_norm
+        with pytest.raises(ValueError, match=r"^unit_norm flag set but row 1 has norm 1\.000001014$"):
+            FeatureMatrix(np.array([self.INSIDE, self.OUTSIDE], dtype=dtype), unit_norm=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unit_norm_error_names_the_first_largest_miss(self, dtype):
+        # 100,000 rows: the misses lie far apart, row 40,000's and row
+        # 90,000's equal and largest.
+        a = np.zeros((100_000, 2), dtype=dtype)
+        a[:, 0] = 1.0
+        a[[5, 40_000, 90_000], 0] = [1.5, 3.0, 3.0]
+        with pytest.raises(ValueError, match=r"row 40000 has norm 3\.000000000$"):
+            FeatureMatrix(a, unit_norm=True)
+
+    def test_take_gives_float64_rows_of_a_float32_matrix(self):
+        gen = Rng(4, "take").generator()
+        data = gen.normal(size=(50, 6)).astype(np.float32)
+        x = FeatureMatrix(data)
+        view = RowView(x, np.arange(3, 50, 2))
+        idx = np.array([7, 0, 7, 19, 2])
+        for source, rows in ((x, idx), (view, view.indices[idx])):
+            want = data.astype(np.float64)[rows]
+            got = source.take(idx)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            out = np.empty((idx.size, 6))
+            assert source.take(idx, out=out) is out
+            assert np.array_equal(out, want)
 
 
 class TestReadOnlyFields:

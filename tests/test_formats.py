@@ -32,6 +32,9 @@ class TestBinaryEmbeddings:
         back = read_embeddings(path)
         assert np.array_equal(back.data, x.data)
         assert back.unit_norm is False
+        # the pool is the float32 payload; its rows are gathered as float64
+        assert back.data.dtype == np.float32 and not back.data.flags.writeable
+        assert np.array_equal(back.take(np.arange(x.n)), x.data)
 
     def test_unit_norm_flag_survives(self, tmp_path):
         x = FeatureMatrix(np.eye(4, 6), unit_norm=True)

@@ -122,14 +122,16 @@ def test_window_density_fits_the_budget_on_64_threads(monkeypatch):
     assert peak < pool_sized + dacs.core._SCRATCH_BUDGET * FLOAT + 2**20
 
 
-def test_unit_norm_check_holds_no_row_sized_temporary():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unit_norm_check_holds_no_row_sized_temporary(dtype):
     n, d = 50_000, 16
-    data = unit_rows(n, d, 4).data
+    data = unit_rows(n, d, 4).data.astype(dtype)
     peak = traced_peak(lambda: FeatureMatrix(data, unit_norm=True))
-    # The n x d finite mask (bools) and a few n-sized vectors, plus 1 MB. An
-    # n x d float64 temporary, as np.linalg.norm(axis=1) makes (6.4 MB
-    # here), would break the bound.
-    assert peak < n * d + 2**20
+    # The n-sized norms and their misses (400 kB each here) and one float64
+    # row block, under 1 MB. The n x d finite mask (800 kB) beside them, a
+    # float64 copy of a float32 pool (6.4 MB), or an n x d float64
+    # temporary, as np.linalg.norm(axis=1) makes, would break the bound.
+    assert peak < 2**20
 
 
 def test_reading_embeddings_drops_the_raw_bytes(tmp_path):
@@ -137,11 +139,10 @@ def test_reading_embeddings_drops_the_raw_bytes(tmp_path):
     path = tmp_path / "pool.bin"
     write_embeddings(path, unit_rows(n, d, 5))
     peak = traced_peak(lambda: read_embeddings(path))
-    # The float64 matrix and, while it is converted, its float32 payload,
-    # plus 1 MB. The payload kept through validation beside the n x d finite
-    # mask (3.2 MB here), or one more float64 pool (25.6 MB), would break
-    # the bound.
-    assert peak < n * d * (FLOAT + 4) + 2**20
+    # The float32 payload, which is the pool, plus 1 MB. A float64 pool
+    # beside it (25.6 MB here), or an n x d finite mask (3.2 MB), would
+    # break the bound.
+    assert peak < n * d * 4 + 2**20
 
 
 def test_pool_density_copies_no_indexed_rows(monkeypatch):
@@ -180,6 +181,19 @@ def test_a_matrix_gathers_straight_into_out():
     assert np.array_equal(out, x.data[positions])
 
 
+def test_a_float32_pool_gathers_through_one_float32_temporary():
+    n, d = 40_000, 16
+    data = unit_rows(n, d, 8).data.astype(np.float32)
+    positions = np.arange(1, n, 2)[::-1].copy()
+    out = np.empty((positions.size, d))
+    peak = traced_peak(lambda: FeatureMatrix(data, unit_norm=True).take(positions, out=out))
+    # The float32 rows gathered (1.28 MB here) before they are upcast into
+    # out, plus 256 kB. A float64 copy of the pool (5.12 MB), or a float64
+    # temporary of out's size (2.56 MB), would break the bound.
+    assert peak < out.nbytes / 2 + 2**18
+    assert np.array_equal(out, data.astype(np.float64)[positions])
+
+
 def test_a_select_holds_one_copy_of_the_pool(monkeypatch, tmp_path):
     # One thread, so one thread's scratch counts.
     monkeypatch.setattr(dacs.core, "_worker_count", lambda: 1)
@@ -192,17 +206,16 @@ def test_a_select_holds_one_copy_of_the_pool(monkeypatch, tmp_path):
     peak = traced_peak(lambda: dacs.cli.main(argv))
     clusters = json.loads(out.read_text())["diagnostics"]["clusters"]
     largest = max(c["size"] for c in clusters)
-    # The select peaks inside kcenter_greedy. It holds the pool; 3
+    # The select peaks inside kcenter_greedy. It holds the float32 pool; 3
     # index-sized vectors (the unlabeled indices, their densities and their
-    # class members); the largest class's gathered rows and 5 vectors of its
-    # size (candidates, their densities, the first pass's maxima, the running
-    # maxima, one pick's similarities); one gathered reference block; one
-    # k-center tile; plus 1 MB. A second copy of the pool (25.6 MB here),
-    # such as the unlabeled rows copied out for the density pass, would
-    # break the bound.
-    bound = (
-        n * d
-        + 3 * n
+    # class members); the largest class's rows, gathered in float32 and
+    # upcast, and 5 vectors of its size (candidates, their densities, the
+    # first pass's maxima, the running maxima, one pick's similarities); one
+    # gathered reference block; one k-center tile; plus 1 MB. A float64 pool
+    # (12.8 MB more here), or a second copy of the pool, such as the
+    # unlabeled rows copied out for the density pass, would break the bound.
+    bound = (n * d + largest * d) * 4 + (
+        3 * n
         + largest * (d + 5)
         + _REF_BLOCK * d
         + _CAND_TILE * _REF_BLOCK

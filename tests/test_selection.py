@@ -187,7 +187,15 @@ class TestKcenterBruteForce:
         cand = list(order[n_ref:])
         cand += data.draw(st.lists(st.sampled_from(cand), max_size=4), label="repeats")
         n_pick = data.draw(st.integers(0, len(set(cand))), label="n_pick")
-        density = tied_densities(n, n)[cand] if data.draw(st.booleans(), label="density") else None
+        kind = data.draw(st.sampled_from([None, "tied", "distinct"]), label="density")
+        if kind == "tied":
+            density = tied_densities(n, n)[cand]
+        elif kind == "distinct":
+            # one value per listed candidate, a repeat's too: a value read
+            # at the wrong position names another candidate's first center
+            density = data.draw(st.permutations(range(len(cand))), label="values")
+        else:
+            density = None
         assert_matches_brute_force(cand, ref, n_pick, X, density)
 
     @pytest.mark.parametrize("with_density", [False, True])
@@ -242,7 +250,7 @@ class TestMaxSimilarityTiling:
     def test_bit_identical_to_untiled(self, tile, n_ref, lattice):
         X = tied_sphere_rows(n_ref + tile, 61 + n_ref, 16, 12, lattice).data
         Xc, ref = X[:61], np.arange(61, 61 + n_ref)
-        got = _max_similarity(Xc, X, ref, block=8, tile=tile)
+        got = _max_similarity(Xc, FeatureMatrix(X), ref, block=8, tile=tile)
         assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=8))
 
     @settings(max_examples=150, deadline=None)
@@ -263,7 +271,7 @@ class TestMaxSimilarityTiling:
         ref = np.asarray(data.draw(st.lists(row, min_size=n_ref, max_size=n_ref), label="ref"))
         block = data.draw(st.integers(1, 12), label="block")
         tile = data.draw(st.integers(1, 100), label="tile")
-        got = _max_similarity(Xc, X, ref, block=block, tile=tile)
+        got = _max_similarity(Xc, FeatureMatrix(X), ref, block=block, tile=tile)
         assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=block))
 
     def test_default_tiles_with_one_row_tail_and_one_column_block(self, monkeypatch):
@@ -274,7 +282,7 @@ class TestMaxSimilarityTiling:
         expected = reference_max_similarity(Xc, X, ref)
         for workers in (1, 2, 3):
             force_threads(monkeypatch, workers)
-            assert np.array_equal(_max_similarity(Xc, X, ref), expected), workers
+            assert np.array_equal(_max_similarity(Xc, FeatureMatrix(X), ref), expected), workers
 
     def test_a_select_scale_pass_across_block_edges(self):
         # The shape of the largest greedy call of a 100k-row select: 37,509
@@ -287,7 +295,7 @@ class TestMaxSimilarityTiling:
         Xc, ref = X[:37_509], np.arange(37_509, 37_509 + 1_607)
         assert _REF_BLOCK < ref.size
         expected = reference_max_similarity(Xc, X, ref, block=2048)
-        assert np.array_equal(_max_similarity(Xc, X, ref), expected)
+        assert np.array_equal(_max_similarity(Xc, FeatureMatrix(X), ref), expected)
 
     # 15 candidates in tiles of 7 end in a one-row tail. On 3 threads the tail
     # is alone on its thread, and the row it borrows belongs to the tile
@@ -300,7 +308,7 @@ class TestMaxSimilarityTiling:
         force_threads(monkeypatch, workers)
         X = tied_sphere_rows(n_ref + workers, 15 + n_ref, 16, 12, lattice).data
         Xc, ref = X[:15], np.arange(15, 15 + n_ref)
-        got = _max_similarity(Xc, X, ref, block=8, tile=7)
+        got = _max_similarity(Xc, FeatureMatrix(X), ref, block=8, tile=7)
         assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=8))
 
     def test_thread_count_does_not_change_the_tiles(self, monkeypatch):
@@ -318,10 +326,10 @@ class TestMaxSimilarityTiling:
         X = np.concatenate([cand, refs])
         ref = np.arange(1200, 2007)
         force_threads(monkeypatch, 1)
-        one = _max_similarity(X[:1200], X, ref)
+        one = _max_similarity(X[:1200], FeatureMatrix(X), ref)
         for workers in (2, 3, 5):
             force_threads(monkeypatch, workers)
-            assert np.array_equal(_max_similarity(X[:1200], X, ref), one), workers
+            assert np.array_equal(_max_similarity(X[:1200], FeatureMatrix(X), ref), one), workers
 
 
 class TestKcenterGreedy:
