@@ -188,8 +188,10 @@ class FeatureMatrix:
 
     A float32 or float64 array is kept as given (a binary pool stays in the
     float32 form of its file); anything else becomes float64. Every float32
-    value converts to float64 exactly, so the kernels read float64 rows
-    through take, which upcasts only the rows it gathers.
+    value converts to float64 exactly, and every reader computes on float64
+    rows: gathered ones through take, which upcasts only the rows it
+    gathers, or a slice through float64. No other module of the package
+    reads data itself.
 
     unit_norm advertises that every row has L2 norm 1 within UNIT_NORM_TOL,
     and is validated at construction. The underlying array is read-only.
@@ -208,16 +210,14 @@ class FeatureMatrix:
         if n < 1 or d < 1:
             raise ValueError(f"feature matrix must be non-empty, got shape {data.shape}")
         object.__setattr__(self, "data", _readonly(data))
-        # Both checks read float64 blocks of 2^15 values (256 kB), the rows
-        # the kernels will read, so no n x d temporary is made.
+        # Both checks read the float64 rows the kernels will read, a block at
+        # a time, so no n x d temporary is made.
         norms = np.empty(n) if self.unit_norm else None
-        step = max(1, (1 << 15) // d)
-        for a in range(0, n, step):
-            block = self.data[a : a + step].astype(np.float64, copy=False)
+        for rows, block in _row_blocks(self):
             if not np.all(np.isfinite(block)):
                 raise ValueError("feature matrix contains non-finite values")
             if self.unit_norm:
-                np.einsum("ij,ij->i", block, block, out=norms[a : a + step])
+                np.einsum("ij,ij->i", block, block, out=norms[rows])
         if self.unit_norm:
             np.sqrt(norms, out=norms)
             off = norms - 1.0
@@ -247,6 +247,18 @@ class FeatureMatrix:
         never acts, as in RowView.take.
         """
         return _gather(self.data, _row_selection(positions, self.n), out)
+
+    def float64(self, rows: slice = slice(None)) -> np.ndarray:
+        """The rows `rows` as float64: in place on a float64 matrix, else an exact upcast copy."""
+        return self.data[rows].astype(np.float64, copy=False)
+
+
+def _row_blocks(x: FeatureMatrix):
+    """(slice, x.float64(slice)) for each block of 2^15 values (256 kB) of x, in order."""
+    step = max(1, (1 << 15) // x.d)
+    for a in range(0, x.n, step):
+        rows = slice(a, a + step)
+        yield rows, x.float64(rows)
 
 
 def _gather(data: np.ndarray, rows: np.ndarray, out) -> np.ndarray:
@@ -317,16 +329,20 @@ def normalize_rows(x: FeatureMatrix) -> FeatureMatrix:
     """L2-normalize every row.
 
     The result is float64 whatever the input's form, computed on float64
-    rows. Raises DegenerateInputError naming the first zero-norm row.
-    Idempotent on already-normalized input within IDEMPOTENCE_TOL.
+    rows: the norms a block of rows at a time, then one division, which
+    upcasts float32 values exactly as it reads them. So a float32 input
+    costs its float64 result and no float64 copy of itself. Raises
+    DegenerateInputError naming the first zero-norm row. Idempotent on
+    already-normalized input within IDEMPOTENCE_TOL.
     """
-    norms = np.linalg.norm(x.data.astype(np.float64, copy=False), axis=1)
+    norms = np.empty(x.n)
+    for rows, block in _row_blocks(x):
+        norms[rows] = np.linalg.norm(block, axis=1)
     zero = norms == 0.0
     if np.any(zero):
         row = int(np.argmax(zero))
         raise DegenerateInputError(f"row {row} has zero norm", row=row)
-    # float32 rows are upcast, exactly, before they are divided
-    return FeatureMatrix(x.data / norms[:, None], unit_norm=True)
+    return FeatureMatrix(np.divide(x.data, norms[:, None], dtype=np.float64), unit_norm=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,7 +108,7 @@ def exact_knn_density(
         raise ValueError(f"k_nn must be in [1, n); got k_nn={k_nn}, n={n}")
     if metric not in (METRIC_EUCLIDEAN, METRIC_COSINE):
         raise ValueError(f"unknown metric {metric!r}")
-    X = x.data.astype(np.float64, copy=False)
+    X = x.float64()
     if metric == METRIC_COSINE:
         norms = np.linalg.norm(X, axis=1)
         if np.any(norms == 0.0):

@@ -228,7 +228,6 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
     for y, lab in zip(labels, labs):
         if y[lab].min() < 0 or y[lab].max() >= cfg.n_classes:
             raise ValueError("labels out of range for configured class count")
-    data = [x.data for x in features]
     template = models[0].params
     # Parameters and gradients each live in one (K, P) block, a flat row per
     # model, so one update moves every parameter of every model; the step
@@ -247,11 +246,11 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
             lr *= 0.1
         # One gather per epoch makes every batch a contiguous slice.
         X_epoch = None  # free the last epoch's rows: one stack at a time
-        X_epoch = np.empty((len(active), n, data[0].shape[1]))
+        X_epoch = np.empty((len(active), n, features[0].d))
         y_epoch = np.empty((len(active), n), np.int64)
         for row, k in enumerate(active):
             order = labs[k][gens[k].permutation(n)]
-            np.take(data[k], order, axis=0, out=X_epoch[row])
+            features[k].take(order, out=X_epoch[row])
             y_epoch[row] = labels[k][order]
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
@@ -288,7 +287,7 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
 
 def infer(model: ToyModel, features: FeatureMatrix, labels=None) -> ModelOutputs:
     """Forward pass over all rows; per-sample loss only when labels are given."""
-    logits_main, Z = _forward(model.params, features.data)
+    logits_main, Z = _forward(model.params, features.float64())
     log_p = _log_softmax(logits_main)
     probs = np.exp(log_p)
     entropy = -(probs * np.where(probs > 0.0, log_p, 0.0)).sum(axis=1)

@@ -138,7 +138,7 @@ def gen_near_duplicate(
     times the base size. Copies of one point stay adjacent: original first.
     """
     near_duplicate_rows(base.n, replication, noise_sigma)
-    X = base.features.data
+    X = base.features.float64()
     sd = X.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     Xn = (X - X.mean(axis=0)) / sd
@@ -165,7 +165,7 @@ def near_duplicate_fraction(features: FeatureMatrix, selected, threshold: float)
     idx = np.asarray(selected, np.int64)
     if idx.size < 2:
         return 0.0
-    X = features.data[idx]
+    X = features.take(idx)
     sq = np.einsum("ij,ij->i", X, X)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.fill_diagonal(d2, np.inf)
@@ -197,7 +197,7 @@ def subset_metrics(selected, outputs: ModelOutputs, embeddings: FeatureMatrix):
     if idx.size == 1:
         warnings.warn("diversity of a single sample is 0 by convention")
         return info, 0.0
-    E = embeddings.data[idx]
+    E = embeddings.take(idx)
     sims = E @ E.T
     iu = np.triu_indices(idx.size, k=1)
     diversity = float((1.0 - sims[iu]).mean())

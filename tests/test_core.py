@@ -216,6 +216,22 @@ class TestNormalizeRows:
         twice = normalize_rows(once)
         assert np.max(np.abs(twice.data - once.data)) <= IDEMPOTENCE_TOL
 
+    # Rows are normed a block of 2^15 values at a time: 16 columns make
+    # 2,048-row blocks and leave one row over, one column three blocks, and
+    # 40,000 columns one-row blocks.
+    @pytest.mark.parametrize("shape", [(1, 3), (4097, 16), (70_000, 1), (5, 40_000)])
+    def test_block_norms_are_the_whole_matrix_norms(self, shape):
+        data = 3.0 * Rng(2, "t").generator().standard_normal(shape)
+        want = data / np.linalg.norm(data, axis=1)[:, None]
+        assert np.array_equal(normalize_rows(FeatureMatrix(data)).data, want)
+
+    def test_a_float32_matrix_gives_its_float64_upcast_result(self):
+        gen = Rng(3, "t").generator()
+        data = (3.0 * gen.standard_normal((5000, 16)) + 1.5).astype(np.float32)
+        got = normalize_rows(FeatureMatrix(data)).data
+        assert got.dtype == np.float64
+        assert np.array_equal(got, normalize_rows(FeatureMatrix(data.astype(np.float64))).data)
+
     def test_zero_row_names_index(self):
         x = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
         with pytest.raises(DegenerateInputError, match="row 1") as exc_info:

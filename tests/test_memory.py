@@ -134,6 +134,19 @@ def test_unit_norm_check_holds_no_row_sized_temporary(dtype):
     assert peak < 2**20
 
 
+def test_normalizing_a_float32_pool_makes_no_float64_copy_of_it():
+    n, d = 50_000, 16
+    gen = Rng(9, "memory").generator()
+    x = FeatureMatrix((3.0 * gen.standard_normal((n, d))).astype(np.float32))
+    peak = traced_peak(lambda: normalize_rows(x))
+    # The float64 result; the norms, and the result's unit-norm check's
+    # norms and misses (three n-sized vectors); one float64 row block and
+    # its square, plus 1 MB. A float64 copy of the pool (6.4 MB here), or an
+    # n x d square, as np.linalg.norm of the whole pool makes, would break
+    # the bound.
+    assert peak < (n * d + 3 * n) * FLOAT + 2**20
+
+
 def test_reading_embeddings_drops_the_raw_bytes(tmp_path):
     n, d = 50_000, 64
     path = tmp_path / "pool.bin"

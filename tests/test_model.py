@@ -506,6 +506,41 @@ class TestInference:
         assert infer(model, X).loss_per_sample is None
 
 
+class TestFloat32Features:
+    """A float32 matrix, as a binary pool is kept, trains and infers as its
+    float64 upcast does, bit for bit."""
+
+    def pair(self):
+        X, y = blob_data()
+        X32 = FeatureMatrix(X.data.astype(np.float32))
+        return X32, FeatureMatrix(X32.data.astype(np.float64)), y
+
+    def assert_same_model(self, a, b):
+        for key in a.params:
+            assert np.array_equal(a.params[key], b.params[key]), key
+        assert a.epoch_losses == b.epoch_losses
+
+    def test_train_and_infer_match_the_upcast(self):
+        X32, X64, y = self.pair()
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=6, batch_size=8)
+        labeled = np.arange(1, 60, 2)
+        a = train(init_model(cfg, 6, Rng(2, "model")), X32, y, labeled)
+        b = train(init_model(cfg, 6, Rng(2, "model")), X64, y, labeled)
+        self.assert_same_model(a, b)
+        got, want = infer(a, X32, labels=y), infer(b, X64, labels=y)
+        for field in ("probs", "embeddings", "entropy", "loss_per_sample"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_a_stack_mixes_float32_and_float64_features(self):
+        X32, X64, y = self.pair()
+        cfg = ModelConfig(n_classes=3, reduced_dim=2, epochs=4, batch_size=8)
+        models = [init_model(cfg, 6, Rng(seed, "model")) for seed in (3, 4)]
+        labeled = [np.arange(0, 60, 3), np.arange(1, 60, 3)]
+        stacked = train_stacked(models, [X32, X64], [y, y], labeled)
+        for model, lab, got in zip(models, labeled, stacked):
+            self.assert_same_model(got, train(model, X64, y, lab))
+
+
 class TestUncertainty:
     def test_entropy_passthrough(self):
         out = ModelOutputs(

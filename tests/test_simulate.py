@@ -182,6 +182,35 @@ class TestSubsetMetrics:
             subset_metrics([], out, emb)
 
 
+class TestFloat32Features:
+    """The simulator's readers give on a float32 matrix, as a binary pool is
+    kept, what they give on its float64 upcast, bit for bit."""
+
+    def pair(self):
+        base = gen_gaussian_mixture(3, 30, 8, 1.0, 2.0, Rng(2, "sim"))
+        X32 = FeatureMatrix(base.features.data.astype(np.float32))
+        return base, X32, FeatureMatrix(X32.data.astype(np.float64))
+
+    def test_near_duplicates(self):
+        base, X32, X64 = self.pair()
+        a = gen_near_duplicate(dataclasses.replace(base, features=X32), 2, 0.1, Rng(0, "sim"))
+        b = gen_near_duplicate(dataclasses.replace(base, features=X64), 2, 0.1, Rng(0, "sim"))
+        assert np.array_equal(a.features.data, b.features.data)
+
+    def test_subset_metrics_and_near_duplicate_fraction(self):
+        _, X32, X64 = self.pair()
+        rows = X32.data / np.linalg.norm(X32.data, axis=1)[:, None]
+        unit32 = FeatureMatrix(rows.astype(np.float32))
+        unit64 = FeatureMatrix(unit32.data.astype(np.float64))
+        out = outputs_for(np.linspace(0.1, 1.0, 90))
+        picked = [0, 4, 31, 32, 60, 89]
+        assert subset_metrics(picked, out, unit32) == subset_metrics(picked, out, unit64)
+        for threshold in (0.5, 2.0, 4.0):
+            assert near_duplicate_fraction(X32, picked, threshold) == near_duplicate_fraction(
+                X64, picked, threshold
+            )
+
+
 class TestDensityUncertaintyCorrelation:
     def profile(self, values):
         v = np.asarray(values, dtype=np.float64)
