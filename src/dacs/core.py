@@ -189,9 +189,9 @@ class FeatureMatrix:
     A float32 or float64 array is kept as given (a binary pool stays in the
     float32 form of its file); anything else becomes float64. Every float32
     value converts to float64 exactly, and every reader computes on float64
-    rows: gathered ones through take, which upcasts only the rows it
-    gathers, or a slice through float64. No other module of the package
-    reads data itself.
+    rows, which take gathers, upcasting only the rows it gathers. A sub-pool
+    is a RowView (rows), which reads the rows in place. No other module of
+    the package reads data itself.
 
     unit_norm advertises that every row has L2 norm 1 within UNIT_NORM_TOL,
     and is validated at construction. The underlying array is read-only.
@@ -236,9 +236,9 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def rows(self, indices) -> "FeatureMatrix":
-        """Sub-matrix restricted to the given row indices (order preserved)."""
-        return FeatureMatrix(self.data[_row_selection(indices, self.n)], unit_norm=self.unit_norm)
+    def rows(self, indices) -> "RowView":
+        """The rows `indices` (order preserved), read in place through a RowView."""
+        return RowView(self, indices)
 
     def take(self, positions, out=None) -> np.ndarray:
         """float64 copies of the rows at `positions`, written into `out` when given.
@@ -248,17 +248,16 @@ class FeatureMatrix:
         """
         return _gather(self.data, _row_selection(positions, self.n), out)
 
-    def float64(self, rows: slice = slice(None)) -> np.ndarray:
-        """The rows `rows` as float64: in place on a float64 matrix, else an exact upcast copy."""
-        return self.data[rows].astype(np.float64, copy=False)
-
 
 def _row_blocks(x: FeatureMatrix):
-    """(slice, x.float64(slice)) for each block of 2^15 values (256 kB) of x, in order."""
+    """(slice, float64 rows) for each block of 2^15 values (256 kB) of x, in order.
+
+    Sliced in place and a float32 block upcast: take would add a float32 gathered copy.
+    """
     step = max(1, (1 << 15) // x.d)
     for a in range(0, x.n, step):
         rows = slice(a, a + step)
-        yield rows, x.float64(rows)
+        yield rows, x.data[rows].astype(np.float64, copy=False)
 
 
 def _gather(data: np.ndarray, rows: np.ndarray, out) -> np.ndarray:
@@ -292,10 +291,12 @@ def _row_selection(indices, n: int) -> np.ndarray:
 class RowView:
     """Rows `indices` of a FeatureMatrix (order preserved), read in place.
 
-    It offers what the density pass reads of the matrix rows(indices) builds
-    (n, d, unit_norm and take) without copying the rows: take gathers only
-    the rows asked for. The indices are checked as rows checks them; the
-    parent's unit norms were checked when it was built, so not again here.
+    The one sub-pool form, which FeatureMatrix.rows returns: the density
+    pass and the simulator's splits read it as they read a matrix (n, d,
+    unit_norm and take), and take gathers only the rows asked for, so the
+    rows are never copied whole. The indices are checked when the view is
+    built; the parent's unit norms were checked when it was built, so not
+    again here.
     """
 
     parent: FeatureMatrix
@@ -319,10 +320,11 @@ class RowView:
     def take(self, positions, out=None) -> np.ndarray:
         """float64 copies of rows `positions` of the view, written into `out` when given.
 
-        A bad position raises as it indexes the view's indices, which were
-        range-checked when the view was built, so the gather never clips.
+        The positions are range-checked against the view, as FeatureMatrix.take
+        checks them, and the view's indices were checked when it was built, so
+        the gather never clips.
         """
-        return _gather(self.parent.data, self.indices[positions], out)
+        return _gather(self.parent.data, self.indices[_row_selection(positions, self.n)], out)
 
 
 def normalize_rows(x: FeatureMatrix) -> FeatureMatrix:

@@ -31,6 +31,7 @@ from .core import (
     _parallel_ranges,
     _readonly,
     check_bucket_count,
+    normalize_rows,
 )
 
 METRIC_EUCLIDEAN = "euclidean"
@@ -46,6 +47,8 @@ _ROW_TILE = 48
 _STACK_SCRATCH = 1 << 16
 # Rows _assign_buckets projects at once; a multiple of 12, as _ROW_TILE.
 _HASH_BLOCK = 4092
+# Rows whose distances to every row exact_knn_density computes at once.
+_EXACT_BLOCK = 512
 
 
 class DensityConvention(enum.Enum):
@@ -91,34 +94,26 @@ class LshAssignment:
             raise ValueError("chunk_size must be at least 1")
 
 
-def exact_knn_density(
-    x: FeatureMatrix,
-    k_nn: int,
-    metric: str = METRIC_EUCLIDEAN,
-    block: int = 512,
-) -> DensityProfile:
+def exact_knn_density(x: FeatureMatrix, k_nn: int, metric: str = METRIC_EUCLIDEAN) -> DensityProfile:
     """Mean distance to the k_nn nearest other samples (self excluded).
 
-    Quadratic in n; rows are processed in blocks to bound memory, in float64
-    whatever the pool's form. Distance-based convention: larger values mean
-    sparser neighborhoods.
+    Quadratic in n: take gathers the rows as float64, whatever the pool's
+    form, and the distances are made _EXACT_BLOCK rows at a time to bound
+    memory. Cosine distance reads the rows normalize_rows gives, so a
+    zero-norm row raises its DegenerateInputError, naming the row.
+    Distance-based convention: larger values mean sparser neighborhoods.
     """
     n = x.n
     if not 1 <= k_nn < n:
         raise ValueError(f"k_nn must be in [1, n); got k_nn={k_nn}, n={n}")
     if metric not in (METRIC_EUCLIDEAN, METRIC_COSINE):
         raise ValueError(f"unknown metric {metric!r}")
-    X = x.float64()
-    if metric == METRIC_COSINE:
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("cosine distance undefined for zero-norm rows")
-        X = X / norms[:, None]
-    else:
+    X = (normalize_rows(x) if metric == METRIC_COSINE else x).take(np.arange(n))
+    if metric == METRIC_EUCLIDEAN:
         sq = np.einsum("ij,ij->i", X, X)
     values = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(n, start + block)
+    for start in range(0, n, _EXACT_BLOCK):
+        stop = min(n, start + _EXACT_BLOCK)
         if metric == METRIC_EUCLIDEAN:
             d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (X[start:stop] @ X.T)
             dist = np.sqrt(np.maximum(d2, 0.0))
@@ -310,10 +305,10 @@ def pool_density(
     """Hash the given rows into n_buckets and estimate their window density.
 
     Value i belongs to indices[i], and equals, bit for bit, what lsh_assign
-    and lsh_density give on features.rows(indices). No such copy is made:
-    both read the rows in place through a RowView, which gathers each hash
-    block, stack and chunk as a copy would hold it, so the pass adds no
-    pool-sized float array.
+    and lsh_density give on a copy of those rows. Both read the rows in
+    place through the RowView features.rows(indices), which gathers each
+    hash block, stack and chunk as a copy would hold it, so the pass adds
+    no pool-sized float array.
     """
-    sub = RowView(features, indices)
+    sub = features.rows(indices)
     return lsh_density(sub, lsh_assign(sub, n_buckets, rng))

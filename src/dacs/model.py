@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, FeatureMatrix, Rng
+from .core import DivergenceError, FeatureMatrix, Rng, RowView
 from .selection import UncertaintyScores
 
 UNCERTAINTY_ENTROPY = "entropy"
@@ -285,9 +285,9 @@ def train_stacked(models: list, features: list, labels: list, labeled: list) -> 
     return results
 
 
-def infer(model: ToyModel, features: FeatureMatrix, labels=None) -> ModelOutputs:
-    """Forward pass over all rows; per-sample loss only when labels are given."""
-    logits_main, Z = _forward(model.params, features.float64())
+def infer(model: ToyModel, features: FeatureMatrix | RowView, labels=None) -> ModelOutputs:
+    """Forward pass over all rows, gathered as float64 by take; loss only when labels are given."""
+    logits_main, Z = _forward(model.params, features.take(np.arange(features.n)))
     log_p = _log_softmax(logits_main)
     probs = np.exp(log_p)
     entropy = -(probs * np.where(probs > 0.0, log_p, 0.0)).sum(axis=1)

@@ -146,9 +146,10 @@ def kcenter_greedy(
 
     Each step picks the candidate minimizing its maximum similarity to the
     reference set plus prior picks, breaking ties toward the lowest index.
-    With an empty reference the first center is the lowest-density candidate
-    when density (one value per candidate, in candidate order; a repeated
-    candidate keeps its first value) is given, else the lowest index; its
+    The candidates must be strictly increasing, as every strategy passes
+    slices of the ascending unlabeled pool. With an empty reference the
+    first center is the lowest-density candidate when density (one value per
+    candidate, in candidate order) is given, else the lowest index; its
     trace entry is -inf.
 
     The candidate rows are gathered once per call, as float64 rows; each
@@ -162,11 +163,8 @@ def kcenter_greedy(
     cand = np.asarray(candidates, np.int64).ravel()
     if density is not None and np.shape(density) != cand.shape:
         raise ValueError(f"{np.size(density)} density values for {cand.size} candidates")
-    # Callers pass strictly increasing candidates, which np.unique (a hash or a
-    # sort) would return unchanged; each density value goes with its candidate.
     if np.any(cand[1:] <= cand[:-1]):
-        cand, first = np.unique(cand, return_index=True)
-        density = None if density is None else np.asarray(density)[first]
+        raise ValueError("candidates must be strictly increasing")
     ref = np.asarray(reference, np.int64)
     if n_pick < 0:
         raise ValueError("n_pick must be non-negative")

@@ -138,7 +138,7 @@ def gen_near_duplicate(
     times the base size. Copies of one point stay adjacent: original first.
     """
     near_duplicate_rows(base.n, replication, noise_sigma)
-    X = base.features.float64()
+    X = base.features.take(np.arange(base.n))
     sd = X.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     Xn = (X - X.mean(axis=0)) / sd
@@ -518,7 +518,10 @@ def run_lockstep(
 
 
 def _split(dataset: SyntheticDataset, init_labeled: int, rng: Rng, test_fraction: float):
-    """((X_train, y_train, X_test, y_test), initial pool) of a run: its Rng alone decides them."""
+    """((X_train, y_train, X_test, y_test), initial pool) of a run: its Rng alone decides them.
+
+    X_train and X_test are views of the dataset's features (rows), so no row is copied.
+    """
     n_test = held_out_rows(dataset.n, test_fraction)
     perm = rng.derive("split").generator().permutation(dataset.n)
     test_idx = np.sort(perm[:n_test])

@@ -96,7 +96,10 @@ class TestFeatureMatrix:
     def test_rows_subset(self):
         x = FeatureMatrix(np.arange(12.0).reshape(4, 3))
         sub = x.rows([2, 0])
-        assert np.array_equal(sub.data, [[6, 7, 8], [0, 1, 2]])
+        assert isinstance(sub, RowView) and sub.parent is x
+        assert (sub.n, sub.d) == (2, 3)
+        assert np.array_equal(sub.take(np.arange(sub.n)), [[6, 7, 8], [0, 1, 2]])
+        assert np.array_equal(sub.take([1]), [[0, 1, 2]])
 
     def test_rows_out_of_range(self):
         x = FeatureMatrix(np.ones((2, 2)))
@@ -340,10 +343,12 @@ class TestRowView:
             RowView(self.x, [0, 6])
 
     @pytest.mark.parametrize("out", [None, np.empty((2, 2))], ids=["new", "into-out"])
-    def test_take_refuses_a_position_outside_the_view(self, out):
-        # The gather itself cannot clip: the position fails on the view's indices.
-        with pytest.raises(IndexError):
-            RowView(self.x, [1, 3, 5]).take(np.array([0, 3]), out=out)
+    @pytest.mark.parametrize("positions", [[0, 3], [-1, 0]], ids=["past-end", "negative"])
+    def test_take_refuses_a_position_outside_the_view(self, out, positions):
+        # The positions are checked against the view, as a matrix's take
+        # checks them: unchecked, -1 would gather the view's last row, 5.
+        with pytest.raises(ValueError, match="out of range"):
+            RowView(self.x, [1, 3, 5]).take(np.array(positions), out=out)
 
     @pytest.mark.parametrize("out", [None, np.empty((2, 2))], ids=["new", "into-out"])
     @pytest.mark.parametrize("positions", [[0, 6], [-1, 0]])

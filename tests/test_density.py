@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import dacs
 import dacs.core
 import dacs.density
-from dacs.core import FeatureMatrix, Rng, normalize_rows
+from dacs.core import DegenerateInputError, FeatureMatrix, Rng, normalize_rows
 from dacs.density import (
     DensityConvention,
     LshAssignment,
@@ -136,6 +136,12 @@ class TestExactKnn:
         with pytest.raises(ValueError, match="k_nn"):
             exact_knn_density(x, 3)
 
+    def test_cosine_refuses_a_zero_row_naming_it(self):
+        x = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(DegenerateInputError, match="row 2 has zero norm") as caught:
+            exact_knn_density(x, 1, metric="cosine-distance")
+        assert caught.value.row == 2
+
     def test_unknown_metric_rejected(self):
         x = FeatureMatrix(np.ones((3, 2)))
         with pytest.raises(ValueError, match="metric"):
@@ -149,11 +155,13 @@ class TestExactKnn:
         got = exact_knn_density(FeatureMatrix(X), 7, metric=metric)
         assert np.allclose(got.values, expect, atol=1e-10)
 
-    def test_blocking_does_not_change_values(self):
+    def test_blocking_does_not_change_values(self, monkeypatch):
         gen = Rng(6, "knn").generator()
         X = FeatureMatrix(gen.standard_normal((30, 4)))
-        a = exact_knn_density(X, 5, block=7)
-        b = exact_knn_density(X, 5, block=1000)
+        monkeypatch.setattr(dacs.density, "_EXACT_BLOCK", 7)
+        a = exact_knn_density(X, 5)
+        monkeypatch.setattr(dacs.density, "_EXACT_BLOCK", 1000)
+        b = exact_knn_density(X, 5)
         # block shape only affects floating-point association, nothing more
         assert np.allclose(a.values, b.values, atol=1e-12)
 
@@ -384,7 +392,7 @@ ONE_BLAS_THREAD_CHECK = """
 import numpy as np
 import dacs.core
 import dacs.density
-from dacs.core import FeatureMatrix, Rng, normalize_rows
+from dacs.core import DegenerateInputError, FeatureMatrix, Rng, normalize_rows
 from test_density import chunk_formula_oracle, chunk_pool, reference_assign_buckets
 
 assert dacs.core._blas_single_threaded()
@@ -577,7 +585,7 @@ class TestPoolDensity:
         x = normalize_rows(FeatureMatrix(gen.standard_normal((80, 5))))
         idx = np.flatnonzero(gen.random(80) < 0.6)
         got = pool_density(x, idx, 6, Rng(41, "pd"))
-        sub = x.rows(idx)
+        sub = FeatureMatrix(x.data[idx], unit_norm=True)  # a copy, not a view
         want = lsh_density(sub, lsh_assign(sub, 6, Rng(41, "pd")))
         assert got.values.tobytes() == want.values.tobytes()
         assert got.params == want.params
@@ -606,7 +614,7 @@ class TestPoolDensity:
         gen = Rng(42, "pool").generator()
         x = normalize_rows(FeatureMatrix(gen.standard_normal((pool_rows, 16))))
         idx = gen.permutation(pool_rows)[:rows]  # unsorted, with gaps
-        sub = x.rows(idx)
+        sub = FeatureMatrix(x.data[idx], unit_norm=True)  # a copy, not a view
         a = lsh_assign(sub, buckets, Rng(43, "pd"))
         assert a.chunk_size == chunk
         assert (dacs.density._STACK_SCRATCH // (2 * chunk * chunk) >= 2) == (chunk < 383)

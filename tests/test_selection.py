@@ -59,19 +59,10 @@ def greedy_oracle(X, candidates, reference, n_pick):
     return picked, trace
 
 
-def density_by_candidate(candidates, density):
-    """Reference: each distinct candidate's first density value, in increasing
-    candidate order, as kcenter_greedy reads density (one value per candidate)."""
-    first = {}
-    for c, v in zip(np.asarray(candidates, np.int64).ravel().tolist(), density):
-        first.setdefault(c, v)
-    return np.array([first[c] for c in sorted(first)])
-
-
 def gather_every_pick_greedy(candidates, reference, n_pick, features, density=None):
     """Reference: the cached greedy that gathers the candidate rows afresh for
     the initial max-similarity pass and again on every pick."""
-    cand = np.unique(np.asarray(candidates, np.int64))
+    cand = np.asarray(candidates, np.int64)
     ref = np.asarray(reference, np.int64)
     X = features.data
     picked, trace = [], []
@@ -81,7 +72,7 @@ def gather_every_pick_greedy(candidates, reference, n_pick, features, density=No
             sims = X[cand] @ X[ref[start : start + 2048]].T
             np.maximum(maxsim, sims.max(axis=1), out=maxsim)
     else:
-        first_pos = 0 if density is None else int(np.argmin(density_by_candidate(candidates, density)))
+        first_pos = 0 if density is None else int(np.argmin(density))
         u = int(cand[first_pos])
         picked.append(u)
         trace.append(-math.inf)
@@ -117,7 +108,7 @@ def brute_force_greedy(candidates, reference, n_pick, features, density=None):
     product, one matrix-vector product per covered pick), so traces compare
     with ==.
     """
-    cand = np.unique(np.asarray(candidates, np.int64))
+    cand = np.asarray(candidates, np.int64)
     ref = np.asarray(reference, np.int64)
     X = features.data
     Xc = X[cand]
@@ -126,8 +117,7 @@ def brute_force_greedy(candidates, reference, n_pick, features, density=None):
         if density is None:
             first = 0
         else:
-            vals = density_by_candidate(candidates, density)
-            first = min(range(cand.size), key=lambda i: (vals[i], i))
+            first = min(range(cand.size), key=lambda i: (density[i], i))
         taken.append(first)
         trace.append(-math.inf)
     while len(taken) < n_pick:
@@ -184,15 +174,14 @@ class TestKcenterBruteForce:
         order = data.draw(st.permutations(range(n)), label="order")
         n_ref = data.draw(st.integers(0, n - 1), label="n_ref")
         ref = sorted(order[:n_ref])
-        cand = list(order[n_ref:])
-        cand += data.draw(st.lists(st.sampled_from(cand), max_size=4), label="repeats")
-        n_pick = data.draw(st.integers(0, len(set(cand))), label="n_pick")
+        cand = sorted(order[n_ref:])  # strictly increasing, as the strategies pass them
+        n_pick = data.draw(st.integers(0, len(cand)), label="n_pick")
         kind = data.draw(st.sampled_from([None, "tied", "distinct"]), label="density")
         if kind == "tied":
             density = tied_densities(n, n)[cand]
         elif kind == "distinct":
-            # one value per listed candidate, a repeat's too: a value read
-            # at the wrong position names another candidate's first center
+            # a value read at the wrong position names another candidate's
+            # first center
             density = data.draw(st.permutations(range(len(cand))), label="values")
         else:
             density = None
@@ -213,23 +202,22 @@ class TestKcenterBruteForce:
         assert_matches_brute_force(np.arange(n_ref, 10), np.arange(n_ref), 10 - n_ref, X)
 
 
+    # Reversed with repeats; unsorted; repeated, with one density value each.
+    @pytest.mark.parametrize(
+        "cand, density",
+        [
+            (list(range(39, 4, -2)) + [7, 9], None),
+            ([7, 3, 9], None),
+            ([9, 3, 7, 3, 9], [5.0, 9.0, 1.0, 9.0, 5.0]),
+        ],
+        ids=["reversed-repeated", "unsorted", "repeated-with-density"],
+    )
     @pytest.mark.parametrize("with_ref", [False, True])
-    def test_sorted_candidates_skip_the_unique_pass(self, monkeypatch, with_ref):
+    def test_refuses_candidates_not_strictly_increasing(self, with_ref, cand, density):
         X = tied_sphere_rows(7, 40, 4, 9, lattice=False)
-        cand, ref = np.arange(5, 40, 2), (np.arange(5) if with_ref else [])
-        want = kcenter_greedy(cand[::-1].tolist() + [7, 9], ref, 12, X)  # takes np.unique
-        calls = []
-        real_unique = np.unique
-
-        def counting_unique(*args, **kwargs):
-            calls.append(args)
-            return real_unique(*args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", counting_unique)
-        got = kcenter_greedy(cand, ref, 12, X)
-        monkeypatch.undo()
-        assert calls == []
-        assert got == want
+        ref = [0, 1, 2] if with_ref else []
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kcenter_greedy(cand, ref, 2, X, density=density)
 
 
 def force_threads(monkeypatch, workers):
@@ -380,7 +368,7 @@ class TestKcenterGreedy:
 
     def test_cold_start_without_profile_takes_lowest_index(self):
         X = sphere_points(10, 4, 0)
-        picked, trace = kcenter_greedy([7, 3, 9], [], 2, X)
+        picked, trace = kcenter_greedy([3, 7, 9], [], 2, X)
         assert picked[0] == 3
         assert trace[0] == -math.inf
 
@@ -388,14 +376,6 @@ class TestKcenterGreedy:
         X = sphere_points(10, 4, 0)
         picked, _ = kcenter_greedy([3, 7, 9], [], 2, X, density=[9.0, 1.0, 5.0])
         assert picked[0] == 7
-
-    def test_cold_start_carries_the_density_of_unsorted_repeated_candidates(self):
-        # Sorted and deduplicated, the candidates are [3, 7, 9] with densities
-        # [9, 1, 5]; the densities read by position would start at candidate 9.
-        X = sphere_points(10, 4, 0)
-        picked, trace = kcenter_greedy([9, 3, 7, 3, 9], [], 2, X, density=[5.0, 9.0, 1.0, 9.0, 5.0])
-        assert picked[0] == 7
-        assert trace[0] == -math.inf
 
     def test_refuses_a_density_that_is_not_one_value_per_candidate(self):
         X = sphere_points(10, 4, 0)

@@ -13,6 +13,7 @@ from dacs.core import (
     DivergenceError,
     FeatureMatrix,
     Rng,
+    RowView,
     UndefinedCorrelationError,
 )
 from dacs.density import DensityConvention, DensityProfile
@@ -282,6 +283,18 @@ SMALL_RUN_PICK_DIGESTS = {
 
 
 class TestRunAl:
+    def test_split_views_the_dataset_rows(self):
+        ds, _ = small_settings()
+        (X_train, y_train, X_test, y_test), pool = dacs.simulate._split(ds, 6, Rng(0, "al"), 0.2)
+        # Views of the dataset's own matrix: the split copies no row.
+        assert isinstance(X_train, RowView) and X_train.parent is ds.features
+        assert isinstance(X_test, RowView) and X_test.parent is ds.features
+        both = np.concatenate([X_train.indices, X_test.indices])
+        assert np.array_equal(np.sort(both), np.arange(ds.n))
+        assert np.array_equal(y_train, ds.labels[X_train.indices])
+        assert np.array_equal(y_test, ds.labels[X_test.indices])
+        assert pool.n_total == X_train.n
+
     def test_every_strategy_completes(self):
         assert set(SMALL_RUN_PICK_DIGESTS) == set(STRATEGIES)
         for strategy in STRATEGIES:
