@@ -2,11 +2,13 @@
 
 The greedy picks, one at a time, the candidate whose strongest cosine
 similarity to the reference set (labeled samples plus everything selected so
-far) is weakest, keeping a cached per-candidate max-similarity array so each
-pick costs one matrix-vector product against the candidate rows, which are
-gathered once per call. The density-aware pipeline splits the unlabeled pool
-into density classes first and runs the greedy inside each class under an
-inverse-size budget, sparsest class first.
+far) is weakest. It keeps each candidate's running max similarity, which can
+only grow as picks are added, so a stale value is a lower bound: only the
+candidate at the front is brought up to date (lazy greedy, Minoux 1978), with
+one matrix-vector product of the picks it lacks against its row. The
+candidate rows are gathered once per call. The density-aware pipeline splits
+the unlabeled pool into density classes first and runs the greedy inside
+each class under an inverse-size budget, sparsest class first.
 """
 
 from __future__ import annotations
@@ -84,6 +86,17 @@ class AcquisitionResult:
 _REF_BLOCK = 1024
 _CAND_TILE = 384
 
+# Refreshes one k-center pick may spend per feature column. A refresh scans
+# the n running values for the front, while folding a pick into every
+# candidate multiplies n rows of d, so the bound grows with d. A pick that
+# needs more folds every missing pick into every candidate, and so does
+# every pick after it. Values are that stale after an empty reference's
+# first center: on 100k x 16 rows with no labels, unbounded lazy picks took
+# 264k refreshes (5.5 s on one x86-64 core, against 0.6 s for the
+# products), and still 25 a pick after 300 products. No pick of
+# select_100k's pool 0 or of the near_duplicate grid reaches the bound.
+_REFRESHES_PER_COLUMN = 4
+
 
 def _max_similarity(
     Xc: np.ndarray,
@@ -152,9 +165,31 @@ def kcenter_greedy(
     candidate, in candidate order) is given, else the lowest index; its
     trace entry is -inf.
 
-    The candidate rows are gathered once per call, as float64 rows; each
-    pick then costs one matrix-vector product with its own gathered row into
-    a reused buffer and an in-place maximum.
+    The candidate rows are gathered once per call, as float64 rows. Each
+    candidate keeps its running max and the number of picks folded into it.
+    A step takes the lowest running value; while that candidate lacks picks,
+    they are folded in and, if its value rose, the step looks again. Stale
+    values are lower bounds, so the step picks what a loop that multiplies
+    every candidate row by every pick picks (the tests keep that loop as a
+    bit-exact oracle), with the same trace bits: max is exact, and each
+    (candidate, pick) similarity comes from a product that rounds it as that
+    loop's candidates x pick product does.
+
+    BLAS rounds a matrix-vector product in groups of 4 rows, and rounds a
+    row inside a group alike in either orientation (candidate rows x pick or
+    pick rows x candidate) and at any 4-aligned offset; that was seen, not
+    documented, on x86-64 OpenBLAS 0.3.31's SkylakeX, Haswell and Sandybridge
+    kernels, and a test pins it. So a refresh multiplies the candidate's row
+    by its missing picks padded back to a multiple of 4 rows with picks it
+    already holds, which leave its max as it is. A candidate in the last
+    n mod 4 rows, which the candidates x pick product rounds by other rules,
+    takes its similarity to each missing pick from that product's last
+    4 + n mod 4 rows. A pick that would refresh more than
+    _REFRESHES_PER_COLUMN x d candidates instead folds every missing pick
+    into every candidate with that loop's own products, and the call goes on
+    as that loop. After an empty reference's first center every value is
+    stale, so a call with more candidates than that gets there at its
+    second pick.
 
     Returns (picked indices in selection order, per-pick max-similarity trace).
     """
@@ -173,6 +208,13 @@ def kcenter_greedy(
     if n_pick == 0:
         return [], []
     Xc = features.take(cand)
+    n = cand.size
+    grouped = n - n % 4  # rows the candidates x pick product rounds in groups of 4
+    tail = max(grouped - 4, 0)  # first of that product's last 4 + n mod 4 rows
+    budget = _REFRESHES_PER_COLUMN * Xc.shape[1]
+    # Row 3 + j holds pick j's row; rows 0-2 repeat pick 0, so a refresh's
+    # window of 4-padded rows never starts before row 0.
+    pick_rows = np.empty((n_pick + 3, Xc.shape[1]))
     picked: list[int] = []
     trace: list[float] = []
     if ref.size:
@@ -180,15 +222,39 @@ def kcenter_greedy(
     else:
         # -2 lies below every cosine of unit rows, and the first center's
         # -inf below that, so the loop takes it first and traces it at -inf.
-        maxsim = np.full(cand.size, -2.0)
+        maxsim = np.full(n, -2.0)
         maxsim[int(np.argmin(density)) if density is not None else 0] = -np.inf
-    sim = np.empty(cand.size)
+    folded = [0] * n
+    eager = False  # whether each pick is folded into every candidate as it is made
     while len(picked) < n_pick:
-        pos = int(np.argmin(maxsim))
+        k = len(picked)
+        pos = int(maxsim.argmin())
+        refreshes = 0
+        while not eager and folded[pos] < k:
+            if refreshes == budget:
+                for j in range(min(folded), k):
+                    np.maximum(maxsim, Xc @ pick_rows[3 + j], out=maxsim)
+                eager = True
+                pos = int(maxsim.argmin())
+                break
+            refreshes += 1
+            have = folded[pos]
+            folded[pos] = k
+            if pos < grouped:
+                m = (k - have + 3) & -4
+                v = np.dot(pick_rows[k + 3 - m : k + 3], Xc[pos]).max()
+            else:
+                v = max((Xc[tail:] @ pick_rows[3 + j])[pos - tail] for j in range(have, k))
+            if v > maxsim[pos]:
+                maxsim[pos] = v
+                pos = int(maxsim.argmin())
         trace.append(float(maxsim[pos]))
         picked.append(int(cand[pos]))
-        np.matmul(Xc, Xc[pos], out=sim)
-        np.maximum(maxsim, sim, out=maxsim)
+        pick_rows[k + 3] = Xc[pos]
+        if k == 0:
+            pick_rows[:3] = Xc[pos]
+        if eager:
+            np.maximum(maxsim, Xc @ Xc[pos], out=maxsim)
         maxsim[pos] = np.inf
     return picked, trace
 

@@ -50,6 +50,20 @@ def test_kcenter_first_pass_is_tiled(monkeypatch):
     assert peak < untiled_block / 2
 
 
+def test_kcenter_picks_hold_the_picked_rows_and_a_counter_per_candidate(monkeypatch):
+    # One thread, so both calls' first passes hold the same scratch.
+    monkeypatch.setattr(dacs.core, "_worker_count", lambda: 1)
+    n_cand, n_ref, d, n_pick = 20_000, 200, 16, 1_000
+    x = unit_rows(n_cand + n_ref, d, 10)
+    cand, ref = np.arange(n_cand), np.arange(n_cand, n_cand + n_ref)
+    one = traced_peak(lambda: kcenter_greedy(cand, ref, 1, x))
+    many = traced_peak(lambda: kcenter_greedy(cand, ref, n_pick, x))
+    # The picked rows (128 kB here) and one 8-byte counter per candidate
+    # (160 kB). An array of candidates x picks (160 MB), or a candidates x 4
+    # one (640 kB), would break the bound.
+    assert many < one + n_pick * d * FLOAT + n_cand * FLOAT
+
+
 def test_bucket_hash_builds_no_concatenation():
     n, k = 50_000, 100
     x = unit_rows(n, 16, 1)

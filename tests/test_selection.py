@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +89,56 @@ def gather_every_pick_greedy(candidates, reference, n_pick, features, density=No
         np.maximum(maxsim, X[cand] @ X[u], out=maxsim)
         maxsim[pos] = np.inf
     return picked, trace
+
+
+def dense_greedy(candidates, reference, n_pick, features, density=None):
+    """Reference: the greedy loop kcenter_greedy replaced, which multiplies
+    every candidate row by every pick (its argument checks left out)."""
+    cand = np.asarray(candidates, np.int64).ravel()
+    ref = np.asarray(reference, np.int64)
+    if n_pick == 0:
+        return [], []
+    Xc = features.take(cand)
+    picked: list[int] = []
+    trace: list[float] = []
+    if ref.size:
+        maxsim = _max_similarity(Xc, features, ref)
+    else:
+        # -2 lies below every cosine of unit rows, and the first center's
+        # -inf below that, so the loop takes it first and traces it at -inf.
+        maxsim = np.full(cand.size, -2.0)
+        maxsim[int(np.argmin(density)) if density is not None else 0] = -np.inf
+    sim = np.empty(cand.size)
+    while len(picked) < n_pick:
+        pos = int(np.argmin(maxsim))
+        trace.append(float(maxsim[pos]))
+        picked.append(int(cand[pos]))
+        np.matmul(Xc, Xc[pos], out=sim)
+        np.maximum(maxsim, sim, out=maxsim)
+        maxsim[pos] = np.inf
+    return picked, trace
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(dacs.__file__))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def on_one_blas_thread(name, *args):
+    """Call this module's function `name` with args with BLAS on one thread.
+
+    A threaded BLAS splits a large matrix-vector product over its threads
+    where the shape falls, which rounds the rows at the split otherwise, so
+    the bit-exact k-center oracles hold on one BLAS thread. OpenBLAS reads
+    its thread count when it loads: under any other setting the call runs in
+    a fresh interpreter with it set to 1, and its failure is this one's.
+    """
+    if dacs.core._blas_single_threaded():
+        globals()[name](*args)
+        return
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([SRC_DIR, TESTS_DIR])}
+    code = f"import test_selection; test_selection.{name}(*{args!r})"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def reference_max_similarity(Xc, X, ref, block=2048):
@@ -220,6 +273,62 @@ class TestKcenterBruteForce:
             kcenter_greedy(cand, ref, 2, X, density=density)
 
 
+def dense_oracle_pool(n_ref, n_cand, d, seed, lattice):
+    """n_ref reference rows, then n_cand candidates, all unit rows.
+
+    The bulk lies in the positive orthant: lattice rows with repeats, whose
+    similarities tie exactly, or rows near the all-ones direction. The last
+    3 rows lie on the far side, so that they are picked early, most of them
+    after refreshes. They hold the last n mod 4 rows of the candidates,
+    which a matrix-vector product rounds by other rules.
+    """
+    n = n_ref + n_cand
+    gen = Rng(seed, "dense-oracle").generator()
+    if lattice:
+        bulk = np.abs(tied_sphere_rows(seed, n - 3, d, n // 4, lattice=True).data)
+    else:
+        bulk = unit(1.0 + 0.5 * gen.normal(size=(n - 3, d)))
+    apart = unit(-1.0 + 2.0 * gen.normal(size=(3, d)))
+    return FeatureMatrix(np.concatenate([bulk, apart]), unit_norm=True)
+
+
+# Candidates and picks per call of the dense oracle, by width: a few
+# thousand 16-D rows, or a thousand 512-D ones, whose every pick streams
+# 4 MB through the dense loop.
+DENSE_ORACLE_SHAPES = {16: (4000, 300), 512: (1000, 100)}
+
+
+def assert_matches_dense_greedy(d, n_mod_4):
+    """kcenter_greedy against dense_greedy, == on picks and trace bits, on
+    pools of n_mod_4 rows past a multiple of 4: with 40 reference rows and
+    with none, with and without a density, on lattice and on near rows."""
+    base, n_pick = DENSE_ORACLE_SHAPES[d]
+    n_cand = base + n_mod_4
+    tail_picks = 0  # picks after a call's first that land in its last n mod 4 rows
+    for lattice in (False, True):
+        for n_ref in (40, 0):
+            X = dense_oracle_pool(n_ref, n_cand, d, d + n_mod_4, lattice)
+            cand, ref = np.arange(n_ref, n_ref + n_cand), np.arange(n_ref)
+            for density in (None, Rng(n_cand, "dense-oracle").generator().uniform(size=n_cand)):
+                case = f"d={d} n={n_cand} lattice={lattice} n_ref={n_ref} density={density is not None}"
+                got = kcenter_greedy(cand, ref, n_pick, X, density=density)
+                want = dense_greedy(cand, ref, n_pick, X, density=density)
+                assert got[0] == want[0], case
+                assert got[1] == want[1], case
+                assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes(), case
+                tail_picks += sum(p >= cand[n_cand - n_mod_4] for p in got[0][1:]) if n_mod_4 else 0
+    assert tail_picks or not n_mod_4
+
+
+class TestKcenterDenseOracle:
+    """kcenter_greedy against the loop that multiplies every candidate by every pick."""
+
+    @pytest.mark.parametrize("n_mod_4", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [16, 512])
+    def test_bit_identical_to_dense_greedy(self, d, n_mod_4):
+        on_one_blas_thread("assert_matches_dense_greedy", d, n_mod_4)
+
+
 def force_threads(monkeypatch, workers):
     """Run every parallel kernel call on `workers` threads, however small."""
     monkeypatch.setattr(dacs.core, "_PARALLEL_MIN_WORK", 0)
@@ -320,6 +429,40 @@ class TestMaxSimilarityTiling:
             assert np.array_equal(_max_similarity(X[:1200], FeatureMatrix(X), ref), one), workers
 
 
+class TestMatrixVectorRounding:
+    """The BLAS rounding that kcenter_greedy's refresh relies on.
+
+    Kernel-bound: no BLAS documents it. It held on x86-64 OpenBLAS 0.3.31's
+    SkylakeX, Haswell and Sandybridge kernels (ROADMAP item 11).
+    """
+
+    # 15 or 51 candidate rows end in a 3-row tail after groups of 4. Every
+    # product has under 9,216 entries, below which OpenBLAS runs a
+    # matrix-vector product on one thread, so a threaded BLAS checks the same.
+    @pytest.mark.parametrize("d, n", [(16, 51), (512, 15)])
+    def test_a_row_of_a_group_of_4_rounds_alike_in_either_orientation(self, d, n):
+        from conftest import openblas_runtime
+
+        X = sphere_points(n + 16, d, d).data
+        C, P = X[:n], X[n:]
+        grouped = n - n % 4
+        kernel_bound = (
+            f"kernel-bound (ROADMAP item 11): OpenBLAS core {openblas_runtime()[0]} rounds "
+            "a matrix-vector product otherwise than kcenter_greedy's refresh relies on"
+        )
+        dense = [C @ p for p in P]  # candidate rows x pick
+        for i in range(grouped):
+            # pick rows x candidate, in windows of 4 to 16 rows at every offset
+            for m in (4, 8, 12, 16):
+                for start in range(17 - m):
+                    got = P[start : start + m] @ C[i]
+                    want = [dense[start + j][i] for j in range(m)]
+                    assert got.tolist() == want, f"{kernel_bound}: row {i}, {m} rows from {start}"
+        # the tail rows, from the product's last 4 + n mod 4 rows
+        for p, whole in zip(P, dense):
+            assert np.array_equal((C[grouped - 4 :] @ p)[4:], whole[grouped:]), kernel_bound
+
+
 class TestKcenterGreedy:
     def test_prefers_the_antipode(self):
         X = FeatureMatrix(
@@ -376,6 +519,27 @@ class TestKcenterGreedy:
         X = sphere_points(10, 4, 0)
         picked, _ = kcenter_greedy([3, 7, 9], [], 2, X, density=[9.0, 1.0, 5.0])
         assert picked[0] == 7
+
+    def test_cold_start_spends_one_refresh_bound_then_folds_every_pick(self, monkeypatch):
+        # After the first center every value is stale: the second pick spends
+        # its refresh bound, then every pick folds into every candidate. Lazy
+        # picks alone refreshed every candidate, some many times.
+        class CountingNumpy:
+            dots = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dot(self, *args):
+                CountingNumpy.dots += 1
+                return np.dot(*args)
+
+        monkeypatch.setattr(dacs.selection, "np", CountingNumpy())
+        X = sphere_points(5000, 16, 21)
+        got = kcenter_greedy(np.arange(5000), [], 60, X)
+        assert CountingNumpy.dots == dacs.selection._REFRESHES_PER_COLUMN * 16
+        monkeypatch.undo()
+        assert got == dense_greedy(np.arange(5000), [], 60, X)
 
     def test_refuses_a_density_that_is_not_one_value_per_candidate(self):
         X = sphere_points(10, 4, 0)
