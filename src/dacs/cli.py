@@ -115,12 +115,7 @@ def cmd_select(args) -> int:
     if args.strategy in SCORED_STRATEGIES:
         if not args.scores:
             raise ParseError(f"strategy {args.strategy!r} requires --scores")
-        raw = read_scores_file(args.scores)
-        if raw.size != embeddings.n:
-            raise ParseError(
-                f"scores file has {raw.size} entries but embeddings have {embeddings.n} rows"
-            )
-        scores = UncertaintyScores(scores=raw)
+        scores = UncertaintyScores(scores=read_scores_file(args.scores))
     started = time.perf_counter()
     result = select(args.strategy, pool, embeddings, config, rng, scores)
     elapsed = time.perf_counter() - started

@@ -2,9 +2,10 @@
 
 One `key = value` pair per line, `#` comments, unknown keys rejected. A key
 left out takes the engine's own default. parse_run_config refuses every value
-a grid run would refuse, with the engine's own checks and before any data
-exists. The DACS_SEED environment variable, when set, overrides the
-configured run seeds with that single seed.
+a grid run would refuse, with the engine's own checks: it draws the dataset
+the config describes, whose generators check their arguments, and checks
+each run on that dataset's shape. The DACS_SEED environment variable, when
+set, overrides the configured run seeds with that single seed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .simulate import (
     gen_gaussian_mixture,
     gen_near_duplicate,
     held_out_rows,
-    mixture_rows,
-    near_duplicate_rows,
 )
 
 SEED_ENV_VAR = "DACS_SEED"
@@ -125,22 +124,12 @@ def _validate(config: RunConfig) -> None:
         if not 0 < getattr(config, key) < 1:
             raise ParseError(f"{key} must lie in (0, 1)")
     try:
-        n_rows = dataset_rows(config)
-        settings = run_settings(config, n_rows)
+        features = dataset_from_config(config).features
+        settings = run_settings(config, features.n)
         for strategy in config.strategies:
-            check_run(n_rows, config.dim, strategy, **settings)
+            check_run(features.n, features.d, strategy, **settings)
     except ValueError as exc:
         raise ParseError(f"bad engine setting: {exc}") from exc
-
-
-def dataset_rows(config: RunConfig) -> int:
-    """Row count of dataset_from_config(config), checked as it checks it, without the data."""
-    rows = mixture_rows(
-        config.classes, config.per_class, config.dim, config.spread, config.separation
-    )
-    if config.dataset == GENERATOR_NEAR_DUPLICATE:
-        return near_duplicate_rows(rows, config.replication, config.noise_sigma)
-    return rows
 
 
 def dataset_from_config(config: RunConfig):

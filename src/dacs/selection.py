@@ -46,7 +46,7 @@ EXPAND_FACTOR = 2.0
 
 @dataclass(frozen=True, eq=False)
 class UncertaintyScores:
-    """Per-sample uncertainty, aligned to sample indices; higher = more uncertain."""
+    """Per-sample finite uncertainty, aligned to sample indices; higher = more uncertain."""
 
     scores: np.ndarray
     source: str = "external-file"
@@ -55,6 +55,16 @@ class UncertaintyScores:
         object.__setattr__(self, "scores", _readonly(np.asarray(self.scores, np.float64)))
         if self.scores.ndim != 1:
             raise ValueError("scores must be 1-D")
+        bad = np.flatnonzero(~np.isfinite(self.scores))
+        if bad.size:
+            raise ValueError(f"uncertainty score of sample {bad[0]} is {self.scores[bad[0]]}")
+
+    def check_covers(self, pool: PoolState) -> None:
+        """Refuse a vector that is not exactly one score per sample of the pool."""
+        if self.scores.size != pool.n_total:
+            raise ValueError(
+                f"{self.scores.size} uncertainty scores for a pool of {pool.n_total} samples"
+            )
 
 
 @dataclass
@@ -98,21 +108,15 @@ _CAND_TILE = 384
 _REFRESHES_PER_COLUMN = 4
 
 
-def _max_similarity(
-    Xc: np.ndarray,
-    features: FeatureMatrix,
-    ref: np.ndarray,
-    block: int = _REF_BLOCK,
-    tile: int = _CAND_TILE,
-) -> np.ndarray:
+def _max_similarity(Xc: np.ndarray, features: FeatureMatrix, ref: np.ndarray) -> np.ndarray:
     """max over reference rows of features of cosine similarity, per row of Xc.
 
-    Each block of reference rows is gathered once, as float64 rows (take).
-    The candidate rows then meet it in tiles of `tile` rows, each tile's
-    product written into a reused buffer and its row maxima folded into the
-    output. Every value is the one a single candidates x block product
-    gives; a bit-exact oracle test checks this, since no BLAS documents it
-    (see _CAND_TILE).
+    Each block of _REF_BLOCK reference rows is gathered once, as float64
+    rows (take). The candidate rows then meet it in tiles of _CAND_TILE rows
+    (read at call time), each tile's product written into a reused buffer and
+    its row maxima folded into the output. Every value is the one a single
+    candidates x block product gives; a bit-exact oracle test checks this,
+    since no BLAS documents it (see _CAND_TILE).
 
     BLAS takes its matrix-vector path, which rounds differently, for a
     product with one row or one column. So no product has a single row
@@ -128,7 +132,7 @@ def _max_similarity(
     """
     n = Xc.shape[0]
     out = np.full(n, -np.inf)
-    tile = max(tile, 2)
+    block, tile = _REF_BLOCK, max(_CAND_TILE, 2)
     starts = range(0, n, tile)
     for start in range(0, ref.size, block):
         R = features.take(ref[start : start + block]).T
@@ -390,11 +394,8 @@ def entropy_top_b(pool: PoolState, scores: UncertaintyScores, budget: int) -> Ac
 
     Score ties keep index order.
     """
+    scores.check_covers(pool)
     check_budget(budget, pool)
-    if scores.scores.size < pool.n_total:
-        raise ValueError(
-            f"{scores.scores.size} uncertainty scores for a pool of {pool.n_total} samples"
-        )
     order = np.argsort(-scores.scores[pool.unlabeled], kind="stable")[:budget]
     picked = [int(i) for i in pool.unlabeled[order]]
     return AcquisitionResult(
@@ -417,21 +418,13 @@ def expand_and_squeeze(
     capped at the pool size, then keeps the budget-many candidates with the
     highest uncertainty scores. Score ties keep earlier-selected candidates.
     """
+    scores.check_covers(pool)
     b = config.budget
     check_budget(b, pool)
     expanded = min(math.ceil(EXPAND_FACTOR * b), pool.unlabeled.size)
     inner = dacs_select(pool, features, replace(config, budget=expanded), rng)
     cand = np.asarray(inner.selected, np.int64)
-    s = scores.scores
-    if cand.max() >= s.size:
-        raise ValueError(
-            f"no uncertainty score for candidate index {int(cand.max())}"
-        )
-    vals = s[cand]
-    if np.any(np.isnan(vals)):
-        missing = int(cand[int(np.argmax(np.isnan(vals)))])
-        raise ValueError(f"no uncertainty score for candidate index {missing}")
-    order = np.argsort(-vals, kind="stable")[:b]
+    order = np.argsort(-scores.scores[cand], kind="stable")[:b]
     keep = set(int(cand[i]) for i in order)
     selected = [int(i) for i in cand if int(i) in keep]
     per_cluster = []

@@ -62,30 +62,6 @@ class SyntheticDataset:
         return self.features.n
 
 
-def mixture_rows(n_classes: int, per_class: int, dim: int, spread: float, separation: float) -> int:
-    """Row count of gen_gaussian_mixture with these arguments, which it checks."""
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1 or dim < 1:
-        raise ValueError("per_class and dim must be positive")
-    if not (math.isfinite(spread) and math.isfinite(separation)):
-        raise ValueError("spread and separation must be finite")
-    if spread < 0 or separation < 0:
-        raise ValueError("spread and separation must be non-negative")
-    return n_classes * per_class
-
-
-def near_duplicate_rows(base_rows: int, replication: int, noise_sigma: float) -> int:
-    """Row count of gen_near_duplicate with these arguments on base_rows rows, which it checks."""
-    if replication < 1:
-        raise ValueError("replication must be at least 1")
-    if not math.isfinite(noise_sigma):
-        raise ValueError("noise_sigma must be finite")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
-    return base_rows * (1 + replication)
-
-
 def gen_gaussian_mixture(
     n_classes: int,
     per_class: int,
@@ -100,7 +76,14 @@ def gen_gaussian_mixture(
     n_classes > dim) scaled by separation; points add spread-scaled standard
     normal noise. Both draws come from the "data" stream.
     """
-    mixture_rows(n_classes, per_class, dim, spread, separation)
+    if n_classes < 2:
+        raise ValueError("need at least 2 classes")
+    if per_class < 1 or dim < 1:
+        raise ValueError("per_class and dim must be positive")
+    if not (math.isfinite(spread) and math.isfinite(separation)):
+        raise ValueError("spread and separation must be finite")
+    if spread < 0 or separation < 0:
+        raise ValueError("spread and separation must be non-negative")
     gen = rng.derive("data").generator()
     raw = gen.standard_normal((n_classes, dim))
     if n_classes <= dim:
@@ -137,7 +120,12 @@ def gen_near_duplicate(
     of std noise_sigma (labels copied), so the output has (1 + replication)
     times the base size. Copies of one point stay adjacent: original first.
     """
-    near_duplicate_rows(base.n, replication, noise_sigma)
+    if replication < 1:
+        raise ValueError("replication must be at least 1")
+    if not math.isfinite(noise_sigma):
+        raise ValueError("noise_sigma must be finite")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be non-negative")
     X = base.features.take(np.arange(base.n))
     sd = X.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
@@ -309,10 +297,7 @@ def check_run(
     n_rows: int, n_features: int, strategy: str, acq_config: AcquisitionConfig,
     model_config: ModelConfig, cycles: int, init_labeled: int, test_fraction: float,
 ) -> None:
-    """Refuse what run_al would on an n_rows x n_features dataset.
-
-    It needs the dataset's shape only, so a config is checked before any data exists.
-    """
+    """Refuse what run_al would on an n_rows x n_features dataset, from its shape alone."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if cycles < 0:

@@ -30,7 +30,6 @@ from dacs.config import (
     RunConfig,
     acquisition_config,
     dataset_from_config,
-    dataset_rows,
     parse_run_config,
     run_settings,
 )
@@ -39,7 +38,7 @@ from dacs.density import exact_knn_density, lsh_assign, lsh_density
 from dacs.formats import ParseError, read_embeddings
 from dacs.model import ModelConfig
 from dacs.selection import STRATEGIES, STRATEGY_READS
-from dacs.simulate import GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE, run_al
+from dacs.simulate import GENERATOR_NEAR_DUPLICATE, run_al
 
 # A value for each `dacs select` flag that some strategy reads, as the command
 # line gives it; a strategy that does not read the flag refuses it before any
@@ -166,11 +165,6 @@ class TestParseRunConfig:
             ["density", "--embeddings", str(pool), "--mode", "lsh", "--out", "o.csv"]
         )
         assert args.buckets == acq.n_buckets
-
-    @pytest.mark.parametrize("dataset", [GENERATOR_MIXTURE, GENERATOR_NEAR_DUPLICATE])
-    def test_row_count_is_the_generated_datasets(self, dataset):
-        config = RunConfig(dataset=dataset, classes=3, per_class=7, dim=4, replication=3)
-        assert dataset_rows(config) == dataset_from_config(config).n
 
     def test_env_seed_wins(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"
@@ -307,11 +301,12 @@ class TestSelectCommand:
     def test_combined_scores_must_align(self, pool_file, tmp_path, capsys):
         scores = tmp_path / "scores.txt"
         scores.write_text("\n".join(["0.5"] * 7) + "\n")
-        code, _ = self.run_select(
+        code, out = self.run_select(
             pool_file, tmp_path, "--strategy", "combined", "--scores", str(scores)
         )
         assert code == EXIT_USAGE
-        assert "7 entries" in capsys.readouterr().err
+        assert "7 uncertainty scores for a pool of 100 samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_combined_with_scores(self, pool_file, tmp_path):
         scores = tmp_path / "scores.txt"
@@ -863,6 +858,10 @@ class TestSimulateCommand:
             ("spread", "nan", "bad engine setting: spread and separation must be finite"),
             ("separation", "inf", "bad engine setting: spread and separation must be finite"),
             ("noise_sigma", "inf", "bad engine setting: noise_sigma must be finite"),
+            ("classes", 1, "bad engine setting: need at least 2 classes"),
+            ("per_class", 0, "bad engine setting: per_class and dim must be positive"),
+            ("replication", 0, "bad engine setting: replication must be at least 1"),
+            ("noise_sigma", -1, "bad engine setting: noise_sigma must be non-negative"),
         ],
     )
     def test_engine_rejects_are_refused_before_any_output(
@@ -870,7 +869,7 @@ class TestSimulateCommand:
     ):
         cfg = tmp_path / "run.cfg"
         overrides = {key: value}
-        if key == "noise_sigma":  # read by the near-duplicate generator only
+        if key in ("replication", "noise_sigma"):  # read by the near-duplicate generator only
             overrides["dataset"] = GENERATOR_NEAR_DUPLICATE
         write_sim_config(cfg, **overrides)
         with pytest.raises(ParseError, match=message):

@@ -335,6 +335,14 @@ def force_threads(monkeypatch, workers):
     monkeypatch.setattr(dacs.core, "_worker_count", lambda: workers)
 
 
+def tiled_max_similarity(Xc, X, ref, block, tile):
+    """_max_similarity with its reference blocks of `block` rows and tiles of `tile`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dacs.selection, "_REF_BLOCK", block)
+        mp.setattr(dacs.selection, "_CAND_TILE", tile)
+        return _max_similarity(Xc, FeatureMatrix(X), ref)
+
+
 class TestMaxSimilarityTiling:
     """The tiled first pass against one product per reference block."""
 
@@ -347,7 +355,7 @@ class TestMaxSimilarityTiling:
     def test_bit_identical_to_untiled(self, tile, n_ref, lattice):
         X = tied_sphere_rows(n_ref + tile, 61 + n_ref, 16, 12, lattice).data
         Xc, ref = X[:61], np.arange(61, 61 + n_ref)
-        got = _max_similarity(Xc, FeatureMatrix(X), ref, block=8, tile=tile)
+        got = tiled_max_similarity(Xc, X, ref, block=8, tile=tile)
         assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=8))
 
     @settings(max_examples=150, deadline=None)
@@ -368,7 +376,7 @@ class TestMaxSimilarityTiling:
         ref = np.asarray(data.draw(st.lists(row, min_size=n_ref, max_size=n_ref), label="ref"))
         block = data.draw(st.integers(1, 12), label="block")
         tile = data.draw(st.integers(1, 100), label="tile")
-        got = _max_similarity(Xc, FeatureMatrix(X), ref, block=block, tile=tile)
+        got = tiled_max_similarity(Xc, X, ref, block=block, tile=tile)
         assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=block))
 
     def test_default_tiles_with_one_row_tail_and_one_column_block(self, monkeypatch):
@@ -405,7 +413,7 @@ class TestMaxSimilarityTiling:
         force_threads(monkeypatch, workers)
         X = tied_sphere_rows(n_ref + workers, 15 + n_ref, 16, 12, lattice).data
         Xc, ref = X[:15], np.arange(15, 15 + n_ref)
-        got = _max_similarity(Xc, FeatureMatrix(X), ref, block=8, tile=7)
+        got = tiled_max_similarity(Xc, X, ref, block=8, tile=7)
         assert np.array_equal(got, reference_max_similarity(Xc, X, ref, block=8))
 
     def test_thread_count_does_not_change_the_tiles(self, monkeypatch):
@@ -752,16 +760,17 @@ class TestExpandAndSqueeze:
         assert out.selected == inner.selected[:2]
 
     def test_nan_score_names_the_candidate(self):
+        # refused when the scores are made, before any strategy sees them
         X, pool, cfg = expand_fixture()
         bad = np.array([0.0, 0.9, np.nan, 0.8, 0.2])
-        with pytest.raises(ValueError, match="index 2"):
+        with pytest.raises(ValueError, match="uncertainty score of sample 2 is nan"):
             expand_and_squeeze(
                 pool, X, cfg, UncertaintyScores(scores=bad, source="test"), Rng(3, "sel")
             )
 
     def test_short_score_vector_rejected(self):
         X, pool, cfg = expand_fixture()
-        with pytest.raises(ValueError, match="no uncertainty score"):
+        with pytest.raises(ValueError, match="3 uncertainty scores for a pool of 5 samples"):
             expand_and_squeeze(
                 pool,
                 X,
@@ -769,6 +778,35 @@ class TestExpandAndSqueeze:
                 UncertaintyScores(scores=np.zeros(3), source="test"),
                 Rng(3, "sel"),
             )
+
+    @pytest.mark.parametrize("n_scores", [5, 6, 7, 9])
+    def test_scores_must_cover_the_pool_not_just_the_candidates(self, n_scores):
+        # 8 rows on a circle, row 0 labeled, budget 1: the 2 expanded
+        # candidates are rows 4 and 2, which a vector of 5, 6 or 7 scores
+        # covers, yet it must still be refused
+        h = math.sqrt(0.5)
+        X = FeatureMatrix(
+            np.array([[1, 0], [h, h], [0, 1], [-h, h], [-1, 0], [-h, -h], [0, -1], [h, -h]]),
+            unit_norm=True,
+        )
+        cfg = AcquisitionConfig(budget=1, n_buckets=2, n_breaks=1)
+        scores = UncertaintyScores(scores=np.linspace(0.0, 1.0, n_scores), source="test")
+        match = f"{n_scores} uncertainty scores for a pool of 8 samples"
+        with pytest.raises(ValueError, match=match):
+            expand_and_squeeze(make_pool(8, [0]), X, cfg, scores, Rng(3, "sel"))
+
+    def test_bad_scores_are_refused_before_the_density_pass(self, monkeypatch):
+        calls = []
+        real = dacs.selection.pool_density
+        monkeypatch.setattr(
+            dacs.selection, "pool_density", lambda *a: calls.append(a) or real(*a)
+        )
+        X, pool, cfg = expand_fixture()
+        with pytest.raises(ValueError, match="4 uncertainty scores for a pool of 5 samples"):
+            select("combined", pool, X, cfg, Rng(3, "sel"), UncertaintyScores(np.zeros(4)))
+        assert len(calls) == 0
+        select("combined", pool, X, cfg, Rng(3, "sel"), UncertaintyScores(np.zeros(5)))
+        assert len(calls) == 1
 
 
 class TestEntropyTopB:
@@ -782,6 +820,25 @@ class TestEntropyTopB:
     def test_short_score_vector_rejected(self):
         with pytest.raises(ValueError, match="3 uncertainty scores for a pool of 8"):
             entropy_top_b(make_pool(8, [1]), UncertaintyScores(scores=np.zeros(3)), 2)
+
+    def test_long_score_vector_rejected(self):
+        with pytest.raises(ValueError, match="9 uncertainty scores for a pool of 6 samples"):
+            entropy_top_b(make_pool(6, [0]), UncertaintyScores(scores=np.arange(9.0)), 3)
+
+    def test_nan_scores_are_refused_not_ranked_last(self):
+        with pytest.raises(ValueError, match="uncertainty score of sample 1 is nan"):
+            entropy_top_b(
+                make_pool(6, [0]),
+                UncertaintyScores(scores=[0.1, np.nan, 0.5, 0.2, np.nan, 0.3]),
+                3,
+            )
+
+
+class TestUncertaintyScores:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_score_is_refused(self, value):
+        with pytest.raises(ValueError, match=f"uncertainty score of sample 2 is {value}"):
+            UncertaintyScores(scores=[0.0, 1.0, value])
 
 
 class TestSelectDispatch:
