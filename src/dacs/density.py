@@ -167,7 +167,9 @@ def lsh_assign(x: FeatureMatrix | RowView, k: int, rng: Rng) -> LshAssignment:
     stream = rng.derive("rotation")
     rotation = stream.generator().standard_normal((x.d, k // 2))
     bucket_ids = _assign_buckets(x, rotation)
-    sorted_order = np.argsort(bucket_ids, kind="stable")
+    # Ids below k sort as the narrowest unsigned type that holds k - 1: the
+    # same stable order, and up to 16 bits numpy's radix sort gives it.
+    sorted_order = np.argsort(bucket_ids.astype(np.min_scalar_type(k - 1)), kind="stable")
     m = max(1, x.n // k)
     if x.n < k:
         warnings.warn(
@@ -216,12 +218,21 @@ def lsh_density(
     whole gemm's rows. No sorted copy Z of the rows is made: a stack or a
     chunk gathers its rows and the window before them, straight from the
     pool when x is a RowView, into a row buffer with Z's row stride, so each
-    product keeps its shapes, strides and bits. Each product block is
-    weighed whole in a scratch buffer of its size and summed straight into
-    the output. A large pool splits its chunks into contiguous runs, one
-    per thread (see core._parallel_ranges for how many), each with its own
-    product, scratch and row buffers; no value depends on which thread or
-    stack takes a chunk.
+    product keeps its shapes, strides and bits. The sign that sigmoid's
+    exp(-c) needs is folded into the product: a stack's or chunk's own rows
+    are copied negated, once, into a buffer of their own, and multiplied
+    against the windows, so the product holds -c exactly, as round-to-nearest
+    is sign-symmetric. exp, +1, 1/x and a multiply by the block then give
+    -(sigmoid(c) * c) with no pass to negate c, and each value is written as
+    0.0 minus its row sum: S itself, and +0.0 for a row that sums to zero,
+    as the unnegated sum is. The one exception is chunk 0 when chunks stack:
+    numpy hands its Z Z^T to syrk only with one operand twice, so that block
+    is made from the unnegated rows and negated in place. Each product block
+    is weighed whole in a scratch buffer of its size and summed straight
+    into the output. A large pool splits its chunks into contiguous runs,
+    one per thread (see core._parallel_ranges for how many), each with its
+    own product, scratch, row and negated-row buffers; no value depends on
+    which thread or stack takes a chunk.
     """
     if not x.unit_norm:
         raise ValueError("windowed density requires unit-norm features; normalize first")
@@ -251,33 +262,32 @@ def lsh_density(
     step = _ROW_TILE if own * width > _STACK_SCRATCH else own
     product_cap = per_stack * step * width
     gather_cap = min(n, (per_stack + 1) * m) * d  # a stack's chunks and the window before them
+    own_cap = min(n, per_stack * own) * d  # a stack's own rows, negated
     vals_sorted = np.empty(n, dtype=np.float64)
 
-    def score_rows(Z, s, rows, lo, w, g, product, scratch) -> None:
-        # Z holds sorted rows lo on; row block j < g multiplies rows s + j*m on
-        # by its window lo + j*m on, a strided view, as the windows overlap.
-        windows = np.lib.stride_tricks.as_strided(
-            Z, shape=(g, w, d), strides=(m * Z.strides[0], *Z.strides), writeable=False
-        )
-        sims = product[: g * rows * w].reshape(g, rows, w)
-        np.matmul(Z[s - lo : s - lo + g * rows].reshape(g, rows, d), windows.transpose(0, 2, 1), out=sims)
+    def weigh(sims, t, lo, scratch) -> None:
+        # sims holds -c of row block j < g, rows t + j*m on, against its
+        # window, rows lo + j*m on; writes -(row sums of sigmoid(c) * c).
+        g, rows, w = sims.shape
         diag = np.arange(rows)
-        sims[:, diag, diag + (s - lo)] = 0.0  # self term contributes nothing
+        sims[:, diag, diag + (t - lo)] = 0.0  # self term contributes nothing
         block = sims.reshape(g * rows, w)
         buf = scratch[: block.size].reshape(block.shape)
-        # (1 / (1 + exp(-c))) * c: sigmoid(c) * c in that operation order.
+        # (1 / (1 + exp(-c))) * -c: -(sigmoid(c) * c) in that operation order.
         # Cosines lie in [-1, 1], so exp cannot overflow.
-        np.negative(block, out=buf)
-        np.exp(buf, out=buf)
+        np.exp(block, out=buf)
         np.add(buf, 1.0, out=buf)
         np.divide(1.0, buf, out=buf)
         np.multiply(buf, block, out=buf)
-        buf.sum(axis=1, out=vals_sorted[s : s + g * rows])
+        buf.sum(axis=1, out=vals_sorted[t : t + g * rows])
 
     def chunks(a: int, b: int, mem: np.ndarray) -> None:
-        # Chunks a .. b - 1, with one product, one scratch buffer of its size
-        # and one row buffer per thread, reused for every stack or chunk.
-        product, scratch, rows_buf = np.split(mem, [product_cap, 2 * product_cap])
+        # Chunks a .. b - 1, with one product, one scratch buffer of its size,
+        # one row buffer and one buffer of negated rows per thread, reused for
+        # every stack or chunk.
+        product, scratch, rows_buf, neg_buf = np.split(
+            mem, np.cumsum([product_cap, product_cap, gather_cap])
+        )
         c = a
         while c < b:
             s, e = c * m, min(n, (c + 1) * m)
@@ -286,13 +296,33 @@ def lsh_density(
             # Sorted rows lo .. hi - 1, with the row stride of a sorted copy.
             hi = min(n, (c + g) * m)
             Z = x.take(assignment.sorted_order[lo:hi], out=rows_buf[: (hi - lo) * d].reshape(hi - lo, d))
-            for t in range(s, e, step):
-                score_rows(Z, t, min(step, e - t), lo, e - lo, g, product, scratch)
+            # Row block j < g is scored against sorted rows lo + j*m on: its
+            # window, a strided view, as the windows overlap.
+            w = e - lo
+            windows = np.lib.stride_tricks.as_strided(
+                Z, shape=(g, w, d), strides=(m * Z.strides[0], *Z.strides), writeable=False
+            ).transpose(0, 2, 1)
+            if c == 0 and step == own:
+                # Z Z^T, which numpy hands to syrk only with one operand
+                # twice, so its block is negated after the product.
+                sims = product[: own * w].reshape(1, own, w)
+                np.matmul(Z.reshape(1, own, d), windows, out=sims)
+                np.negative(sims, out=sims)
+                weigh(sims, s, lo, scratch)
+            else:
+                neg = np.negative(Z[s - lo :], out=neg_buf[: (hi - s) * d].reshape(hi - s, d))
+                for t in range(s, e, step):
+                    rows = min(step, e - t)
+                    sims = product[: g * rows * w].reshape(g, rows, w)
+                    np.matmul(neg[t - s : t - s + g * rows].reshape(g, rows, d), windows, out=sims)
+                    weigh(sims, t, lo, scratch)
             c += g
 
-    _parallel_ranges(n_chunks, n * width, 2 * product_cap + gather_cap, chunks)
+    _parallel_ranges(n_chunks, n * width, 2 * product_cap + gather_cap + own_cap, chunks)
+    # 0.0 - (-S) is S, and 0.0 - (+-0.0) is +0.0, as the unnegated sum of a
+    # row of zeros is: its self term is +0.0.
     values = np.empty(n, dtype=np.float64)
-    values[assignment.sorted_order] = vals_sorted
+    values[assignment.sorted_order] = np.subtract(0.0, vals_sorted, out=vals_sorted)
     return DensityProfile(values, DensityConvention.SIMILARITY_BASED, params)
 
 

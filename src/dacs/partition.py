@@ -108,6 +108,16 @@ def _weighted_jenks_dp(u: np.ndarray, w: np.ndarray, h: int) -> np.ndarray:
     return edges
 
 
+def _distinct(v_sorted: np.ndarray):
+    """(distinct values, count of each) of sorted values, as np.unique gives them.
+
+    np.unique sorts a copy with the same sort, so where -0.0 and 0.0 meet,
+    the zero that leads their run is the same one.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], v_sorted[1:] != v_sorted[:-1])))
+    return v_sorted[starts], np.diff(starts, append=v_sorted.size)
+
+
 def _quantile_bins(v_sorted: np.ndarray, n_bins: int):
     """Equal-frequency compression: (representative mean, count) per bin."""
     n = v_sorted.size
@@ -142,10 +152,11 @@ def jenks_breaks(values, h: int) -> DensityPartition:
         raise ValueError("values must be finite")
     if h < 1:
         raise ValueError("h must be at least 1")
-    uniq, counts = np.unique(v, return_counts=True)
+    v_sorted = np.sort(v)
+    uniq, counts = _distinct(v_sorted)
     points = f"{uniq.size} distinct values"
     if uniq.size > BIN_THRESHOLD:
-        uniq, counts = _quantile_bins(np.sort(v), N_BINS)
+        uniq, counts = _quantile_bins(v_sorted, N_BINS)
         points = f"{uniq.size} quantile bins of {points}"
     if h > uniq.size:
         warnings.warn(f"{h} classes requested but only {points}; using {uniq.size}")

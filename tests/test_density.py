@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -217,6 +218,23 @@ class TestLshAssign:
         a = lsh_assign(x, 10, Rng(1))
         assert a.bucket_ids.min() >= 0 and a.bucket_ids.max() < 10
         assert a.chunk_size == 25
+
+    # lsh_assign sorts the ids as uint8, uint16 and uint32 here: 65,536
+    # buckets are the most whose ids fit 16 bits, and 65,538 the fewest past
+    # them (k is even). The ids are drawn, not hashed, so the top ones occur.
+    @pytest.mark.parametrize("k", [100, 65_536, 65_538])
+    def test_sorted_order_is_the_stable_argsort_of_the_int64_ids(self, monkeypatch, k):
+        gen = Rng(14, "lsh").generator()
+        ids = np.concatenate([gen.integers(0, k, 3000), [k - 1, k - 2, 0, k - 1, min(k - 1, 65_535), 1]])
+        monkeypatch.setattr(dacs.density, "_assign_buckets", lambda x, rotation: ids.copy())
+        x = normalize_rows(FeatureMatrix(gen.standard_normal((ids.size, 2))))
+        if ids.size < k:
+            with pytest.warns(UserWarning, match="smaller than k"):
+                a = lsh_assign(x, k, Rng(0))
+        else:
+            a = lsh_assign(x, k, Rng(0))
+        assert np.array_equal(a.bucket_ids, ids)
+        assert np.array_equal(a.sorted_order, np.argsort(ids, kind="stable"))
 
     def test_chunk_size_floors_at_one(self):
         x = normalize_rows(FeatureMatrix(np.eye(3)))
@@ -557,6 +575,35 @@ class TestLshDensity:
                 bucket_ids=np.zeros(8, np.int64), sorted_order=order, chunk_size=2,
                 n_buckets=2, rotation_seed=0,
             )
+
+
+class TestSignedZeros:
+    """lsh_density multiplies negated rows, so its row sums hold -S; the
+    value is written as 0.0 - (-S), which keeps S's bits and makes a zero
+    +0.0, as the unnegated sum of a row of zeros with its +0.0 self term is.
+    """
+
+    # 16 rows that stack (2 and 4 buckets; chunk 0's product goes to syrk)
+    # or look back one row (16 buckets), and 400 rows of 200-row chunks
+    # multiplied in tiles.
+    @pytest.mark.parametrize("rows, buckets", [(16, 2), (16, 4), (16, 16), (400, 2)])
+    def test_orthogonal_rows_have_positive_zero_density(self, rows, buckets):
+        x = FeatureMatrix(np.eye(rows), unit_norm=True)
+        values = pool_density(x, np.arange(rows), buckets, Rng(0)).values
+        assert np.array_equal(values, np.zeros(rows))
+        assert not np.signbit(values).any()
+
+    # Every nonzero point of {-1, 0, 1}^4, normalized: cosines of exactly
+    # zero, of both signs and of 1; with one row per chunk, 8 rows have a
+    # density of exactly zero.
+    @pytest.mark.parametrize("buckets", [2, 8, 16, 80])
+    def test_lattice_pool_matches_the_chunk_formula_bit_for_bit(self, buckets):
+        points = [p for p in itertools.product([-1.0, 0.0, 1.0], repeat=4) if any(p)]
+        x = normalize_rows(FeatureMatrix(np.array(points)))
+        a = lsh_assign(x, buckets, Rng(5))
+        got = lsh_density(x, a).values
+        assert got.tobytes() == chunk_formula_oracle(x, a).tobytes()
+        assert (got == 0.0).sum() == (8 if buckets == 80 else 0)
 
 
 class TestRankAgreement:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from dacs.core import Rng
 from dacs.partition import (
+    BIN_THRESHOLD,
     DensityPartition,
+    _distinct,
     _weighted_jenks_dp,
     allocate_budget,
     jenks_breaks,
@@ -245,6 +247,34 @@ class TestJenksBreaks:
                 assert seg.min() > part.breaks[c - 1]
             if c < 3:
                 assert seg.max() <= part.breaks[c]
+
+
+class TestDistinct:
+    """jenks_breaks sorts once and reads the distinct values and their counts
+    off the sorted array; they must be np.unique's, bit for bit, including
+    which zero stands for a run of -0.0 and 0.0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=60))
+    def test_equals_np_unique_with_ties_and_signed_zeros(self, values):
+        self.assert_unique(np.array(values))
+
+    def test_equals_np_unique_on_many_values(self):
+        # more distinct values than BIN_THRESHOLD, ties, and both zeros
+        gen = Rng(9, "distinct").generator()
+        v = np.round(gen.standard_normal(60_000), 4)
+        v[gen.integers(0, v.size, 500)] = -0.0
+        v[gen.integers(0, v.size, 500)] = 0.0
+        uniq, _ = self.assert_unique(v)
+        assert uniq.size > BIN_THRESHOLD
+
+    @staticmethod
+    def assert_unique(v):
+        got = _distinct(np.sort(v))
+        want = np.unique(v, return_counts=True)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        return got
 
 
 @st.composite
