@@ -445,32 +445,33 @@ def expand_and_squeeze(
     )
 
 
-# The one strategy dispatch: name -> fn(pool, features, config, rng, scores).
-# Each entry looks its function up in this module's globals when called, so a
-# wrapper installed there (for example a tracer) sees every call.
+# The one strategy dispatch: name -> (fn(pool, features, config, rng, scores),
+# the settings it reads). Each fn looks its function up in this module's
+# globals when called, so a wrapper installed there (for example a tracer)
+# sees every call. The reads are named as the `dacs select` flags (seed is the
+# Rng's, scores the UncertaintyScores); a run refuses any other. The region
+# strategies use REGION_BREAKS, no temperature.
+_DACS_READS = ("buckets", "breaks", "temperature", "seed")
 _STRATEGY_TABLE = {
-    STRATEGY_RANDOM: lambda pool, x, cfg, rng, s: random_select(pool, cfg.budget, rng),
-    STRATEGY_CORESET: lambda pool, x, cfg, rng, s: coreset_select(pool, x, cfg.budget),
-    STRATEGY_DACS: lambda pool, x, cfg, rng, s: dacs_select(pool, x, cfg, rng),
-    STRATEGY_SPARSE_ONLY: lambda pool, x, cfg, rng, s: region_only_select(pool, x, cfg, "sparsest", rng),
-    STRATEGY_DENSE_ONLY: lambda pool, x, cfg, rng, s: region_only_select(pool, x, cfg, "densest", rng),
-    STRATEGY_COMBINED: lambda pool, x, cfg, rng, s: expand_and_squeeze(pool, x, cfg, s, rng),
-    STRATEGY_ENTROPY: lambda pool, x, cfg, rng, s: entropy_top_b(pool, s, cfg.budget),
+    STRATEGY_RANDOM: (lambda pool, x, cfg, rng, s: random_select(pool, cfg.budget, rng), ("seed",)),
+    STRATEGY_CORESET: (lambda pool, x, cfg, rng, s: coreset_select(pool, x, cfg.budget), ()),
+    STRATEGY_DACS: (lambda pool, x, cfg, rng, s: dacs_select(pool, x, cfg, rng), _DACS_READS),
+    STRATEGY_SPARSE_ONLY: (
+        lambda pool, x, cfg, rng, s: region_only_select(pool, x, cfg, "sparsest", rng),
+        ("buckets", "seed"),
+    ),
+    STRATEGY_DENSE_ONLY: (
+        lambda pool, x, cfg, rng, s: region_only_select(pool, x, cfg, "densest", rng),
+        ("buckets", "seed"),
+    ),
+    STRATEGY_COMBINED: (
+        lambda pool, x, cfg, rng, s: expand_and_squeeze(pool, x, cfg, s, rng),
+        _DACS_READS + ("scores",),
+    ),
+    STRATEGY_ENTROPY: (lambda pool, x, cfg, rng, s: entropy_top_b(pool, s, cfg.budget), ("scores",)),
 }
 STRATEGIES = tuple(_STRATEGY_TABLE)
-# The one declaration of the settings each strategy reads, named as the
-# `dacs select` flags (seed is the Rng's, scores the UncertaintyScores); a run
-# refuses any other. The region strategies use REGION_BREAKS, no temperature.
-_DACS_READS = ("buckets", "breaks", "temperature", "seed")
-STRATEGY_READS = {
-    STRATEGY_RANDOM: ("seed",),
-    STRATEGY_CORESET: (),
-    STRATEGY_DACS: _DACS_READS,
-    STRATEGY_SPARSE_ONLY: ("buckets", "seed"),
-    STRATEGY_DENSE_ONLY: ("buckets", "seed"),
-    STRATEGY_COMBINED: _DACS_READS + ("scores",),
-    STRATEGY_ENTROPY: ("scores",),
-}
+STRATEGY_READS = {name: reads for name, (_, reads) in _STRATEGY_TABLE.items()}
 # Strategies that rank by per-sample uncertainty and so need scores.
 SCORED_STRATEGIES = tuple(s for s, reads in STRATEGY_READS.items() if "scores" in reads)
 
@@ -488,4 +489,4 @@ def select(
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if scores is None and strategy in SCORED_STRATEGIES:
         raise ValueError(f"strategy {strategy!r} requires uncertainty scores")
-    return _STRATEGY_TABLE[strategy](pool, features, config, rng, scores)
+    return _STRATEGY_TABLE[strategy][0](pool, features, config, rng, scores)

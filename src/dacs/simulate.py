@@ -356,6 +356,7 @@ class _Run:
     log: list = field(default_factory=list)  # its warnings, as _record_warnings keeps them
     data: tuple = ()  # (X_train, y_train, X_test, y_test), shared by the runs of its Rng
     pool: PoolState | None = None
+    error: Exception | None = None  # what the run raised; its outcome in place of its report
 
 
 def run_lockstep(
@@ -374,17 +375,20 @@ def run_lockstep(
     Rng alone, so its runs share the split, the model and the density
     correlations; after that one per run. Trainees that share a model config
     and a labeled count train as one stack in train_stacked, each bit for
-    bit the model it would train alone. A run's timings hold its share of
-    the stacked steps and of its shared cycle 0.
+    bit the model it would train alone; a stack's trainees are evaluated,
+    and their runs select, before the next stack trains. Each step runs
+    through attempt, which charges every run the step serves an equal share
+    of its time: a run's timings hold its share of the stacked steps and of
+    its shared cycle 0.
 
     Returns (outcome, warnings) per run, in run order. The outcome is the
     run's ExperimentReport or the exception it raised (a DivergenceError
     among others); one run's failure does not stop the others, and an error
-    in a shared cycle 0 is the outcome of every run sharing it. The warnings
-    are every warning the run raised, whatever the filters say, in order, as
-    _warn_again issues them: one raised in a shared cycle 0 is in the log
-    of every run sharing it, one raised in a stacked step in the log of the
-    stack's lowest run.
+    in a shared cycle 0 or a stacked step is the outcome of every run it
+    serves. The warnings are every warning the run raised, whatever the
+    filters say, in order, as _warn_again issues them: one raised in a
+    shared cycle 0 is in the log of every run sharing it, one raised in a
+    stacked step in the log of the stack's lowest run.
     """
     config = {
         "dataset": {"generator": dataset.generator, **dataset.params, "data_seed": dataset.seed},
@@ -399,107 +403,95 @@ def run_lockstep(
         timings = {"train": 0.0, "select": 0.0, "density": 0.0}
         report = ExperimentReport(strategy, rng.seed, copy.deepcopy(config), [], timings=timings)
         state.append(_Run(rng, report))
-    outcomes: list = [None] * len(runs)
 
-    def attempt(members, work, *args):
+    def attempt(members, work, *args, charge=None, warn=None):
         """work(*args) for the member runs; None if it raised.
 
-        Its warnings go into each member's log, and an exception it raises is
-        each member's outcome.
+        Its warnings go into the log of each run in warn (default: every
+        member), and an exception it raises is each member's error. When
+        charge names a timing, each member's gets an equal share of its time.
         """
         caught: list = []
+        t0 = time.perf_counter()
         with _record_warnings(caught):
             try:
                 result = work(*args)
             except Exception as exc:
                 result = None
-                for i in members:
-                    outcomes[i] = exc
-        for i in members:
-            state[i].log.extend(caught)
+                for run in members:
+                    run.error = exc
+        if charge is not None:
+            share = (time.perf_counter() - t0) / len(members)
+            for run in members:
+                run.report.timings[charge] += share
+        for run in members if warn is None else warn:
+            run.log.extend(caught)
         return result
 
-    for i, (strategy, _) in enumerate(runs):
+    for run, (strategy, _) in zip(state, runs):
         attempt(
-            [i], check_run, dataset.n, dataset.features.d, strategy, acq_config, model_config,
+            [run], check_run, dataset.n, dataset.features.d, strategy, acq_config, model_config,
             cycles, init_labeled, test_fraction,
         )
     for t in range(cycles + 1):
         # The live runs that share a model: at cycle 0 all of an Rng's, later each alone.
         trainees: dict = {}
-        for i, run in enumerate(state):
-            if outcomes[i] is None:
-                trainees.setdefault(run.rng if t == 0 else i, []).append(i)
+        for run in state:
+            if run.error is None:
+                trainees.setdefault(run.rng if t == 0 else run, []).append(run)
         stacks: dict = {}  # (model config, labeled count) -> [(members, untrained model)]
         for members in trainees.values():
-            lead = state[members[0]]
+            lead = members[0]
             if t == 0:
                 split = attempt(members, _split, dataset, init_labeled, lead.rng, test_fraction)
                 if split is None:
                     continue
-                for i in members:
-                    state[i].data, state[i].pool = split
-            t0 = time.perf_counter()
+                for run in members:
+                    run.data, run.pool = split
             model = attempt(
                 members, init_model, model_config, lead.data[0].d,
-                lead.rng.derive(f"cycle-{t}").derive("model"),
+                lead.rng.derive(f"cycle-{t}").derive("model"), charge="train",
             )
-            share = (time.perf_counter() - t0) / len(members)
-            for i in members:
-                state[i].report.timings["train"] += share
             if model is not None:
                 key = (model.config, lead.pool.labeled.size)
                 stacks.setdefault(key, []).append((members, model))
-        trained = []  # (members, trained model or the exception it raised) per trainee
         for stack in stacks.values():
-            served = [i for members, _ in stack for i in members]
-            leads = [state[members[0]] for members, _ in stack]
-            t0 = time.perf_counter()
-            with _record_warnings(state[served[0]].log):  # the stack's lowest run
-                try:
-                    models = train_stacked(
-                        [model for _, model in stack],
-                        [lead.data[0] for lead in leads],
-                        [lead.data[1] for lead in leads],
-                        [lead.pool.labeled for lead in leads],
-                    )
-                except Exception as exc:  # raised in every run of the stack
-                    models = [exc] * len(stack)
-            share = (time.perf_counter() - t0) / len(served)
-            for i in served:
-                state[i].report.timings["train"] += share
-            trained.extend(zip([members for members, _ in stack], models))
-        for members, model in trained:
-            if isinstance(model, Exception):  # the outcome of every run it serves
-                for i in members:
-                    outcomes[i] = model
+            served = [run for members, _ in stack for run in members]
+            leads = [members[0] for members, _ in stack]
+            models = attempt(
+                served, train_stacked, [model for _, model in stack],
+                [lead.data[0] for lead in leads], [lead.data[1] for lead in leads],
+                [lead.pool.labeled for lead in leads], charge="train", warn=served[:1],
+            )
+            if models is None:
                 continue
-            lead = state[members[0]]
-            evaluated = attempt(members, _evaluate, model, lead.data)
-            if evaluated is None:
-                continue
-            out_train, out_test, accuracy = evaluated
-            embeddings = out_train.embedding_matrix()
-            crng = lead.rng.derive(f"cycle-{t}")
-            if t == 0:
-                t0 = time.perf_counter()
-                rho = attempt(
-                    members, _density_correlations, lead.pool, out_train, embeddings, out_test,
-                    acq_config, crng,
-                )
-                if rho is None:
+            for (members, _), model in zip(stack, models):
+                lead = members[0]
+                if isinstance(model, Exception):  # a DivergenceError, the error of its runs
+                    for run in members:
+                        run.error = model
                     continue
-                share = (time.perf_counter() - t0) / len(members)
-                for i in members:
-                    report = state[i].report
-                    report.rho_entropy, report.rho_loss = rho
-                    report.timings["density"] += share
-            for i in members:
-                attempt(
-                    [i], _acquire, state[i], t, cycles, out_train, embeddings, accuracy, acq_config,
-                    crng, dataset,
-                )
-    return [(run.report if o is None else o, run.log) for o, run in zip(outcomes, state)]
+                evaluated = attempt(members, _evaluate, model, lead.data)
+                if evaluated is None:
+                    continue
+                out_train, out_test, accuracy = evaluated
+                embeddings = out_train.embedding_matrix()
+                crng = lead.rng.derive(f"cycle-{t}")
+                if t == 0:
+                    rho = attempt(
+                        members, _density_correlations, lead.pool, out_train, embeddings,
+                        out_test, acq_config, crng, charge="density",
+                    )
+                    if rho is None:
+                        continue
+                    for run in members:
+                        run.report.rho_entropy, run.report.rho_loss = rho
+                for run in members:
+                    attempt(
+                        [run], _acquire, run, t, cycles, out_train, embeddings, accuracy,
+                        acq_config, crng, dataset,
+                    )
+    return [(run.report if run.error is None else run.error, run.log) for run in state]
 
 
 def _split(dataset: SyntheticDataset, init_labeled: int, rng: Rng, test_fraction: float):

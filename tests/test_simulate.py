@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,11 +379,13 @@ class TestRunLockstep:
     """Runs advanced together give each run the report it gets alone."""
 
     RUNS = [("dacs", 0), ("random", 1), ("coreset", 0), ("dacs", 2), ("entropy-top-b", 1)]
+    # At budget 12, dense-only seed 2 (run 5) clamps its cycle-0 budget to its
+    # densest class (9 rows), so from cycle 1 on each cycle trains two
+    # stacks: runs 0-4, and run 5 alone.
+    CLAMPED_RUNS = RUNS + [("dense-only", 2)]
 
     def test_every_run_reports_as_alone(self):
-        # at budget 12, dense-only seed 2 clamps one cycle's budget to its
-        # densest class (9 rows), so its later models train in a stack of their own
-        for budget, runs in ((6, self.RUNS), (12, self.RUNS + [("dense-only", 2)])):
+        for budget, runs in ((6, self.RUNS), (12, self.CLAMPED_RUNS)):
             ds, settings = small_settings(budget=budget)
             outcomes = run_lockstep(ds, [(s, Rng(seed, "al")) for s, seed in runs], **settings)
             for (strategy, seed), (report, log) in zip(runs, outcomes):
@@ -391,7 +394,10 @@ class TestRunLockstep:
                     want = small_run(strategy, seed=seed, budget=budget)
                 assert without_timings(report) == without_timings(want)
                 assert [(str(m), *w) for m, *w in log] == [(str(m), *w) for m, *w in alone]
-                assert report.timings["train"] > 0.0
+                assert report.timings["train"] > 0.0 and report.timings["density"] > 0.0
+        # runs sharing a cycle 0 share its density time equally: seeds 0, 1 and 2
+        density = [report.timings["density"] for report, _ in outcomes]
+        assert density[0] == density[2] and density[1] == density[4] and density[3] == density[5]
         clamped, log = outcomes[-1]
         assert [str(m) for m, *_ in log] == ["budget 12 exceeds densest class size 9; clamping"]
         assert clamped.records[-1].labeled_fraction < min(
@@ -456,3 +462,50 @@ class TestRunLockstep:
             strategy, seed = self.RUNS[i]
             want = run_al(ds, strategy, rng=Rng(seed, "al"), **settings)
             assert without_timings(outcomes[i]) == without_timings(want)
+
+    def clamped_lockstep(self, monkeypatch, train_stacked):
+        """run_lockstep's outcomes on CLAMPED_RUNS at budget 12, stacks trained by train_stacked."""
+        ds, settings = small_settings(budget=12)
+        monkeypatch.setattr(dacs.simulate, "train_stacked", train_stacked)
+        runs = [(strategy, Rng(seed, "al")) for strategy, seed in self.CLAMPED_RUNS]
+        outcomes = run_lockstep(ds, runs, **settings)
+        monkeypatch.undo()
+        return outcomes
+
+    def test_a_stacked_step_warns_in_its_lowest_run_only(self, monkeypatch):
+        real_train = dacs.simulate.train_stacked
+        steps = []  # the stack size of each step
+
+        def train_stacked(models, features, labels, labeled):
+            warnings.warn(f"step {len(steps)}")
+            steps.append(len(models))
+            return real_train(models, features, labels, labeled)
+
+        outcomes = self.clamped_lockstep(monkeypatch, train_stacked)
+        assert steps == [3, 5, 1, 5, 1]  # cycle 0 per Rng, then two stacks a cycle
+        shown = [[str(m) for m, *_ in log if str(m).startswith("step")] for _, log in outcomes]
+        lowest = [0 if size > 1 else 5 for size in steps]
+        for i, log in enumerate(shown):
+            assert log == [f"step {n}" for n, run in enumerate(lowest) if run == i]
+        assert [str(m) for m, *_ in outcomes[5][1]] == [
+            "budget 12 exceeds densest class size 9; clamping", "step 2", "step 4"
+        ]
+
+    def test_a_stacked_step_error_is_the_outcome_of_every_run_it_serves(self, monkeypatch):
+        real_train = dacs.simulate.train_stacked
+
+        def train_stacked(models, features, labels, labeled):
+            if len(models) > 1 and models[0].rng.stream.endswith("cycle-1/model"):
+                raise RuntimeError("stack lost")
+            return real_train(models, features, labels, labeled)
+
+        outcomes = self.clamped_lockstep(monkeypatch, train_stacked)
+        lost = outcomes[0][0]
+        assert isinstance(lost, RuntimeError) and str(lost) == "stack lost"
+        assert all(outcomes[i][0] is lost for i in range(5))
+        alone = []
+        with _record_warnings(alone):
+            want = small_run("dense-only", seed=2, budget=12)
+        report, log = outcomes[5]
+        assert without_timings(report) == without_timings(want)
+        assert [(str(m), *w) for m, *w in log] == [(str(m), *w) for m, *w in alone]
