@@ -428,10 +428,10 @@ def run_lockstep(
             run.log.extend(caught)
         return result
 
-    for run, (strategy, _) in zip(state, runs):
+    for run in state:
         attempt(
-            [run], check_run, dataset.n, dataset.features.d, strategy, acq_config, model_config,
-            cycles, init_labeled, test_fraction,
+            [run], check_run, dataset.n, dataset.features.d, run.report.strategy, acq_config,
+            model_config, cycles, init_labeled, test_fraction,
         )
     for t in range(cycles + 1):
         # The live runs that share a model: at cycle 0 all of an Rng's, later each alone.
