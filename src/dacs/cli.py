@@ -22,7 +22,6 @@ from .config import (
     RunConfig,
     acquisition_config,
     dataset_from_config,
-    env_seed,
     parse_run_config,
     run_settings,
 )
@@ -38,8 +37,6 @@ from .core import (
 )
 from .density import METRIC_COSINE, METRIC_EUCLIDEAN, exact_knn_density, pool_density
 from .formats import (
-    FORMAT_BINARY,
-    FORMAT_CSV,
     ParseError,
     atomic_write_text,
     read_embeddings,
@@ -68,21 +65,18 @@ COMPARE_MAX_ROWS = 20_000
 
 
 def _load_embeddings(args, normalize: bool) -> FeatureMatrix:
-    """The --embeddings pool, read in --format; unit-normalized (with a note) if asked."""
-    read = read_embeddings_csv if args.format == FORMAT_CSV else read_embeddings
+    """The --embeddings pool, unit-normalized (with a note) if asked.
+
+    A file that starts "f0" is a CSV; any other is read as the binary
+    container, whose reader names the byte offset of what is wrong with it.
+    """
+    with open(args.embeddings, "rb") as fh:
+        read = read_embeddings_csv if fh.read(2) == b"f0" else read_embeddings
     embeddings = read(args.embeddings)
     if normalize and not embeddings.unit_norm:
         print("note: input rows are not flagged unit-norm; normalizing", file=sys.stderr)
         embeddings = normalize_rows(embeddings)
     return embeddings
-
-
-def _resolve_seed(cli_seed) -> int:
-    """--seed, else DACS_SEED, else 0."""
-    if cli_seed is not None:
-        return cli_seed
-    seed = env_seed()
-    return 0 if seed is None else seed
 
 
 def _json_safe(value):
@@ -110,7 +104,7 @@ def cmd_select(args) -> int:
     pool = make_pool(embeddings.n, labeled)
     check_budget(args.budget, pool)
     config = acquisition_config(args, args.budget)
-    rng = Rng(_resolve_seed(args.seed))
+    rng = Rng(args.seed)
     scores = None
     if args.strategy in SCORED_STRATEGIES:
         if not args.scores:
@@ -173,7 +167,7 @@ def cmd_density(args) -> int:
     if args.mode == "exact":
         profile = exact_knn_density(embeddings, args.knn, metric=args.metric)
     else:
-        rng = Rng(_resolve_seed(args.seed))
+        rng = Rng(args.seed)
         profile = pool_density(embeddings, np.arange(embeddings.n), args.buckets, rng)
         if args.compare:
             exact = exact_knn_density(embeddings, args.knn, metric=METRIC_COSINE)
@@ -341,11 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by the two commands that take an embedding pool.
     pool_flags = argparse.ArgumentParser(add_help=False)
     pool_flags.add_argument("--embeddings", required=True)
-    pool_flags.add_argument("--format", choices=[FORMAT_BINARY, FORMAT_CSV], default=FORMAT_BINARY)
     pool_flags.add_argument(
         "--buckets", type=int, default=AcquisitionConfig.n_buckets, action=_NoteGiven
     )
-    pool_flags.add_argument("--seed", type=int, default=None, action=_NoteGiven)
+    pool_flags.add_argument("--seed", type=int, default=0, action=_NoteGiven)
     pool_flags.add_argument("--out", required=True)
 
     p_select = sub.add_parser(

@@ -4,13 +4,11 @@ One `key = value` pair per line, `#` comments, unknown keys rejected. A key
 left out takes the engine's own default. parse_run_config refuses every value
 a grid run would refuse, with the engine's own checks: it draws the dataset
 the config describes, whose generators check their arguments, and checks
-each run on that dataset's shape. The DACS_SEED environment variable, when
-set, overrides the configured run seeds with that single seed.
+each run on that dataset's shape.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 
 from .core import AcquisitionConfig, Rng
@@ -19,14 +17,11 @@ from .model import ModelConfig
 from .simulate import (
     GENERATOR_MIXTURE,
     GENERATOR_NEAR_DUPLICATE,
-    TEST_FRACTION,
     check_run,
     gen_gaussian_mixture,
     gen_near_duplicate,
     held_out_rows,
 )
-
-SEED_ENV_VAR = "DACS_SEED"
 
 
 @dataclass
@@ -42,7 +37,6 @@ class RunConfig:
     noise_sigma: float = 0.1
     data_seed: int = 7
     # pool schedule
-    test_fraction: float = TEST_FRACTION
     init_fraction: float = 0.02
     budget_fraction: float = 0.02
     cycles: int = 8
@@ -57,17 +51,6 @@ class RunConfig:
     epochs: int = ModelConfig.epochs
     batch_size: int = ModelConfig.batch_size
     learning_rate: float = ModelConfig.learning_rate
-
-
-def env_seed() -> int | None:
-    """The DACS_SEED environment variable as an integer, or None when it is unset."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
 
 
 def _parse_str_list(raw: str) -> list:
@@ -106,9 +89,6 @@ def parse_run_config(path) -> RunConfig:
                 twice = next(v for i, v in enumerate(value) if v in value[:i])
                 raise ParseError(f"line {ln}: {key} lists {twice!r} twice")
             setattr(config, key, value)
-    seed = env_seed()
-    if seed is not None:
-        config.seeds = [seed]
     _validate(config)
     return config
 
@@ -155,7 +135,7 @@ def acquisition_config(settings, budget: int) -> AcquisitionConfig:
 
 def run_settings(config: RunConfig, n_rows: int) -> dict:
     """run_al's keyword arguments other than the dataset, strategy and rng, for n_rows rows."""
-    n_train = n_rows - held_out_rows(n_rows, config.test_fraction)
+    n_train = n_rows - held_out_rows(n_rows)
     budget = max(1, int(round(config.budget_fraction * n_train)))
     model_config = ModelConfig(
         n_classes=config.classes,
@@ -169,5 +149,4 @@ def run_settings(config: RunConfig, n_rows: int) -> dict:
         "model_config": model_config,
         "cycles": config.cycles,
         "init_labeled": max(1, int(round(config.init_fraction * n_train))),
-        "test_fraction": config.test_fraction,
     }

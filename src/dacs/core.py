@@ -431,5 +431,5 @@ class AcquisitionConfig:
         check_bucket_count(self.n_buckets)
         if self.n_breaks < 1:
             raise ValueError("breaks must be at least 1")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")

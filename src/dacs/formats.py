@@ -2,15 +2,16 @@
 
 The embedding container is a fixed little-endian layout: 8-byte magic
 "DACSEMB1", u64 row count, u64 column count, one flag byte (bit 0 = rows are
-unit-norm), then n*d float32 values row-major. A CSV fallback with header
-f0..f{d-1} covers hand-made inputs. A binary pool stays float32, as its file
-holds it, and a CSV pool is float64; the kernels read both as float64 rows
-(FeatureMatrix.take). Parse failures name the byte offset or line
-so the CLI can report them cleanly.
+unit-norm), then n*d float32 values row-major. A CSV with header f0..f{d-1}
+covers hand-made inputs; its first bytes, "f0", tell it from the container.
+A binary pool stays float32, as its file holds it, and a CSV pool is
+float64; the kernels read both as float64 rows (FeatureMatrix.take). Parse
+failures name the byte offset or line so the CLI can report them cleanly.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import warnings
@@ -23,9 +24,6 @@ MAGIC = b"DACSEMB1"
 FLAG_UNIT_NORM = 0x01
 _HEADER = struct.Struct("<8sQQB")
 
-FORMAT_BINARY = "binary"
-FORMAT_CSV = "csv"
-
 
 class ParseError(ValueError):
     """Malformed input file; message carries the location."""
@@ -36,13 +34,16 @@ def read_embeddings(path) -> FeatureMatrix:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_HEADER.size)
+        magic = header[: len(MAGIC)]
+        if magic != MAGIC[: len(header)]:  # a short file passes if it starts as MAGIC does
+            raise ParseError(
+                f"bad magic {magic!r} at byte offset 0; expected {MAGIC!r} (a CSV pool starts f0)"
+            )
         if len(header) < _HEADER.size:
             raise ParseError(
                 f"truncated header: need {_HEADER.size} bytes, file has {len(header)} (byte offset 0)"
             )
-        magic, n, d, flags = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ParseError(f"bad magic {magic!r} at byte offset 0; expected {MAGIC!r}")
+        _, n, d, flags = _HEADER.unpack(header)
         for what, count, offset in (("rows", n, 8), ("columns", d, 16)):
             if count == 0:
                 raise ParseError(f"header declares 0 {what} at byte offset {offset}; a pool needs one or more")
@@ -60,7 +61,15 @@ def read_embeddings(path) -> FeatureMatrix:
 
 
 def read_embeddings_csv(path) -> FeatureMatrix:
-    with open(path) as fh:
+    """Read an f0..f{d-1}-headed CSV into a float64 pool; bytes that are not UTF-8 name their offset."""
+    with open(path, "rb") as raw:
+        blob = raw.read()
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line}: byte offset {exc.start} is not UTF-8 text") from None
+    with io.StringIO(text, newline=None) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if not all(c == f"f{j}" for j, c in enumerate(cols)):

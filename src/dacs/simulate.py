@@ -45,7 +45,7 @@ from .selection import STRATEGIES, select
 
 GENERATOR_MIXTURE = "gaussian-mixture"
 GENERATOR_NEAR_DUPLICATE = "near-duplicate"
-# Share of the dataset run_al holds out for testing unless told otherwise.
+# Share of the dataset run_al holds out for testing.
 TEST_FRACTION = 0.2
 
 
@@ -288,26 +288,24 @@ def _density_correlations(
     return rho_entropy, rho_loss
 
 
-def held_out_rows(n_rows: int, test_fraction: float) -> int:
+def held_out_rows(n_rows: int) -> int:
     """Size of the held-out test split of n_rows rows, as run_al draws it."""
-    return int(round(test_fraction * n_rows))
+    return int(round(TEST_FRACTION * n_rows))
 
 
 def check_run(
     n_rows: int, n_features: int, strategy: str, acq_config: AcquisitionConfig,
-    model_config: ModelConfig, cycles: int, init_labeled: int, test_fraction: float,
+    model_config: ModelConfig, cycles: int, init_labeled: int,
 ) -> None:
     """Refuse what run_al would on an n_rows x n_features dataset, from its shape alone."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if cycles < 0:
         raise ValueError("cycles must be non-negative")
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    n_test = held_out_rows(n_rows, test_fraction)
+    n_test = held_out_rows(n_rows)
     n_train = n_rows - n_test
     if n_test < 1 or n_train < 2:
-        raise ValueError("dataset too small for the requested test fraction")
+        raise ValueError("dataset too small to hold out a test split and keep 2 training rows")
     if init_labeled < 1 or init_labeled >= n_train:
         raise ValueError("init_labeled must be in [1, n_train)")
     if init_labeled + cycles * acq_config.budget > n_train:
@@ -323,7 +321,6 @@ def run_al(
     cycles: int,
     init_labeled: int,
     rng: Rng,
-    test_fraction: float = TEST_FRACTION,
 ) -> ExperimentReport:
     """Pool-based acquisition loop with from-scratch retraining each cycle, for one run.
 
@@ -338,7 +335,7 @@ def run_al(
     what it raised, a DivergenceError among others.
     """
     ((outcome, log),) = run_lockstep(
-        dataset, [(strategy, rng)], acq_config, model_config, cycles, init_labeled, test_fraction
+        dataset, [(strategy, rng)], acq_config, model_config, cycles, init_labeled
     )
     for warning in log:
         _warn_again(*warning)
@@ -366,7 +363,6 @@ def run_lockstep(
     model_config: ModelConfig,
     cycles: int,
     init_labeled: int,
-    test_fraction: float = TEST_FRACTION,
 ) -> list:
     """Run the (strategy, rng) runs on one dataset together, one cycle at a time.
 
@@ -396,7 +392,7 @@ def run_lockstep(
         "model": asdict(model_config),
         "cycles": cycles,
         "init_labeled": init_labeled,
-        "test_fraction": test_fraction,
+        "test_fraction": TEST_FRACTION,
     }
     state = []
     for strategy, rng in runs:
@@ -431,7 +427,7 @@ def run_lockstep(
     for run in state:
         attempt(
             [run], check_run, dataset.n, dataset.features.d, run.report.strategy, acq_config,
-            model_config, cycles, init_labeled, test_fraction,
+            model_config, cycles, init_labeled,
         )
     for t in range(cycles + 1):
         # The live runs that share a model: at cycle 0 all of an Rng's, later each alone.
@@ -443,7 +439,7 @@ def run_lockstep(
         for members in trainees.values():
             lead = members[0]
             if t == 0:
-                split = attempt(members, _split, dataset, init_labeled, lead.rng, test_fraction)
+                split = attempt(members, _split, dataset, init_labeled, lead.rng)
                 if split is None:
                     continue
                 for run in members:
@@ -494,12 +490,12 @@ def run_lockstep(
     return [(run.report if run.error is None else run.error, run.log) for run in state]
 
 
-def _split(dataset: SyntheticDataset, init_labeled: int, rng: Rng, test_fraction: float):
+def _split(dataset: SyntheticDataset, init_labeled: int, rng: Rng):
     """((X_train, y_train, X_test, y_test), initial pool) of a run: its Rng alone decides them.
 
     X_train and X_test are views of the dataset's features (rows), so no row is copied.
     """
-    n_test = held_out_rows(dataset.n, test_fraction)
+    n_test = held_out_rows(dataset.n)
     perm = rng.derive("split").generator().permutation(dataset.n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])

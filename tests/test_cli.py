@@ -35,7 +35,7 @@ from dacs.config import (
 )
 from dacs.core import AcquisitionConfig, DegenerateInputError, DivergenceError, FeatureMatrix, Rng
 from dacs.density import exact_knn_density, lsh_assign, lsh_density
-from dacs.formats import ParseError, read_embeddings
+from dacs.formats import MAGIC, ParseError, read_embeddings
 from dacs.model import ModelConfig
 from dacs.selection import STRATEGIES, STRATEGY_READS
 from dacs.simulate import GENERATOR_NEAR_DUPLICATE, run_al
@@ -141,7 +141,7 @@ class TestParseRunConfig:
             "dataset = parquet",
             "strategies = oracle",
             "temperature = 0",
-            "test_fraction = 1.5",
+            "temperature = inf",
             "cycles = -1",
         ],
     )
@@ -165,15 +165,6 @@ class TestParseRunConfig:
             ["density", "--embeddings", str(pool), "--mode", "lsh", "--out", "o.csv"]
         )
         assert args.buckets == acq.n_buckets
-
-    def test_env_seed_wins(self, tmp_path, monkeypatch):
-        path = tmp_path / "run.cfg"
-        path.write_text("seeds = 0, 1, 2\n")
-        monkeypatch.setenv("DACS_SEED", "9")
-        assert parse_run_config(path).seeds == [9]
-        monkeypatch.setenv("DACS_SEED", "many")
-        with pytest.raises(ParseError, match="DACS_SEED"):
-            parse_run_config(path)
 
 
 # sha256 of the `dacs select` JSON (sorted, timings removed) of each strategy
@@ -229,14 +220,12 @@ class TestSelectCommand:
         second = json.loads(b.read_text())
         assert first["selected"] == second["selected"]
 
-    def test_env_seed_applies(self, pool_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("DACS_SEED", "3")
+    def test_seed_defaults_to_zero(self, pool_file, tmp_path):
         _, out = self.run_select(pool_file, tmp_path)
-        from_env = json.loads(out.read_text())
-        monkeypatch.delenv("DACS_SEED")
-        _, out2 = self.run_select(pool_file, tmp_path, "--seed", "3")
-        assert from_env["selected"] == json.loads(out2.read_text())["selected"]
-        assert from_env["config_echo"]["seed"] == 3
+        default = json.loads(out.read_text())
+        _, out2 = self.run_select(pool_file, tmp_path, "--seed", "0")
+        assert default["selected"] == json.loads(out2.read_text())["selected"]
+        assert default["config_echo"]["seed"] == 0
 
     def test_csv_input_is_normalized_with_a_note(self, tmp_path, capsys):
         gen = Rng(2, "cli").generator()
@@ -248,7 +237,6 @@ class TestSelectCommand:
             [
                 "select",
                 "--embeddings", str(path),
-                "--format", "csv",
                 "--budget", "3",
                 "--strategy", "coreset",
                 "--out", str(out),
@@ -344,7 +332,7 @@ class TestSelectCommand:
         out = tmp_path / "picks.json"
         code = main(
             [
-                "select", "--embeddings", str(pool), "--format", "csv", "--budget", "2",
+                "select", "--embeddings", str(pool), "--budget", "2",
                 "--strategy", strategy, "--scores", str(scores), "--out", str(out),
             ]
         )
@@ -407,11 +395,10 @@ class TestSelectCommand:
         assert f"error: --{dest} is read by --strategy " in capsys.readouterr().err
         assert not out.exists()
 
-    def test_env_seed_stays_a_default_where_unread(self, pool_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("DACS_SEED", "7")
+    def test_an_unread_seed_echoes_its_default(self, pool_file, tmp_path):
         code, out = self.run_select(pool_file, tmp_path, "--strategy", "coreset", engine=())
         assert code == EXIT_OK
-        assert json.loads(out.read_text())["config_echo"]["seed"] == 7
+        assert json.loads(out.read_text())["config_echo"]["seed"] == 0
 
     @pytest.mark.parametrize(
         "strategy, flags",
@@ -431,12 +418,18 @@ class TestSelectCommand:
         assert code == EXIT_OK
         assert len(json.loads(out.read_text())["selected"]) == 5
 
-    @pytest.mark.parametrize("flag", ["--expand-factor", "--reference", "--window"])
+    @pytest.mark.parametrize("flag", ["--expand-factor", "--reference", "--window", "--format"])
     def test_deleted_flags_are_unrecognised(self, pool_file, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             self.run_select(pool_file, tmp_path, flag, "1")
         assert exc.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_an_infinite_temperature_is_refused(self, pool_file, tmp_path, capsys):
+        code, out = self.run_select(pool_file, tmp_path, "--temperature", "inf")
+        assert code == EXIT_USAGE
+        assert "temperature must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         code = main(
@@ -691,14 +684,14 @@ class TestBinaryPool:
         "select-dacs": ["select", "--budget", "40", "--strategy", "dacs", "--buckets", "20", "--seed", "0"],
     }
 
-    def output_digest(self, tmp_path, name, writer, fmt, run=main):
-        """sha256 of the output of command `name` on the pool written by `writer` in `fmt`."""
+    def output_digest(self, tmp_path, name, writer, suffix, run=main):
+        """sha256 of the output of command `name` on the pool `writer` writes to pool.`suffix`."""
         gen = Rng(9, "binary-pool").generator()
         # off-centre rows of norm about 13, rounded to float32 as the file stores them
         rows = (3.0 * gen.normal(size=(3000, 16)) + 1.5).astype(np.float32).astype(np.float64)
-        pool, labeled, out = tmp_path / f"pool.{fmt}", tmp_path / "labeled.txt", tmp_path / "out"
+        pool, labeled, out = tmp_path / f"pool.{suffix}", tmp_path / "labeled.txt", tmp_path / "out"
         writer(pool, FeatureMatrix(rows))
-        argv = [*self.COMMANDS[name], "--embeddings", str(pool), "--format", fmt, "--out", str(out)]
+        argv = [*self.COMMANDS[name], "--embeddings", str(pool), "--out", str(out)]
         if argv[0] == "select":
             labeled.write_text("".join(f"{i}\n" for i in range(0, 3000, 100)))
             argv += ["--labeled", str(labeled)]
@@ -729,6 +722,34 @@ class TestBinaryPool:
     def test_a_csv_of_the_same_values_gives_the_same_output(self, tmp_path, name):
         csv = self.output_digest(tmp_path, name, write_embeddings_csv, "csv")
         assert csv == self.output_digest(tmp_path, name, write_embeddings, "binary")
+
+
+class TestPoolForm:
+    """A pool's first bytes give its form; a file of neither form exits 2 naming where."""
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"", "file has 0 (byte offset 0)"),
+            (MAGIC[:5], "file has 5 (byte offset 0)"),
+            (b"DACSEMB2" + bytes(17) + bytes(8), "bad magic b'DACSEMB2' at byte offset 0"),
+            (b"\xff\xfe\x00" * 12, "at byte offset 0; expected b'DACSEMB1' (a CSV pool starts f0)"),
+            (b"f0,f1\n1,0\n0,\xff\n", "line 3: byte offset 12 is not UTF-8 text"),
+            (b"f0,f2\n1,0\n", "line 1: expected header f0..f1, got 'f0,f2'"),
+            (b"x0,x1\n1,0\n0,1\n1,1\n1,1\n", "bad magic b'x0,x1\\n1,' at byte offset 0"),
+        ],
+        ids=["empty", "magic-prefix", "wrong-magic", "not-utf8", "csv-not-utf8", "csv-header",
+             "csv-other-header"],
+    )
+    @pytest.mark.parametrize("command", [["select", "--budget", "1"], ["density", "--mode", "exact"]])
+    def test_a_file_of_neither_form_is_a_parse_error(self, tmp_path, capsys, blob, message, command):
+        pool, out = tmp_path / "pool", tmp_path / "out"
+        pool.write_bytes(blob)
+        assert main([*command, "--embeddings", str(pool), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err
+        assert "codec" not in err and "decode" not in err
+        assert not out.exists()
 
 
 def write_sim_config(path, **overrides):
@@ -805,15 +826,6 @@ class TestSimulateCommand:
             outputs.append(report)
         assert outputs[0] == outputs[1]
 
-    def test_env_seed_renames_the_grid(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        write_sim_config(cfg, seeds="0, 1")
-        monkeypatch.setenv("DACS_SEED", "5")
-        out_dir = tmp_path / "results"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
-        names = sorted(p.name for p in out_dir.iterdir())
-        assert names == ["aggregate.csv", "dacs-seed5.json", "random-seed5.json"]
-
     def test_divergence_keeps_partial_results_and_exits_3(self, tmp_path, capsys, monkeypatch):
         check_divergence_keeps_partial_results(tmp_path, capsys, monkeypatch)
 
@@ -828,6 +840,7 @@ class TestSimulateCommand:
             ("lr_decay", "off"),
             ("expand_factor", 3),
             ("reference", "cluster-local"),
+            ("test_fraction", 0.2),  # the test split is always simulate.TEST_FRACTION
         ],
     )
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, key, value):
@@ -846,13 +859,13 @@ class TestSimulateCommand:
             ("buckets", 3, "bad engine setting: buckets must be a positive even integer"),
             ("breaks", 0, "bad engine setting: breaks must be at least 1"),
             ("temperature", -1, "temperature must be positive"),
+            ("temperature", "inf", "bad engine setting: temperature must be positive and finite"),
             ("epochs", 0, "epochs must be positive"),
             # an infinite rate would diverge every run at its first epoch
             ("learning_rate", "inf", "bad engine setting: learning_rate must be positive and finite"),
             # refused by run_al, init_model or the generator on the data
             ("cycles", 60, "initial labels plus per-cycle budgets exceed the training pool"),
             ("reduced_dim", 16, "reduced_dim 16 must be smaller than the feature dimension 8"),
-            ("test_fraction", 0.99, "dataset too small for the requested test fraction"),
             ("spread", -1, "spread and separation must be non-negative"),
             # a non-finite value would reach the data as a non-finite feature
             ("spread", "nan", "bad engine setting: spread and separation must be finite"),
@@ -878,6 +891,16 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_a_dataset_too_small_to_split_is_refused_before_any_output(self, tmp_path, capsys):
+        # two rows hold out round(0.2 * 2) = 0 test rows
+        cfg = tmp_path / "run.cfg"
+        write_sim_config(cfg, classes=2, per_class=1)
+        out_dir = tmp_path / "results"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert "dataset too small to hold out a test split" in capsys.readouterr().err
         assert not out_dir.exists()
 
 

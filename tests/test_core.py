@@ -376,6 +376,7 @@ class TestAcquisitionConfig:
             dict(budget=5, n_breaks=0),
             dict(budget=5, temperature=0.0),
             dict(budget=5, temperature=float("nan")),
+            dict(budget=5, temperature=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from dacs.cli import run_config_grid
-from dacs.config import SEED_ENV_VAR, parse_run_config
+from dacs.config import parse_run_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,8 +25,7 @@ def _report_without_timings(path: Path) -> str:
 
 
 @pytest.mark.parametrize("suite", ["ablation", "mixture", "near_duplicate"])
-def test_suite_matches_committed_outputs(suite, tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_suite_matches_committed_outputs(suite, tmp_path):
     config = parse_run_config(ROOT / "configs" / f"{suite}.cfg")
     _, diverged = run_config_grid(config, str(tmp_path))
     assert diverged == []

@@ -286,7 +286,7 @@ SMALL_RUN_PICK_DIGESTS = {
 class TestRunAl:
     def test_split_views_the_dataset_rows(self):
         ds, _ = small_settings()
-        (X_train, y_train, X_test, y_test), pool = dacs.simulate._split(ds, 6, Rng(0, "al"), 0.2)
+        (X_train, y_train, X_test, y_test), pool = dacs.simulate._split(ds, 6, Rng(0, "al"))
         # Views of the dataset's own matrix: the split copies no row.
         assert isinstance(X_train, RowView) and X_train.parent is ds.features
         assert isinstance(X_test, RowView) and X_test.parent is ds.features
@@ -367,8 +367,6 @@ class TestRunAl:
         model = ModelConfig(n_classes=3, reduced_dim=4, epochs=2)
         with pytest.raises(ValueError, match="unknown strategy"):
             run_al(ds, "oracle", acq, model, 1, 2, Rng(0, "al"))
-        with pytest.raises(ValueError, match="test_fraction"):
-            run_al(ds, "random", acq, model, 1, 2, Rng(0, "al"), test_fraction=1.0)
         with pytest.raises(ValueError, match="init_labeled"):
             run_al(ds, "random", acq, model, 1, 0, Rng(0, "al"))
         with pytest.raises(ValueError, match="cycles"):
